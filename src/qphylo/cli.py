@@ -33,6 +33,17 @@ EXIT_OPTIMIZER = 6
 _FAMILIES = ("JC", "K2", "K3", "B", "F")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -140,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="sample an alignment from a tree's pattern distribution")
     sim.add_argument("--tree", required=True, help="Newick file")
-    sim.add_argument("--sites", type=int, required=True, help="number of sites to sample")
+    sim.add_argument("--sites", type=_positive_int, required=True, help="number of sites to sample")
     sim.add_argument("--seed", type=int, required=True, help="sampling seed")
     sim.add_argument("--out", required=True, help="output prefix (<out>.fasta, <out>.patterns.json)")
     sim.set_defaults(run=cmd_simulate)

@@ -1,13 +1,31 @@
 """Tree simulation and the three likelihood engines.
 
-The classical engine runs the textbook pruning recursion on likelihood
-vectors. The quantum engine runs the pruning circuit: per-edge operator-sum
-propagation of the two child likelihood operators, the collective pinch onto
-the |kk> subspace, the inverse control-shift (which parks the duplicate
-character on the null ancilla), and a partial trace. The dual engine reduces
-subtrees the same way but evaluates the final (root) cherry in the state
-picture, propagating the stationary density backwards through the adjoint
-map and recording the trace factor nu of the left child.
+Every engine reduces all unique site patterns of an alignment at once. The
+tree is walked once in post-order, and each node carries a (P, k) array:
+for each of the P patterns, the likelihood vector (or the diagonal of the
+likelihood operator) over the k non-null characters.
+
+- The classical engine runs the textbook pruning recursion: one matmul per
+  child edge and one elementwise product per node.
+- The quantum engine runs the pruning circuit: per-edge operator-sum
+  propagation of the two child likelihood operators into full (P, n, n)
+  operators (n = k + 1 counts the null character), the collective pinch
+  onto the |kk> subspace, the inverse control-shift (which parks the
+  duplicate character on the null ancilla), and a partial trace. The pinch
+  leaves a diagonal operator, so the gates run in their sparse forms: the
+  pinch is a gather of the |kk> entries, the control-shift an index
+  permutation and the partial trace a reshape-trace. The tests pin each
+  form to its dense operator.
+- The dual engine reduces the subtrees the same way but evaluates the root
+  cherry in the state picture: the left child's operator, propagated
+  forward through its edge channel, pinches the stationary density, which
+  the adjoint of the right edge channel then carries backwards; the trace
+  factor nu of the left child is recorded.
+
+Each node below the root is divided by its per-pattern maximum, and the
+logs of the divisors accumulate per pattern, as in standard pruning codes
+(Felsenstein 1981; BEAGLE), so that deep trees do not underflow to a false
+zero likelihood.
 
 All three agree because each edge step, restricted to diagonal operators,
 factors through the same likelihood-propagation matrix W = M^T.
@@ -16,12 +34,15 @@ factors through the same likelihood-propagation matrix W = M^T.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .channels import DiagonalDensity, collective_diagonalizer, control_not, split_at
+from .channels import DiagonalDensity, split_at
 from .errors import ModelError, ShapeMismatchError, TaxaMismatchError, ZeroLikelihoodError
 from .linalg import ProbabilityTensor
 from .models import ModelParams, markov, prune_matrix, prune_operators
@@ -75,6 +96,161 @@ def leaf_likelihood(symbol: str, n_states: int = 4) -> np.ndarray:
     return out
 
 
+# --- Per-edge data -----------------------------------------------------------
+
+
+def _embed_stack(ops) -> np.ndarray:
+    """Stack operators over the non-null block, extended by a zero null row and column.
+
+    Likelihood operators carry no weight on the null character, so the
+    corner never reaches a result.
+    """
+    ops = [linalg.as_matrix(op) for op in ops]
+    m = ops[0].shape[0]
+    out = np.zeros((len(ops), m + 1, m + 1), dtype=complex)
+    out[:, 1:, 1:] = ops
+    return out
+
+
+def _transfer(stack: np.ndarray) -> np.ndarray:
+    """The columns of sum_k A_k (x) conj(A_k) that a diagonal input reaches.
+
+    Entry ((a, b), i) is sum_k A_k[a, i] conj(A_k[b, i]); only the non-null
+    inputs i >= 1 are kept, since likelihood operators carry no null weight.
+    Shape (n*n, n-1); it never grows with the number of patterns.
+    """
+    n = stack.shape[1]
+    block = stack[:, :, 1:]
+    return np.einsum("kai,kbi->abi", block, block.conj()).reshape(n * n, n - 1)
+
+
+@dataclass(frozen=True)
+class _EdgeOps:
+    """Per-edge data that one engine reads for every pattern.
+
+    The classical engine reads only ``w``; the quantum and dual engines
+    read only the Kraus family, so each engine builds only its own.
+    """
+
+    w: np.ndarray | None = None         # likelihood propagation matrix M^T
+    stack: np.ndarray | None = None     # embedded Kraus family
+    transfer: np.ndarray | None = None  # _transfer(stack)
+
+    @classmethod
+    def for_params(cls, params: ModelParams, engine: str) -> "_EdgeOps":
+        if engine == "classical":
+            return cls(w=prune_matrix(params))
+        return cls.from_kraus(prune_operators(params))
+
+    @classmethod
+    def from_kraus(cls, ops) -> "_EdgeOps":
+        stack = _embed_stack(ops)
+        return cls(stack=stack, transfer=_transfer(stack))
+
+
+# --- Batched kernels: arrays carry one row per site pattern --------------------
+
+
+def _diagonal(ops: np.ndarray) -> np.ndarray:
+    """The |k><k| entries of a (P, n, n) operator stack, shape (P, n)."""
+    p, n, _ = ops.shape
+    return ops.reshape(p, n * n)[:, ::n + 1]
+
+
+def _kraus_propagate(diag: np.ndarray, transfer: np.ndarray) -> np.ndarray:
+    """Batched operator sum sum_k A_k diag(0, d_p) A_k^dagger, shape (P, n, n).
+
+    ``diag`` is (P, n-1): each row the diagonal of one input operator over
+    the non-null characters.
+    """
+    n = transfer.shape[1] + 1
+    return (diag @ transfer.T).reshape(len(diag), n, n)
+
+
+def _collective_pinch(rho_b: np.ndarray, rho_c: np.ndarray) -> np.ndarray:
+    """Diagonal of the collective pinch of rho_b (x) rho_c, shape (P, n*n).
+
+    The pinch keeps only the |kk><kk| entries of the joint operator, and the
+    joint entry there is the product of the factors' |k><k| entries: the
+    gate is a gather, and every other entry of the result is zero.
+    """
+    p, n, _ = rho_b.shape
+    out = np.zeros((p, n * n), dtype=complex)
+    out[:, ::n + 1] = _diagonal(rho_b) * _diagonal(rho_c)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _unshift_source(n: int) -> np.ndarray:
+    """For each |i, j>, the index |i, j + i mod n> that the inverse control-shift moves there."""
+    i, j = np.divmod(np.arange(n * n), n)
+    src = i * n + (j + i) % n
+    src.setflags(write=False)
+    return src
+
+
+def _inverse_control_shift(diag: np.ndarray) -> np.ndarray:
+    """U^dagger D U for the control-shift U and a diagonal D, given by its diagonal.
+
+    U^dagger sends |i, j> to |i, j - i mod n>, a permutation, so the
+    conjugation permutes the diagonal entries.
+    """
+    return diag[:, _unshift_source(math.isqrt(diag.shape[1]))]
+
+
+def _trace_second_slot(diag: np.ndarray) -> np.ndarray:
+    """Partial trace over slot 2 of a diagonal two-slot operator, shape (P, n)."""
+    p, nn = diag.shape
+    n = math.isqrt(nn)
+    return diag.reshape(p, n, n).sum(axis=2)
+
+
+def _classical_node(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps) -> np.ndarray:
+    """Parent vectors (W_B L_B) o (W_C L_C), one row per pattern."""
+    return (lb @ eb.w.T) * (lc @ ec.w.T)
+
+
+def _quantum_node(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps) -> np.ndarray:
+    """The pruning circuit on two children's likelihood operators, one row per pattern."""
+    joint = _collective_pinch(_kraus_propagate(lb, eb.transfer), _kraus_propagate(lc, ec.transfer))
+    return _trace_second_slot(_inverse_control_shift(joint))[:, 1:].real
+
+
+def _pinch_weights(lb: np.ndarray, eb: _EdgeOps):
+    """Forward step of the left child: (q, nu) with q = diag(E_B(L_B)) / nu, nu = Tr L_B.
+
+    q has shape (P, n) with q[:, 0] = 0; rows with nu = 0 get q = 0.
+    """
+    nu = lb.sum(axis=1)
+    forward = _diagonal(_kraus_propagate(lb, eb.transfer)).real
+    q = np.divide(forward, nu[:, None], out=np.zeros_like(forward), where=nu[:, None] > 0.0)
+    return q, nu
+
+
+def _adjoint_state(q: np.ndarray, pi: np.ndarray, ec: _EdgeOps) -> np.ndarray:
+    """sum_k A_k^dagger sigma A_k for the pinched stationary density sigma, (P, n, n).
+
+    sigma = sum_k q_k P_k diag(0, pi) P_k is diagonal; the adjoint map is the
+    operator sum of the adjoint Kraus family.
+    """
+    adjoint = _transfer(ec.stack.conj().transpose(0, 2, 1))
+    return _kraus_propagate(q[:, 1:] * pi, adjoint)
+
+
+def _dual_root(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps, pi: np.ndarray):
+    """Root cherry in the state picture: (site value, nu) per pattern.
+
+    The value is nu Tr(L_C A^dagger(sigma)), sigma the stationary density
+    pinched by the left child's forward weights q.
+    """
+    q, nu = _pinch_weights(lb, eb)
+    back = _adjoint_state(q, pi, ec)
+    return nu * np.einsum("pi,pii->p", lc, back[:, 1:, 1:]).real, nu
+
+
+# --- Single-pair primitives: the kernels at P = 1 -------------------------------
+
+
 def classical_prune(lb, lc, mb, mc) -> np.ndarray:
     """Parent likelihood (W_B L_B) o (W_C L_C) with W = M^T per edge."""
     lb = np.asarray(lb, dtype=float)
@@ -83,65 +259,7 @@ def classical_prune(lb, lc, mb, mc) -> np.ndarray:
     mc = np.asarray(mc, dtype=float)
     if lb.shape != lc.shape or mb.shape != (lb.size, lb.size) or mc.shape != mb.shape:
         raise ShapeMismatchError("pruning operands have mismatched dimensions")
-    return (mb.T @ lb) * (mc.T @ lc)
-
-
-@functools.lru_cache(maxsize=None)
-def _circuit_pieces(n: int):
-    """Cached pinch operators and inverse control-shift for the full alphabet."""
-    pinch = np.stack(collective_diagonalizer(n).operators)
-    pinch_dag = pinch.conj().transpose(0, 2, 1).copy()
-    ucn_dag = control_not(n).conj().T
-    for arr in (pinch, pinch_dag, ucn_dag):
-        arr.setflags(write=False)
-    return pinch, pinch_dag, ucn_dag
-
-
-def _embed_operator(op: np.ndarray, corner: complex) -> np.ndarray:
-    """Extend an operator over the non-null block to the full alphabet.
-
-    Likelihood operators carry no weight on the null character, so the
-    corner value never reaches a result; unitaries use 1 to stay unitary,
-    general Kraus operators use 0.
-    """
-    m = op.shape[0]
-    out = np.zeros((m + 1, m + 1), dtype=complex)
-    out[0, 0] = corner
-    out[1:, 1:] = op
-    return out
-
-
-def _embed_stack(ops, corner: complex) -> np.ndarray:
-    return np.stack([_embed_operator(linalg.as_matrix(op), corner) for op in ops])
-
-
-def _propagate_diagonal(stack: np.ndarray, stack_dag: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """sum_k A_k diag(d) A_k^dagger for a stacked operator family."""
-    return ((stack * diag) @ stack_dag).sum(axis=0)
-
-
-def _prune_pair(lb: np.ndarray, lc: np.ndarray, stack_b: np.ndarray, stack_c: np.ndarray,
-                stack_b_dag: np.ndarray | None = None, stack_c_dag: np.ndarray | None = None) -> np.ndarray:
-    """The pruning circuit on two likelihood operators over the non-null block.
-
-    Both operators are embedded with null weight 0, propagated through their
-    edge families, pinched onto the collective diagonal, unwound by the
-    inverse control-shift (collective |kk> goes to |k0>), and the second slot
-    is traced out.
-    """
-    n = stack_b.shape[1]
-    if stack_b_dag is None:
-        stack_b_dag = stack_b.conj().transpose(0, 2, 1)
-    if stack_c_dag is None:
-        stack_c_dag = stack_c.conj().transpose(0, 2, 1)
-    rho_b = _propagate_diagonal(stack_b, stack_b_dag, np.concatenate([[0.0], lb]))
-    rho_c = _propagate_diagonal(stack_c, stack_c_dag, np.concatenate([[0.0], lc]))
-    pinch, pinch_dag, ucn_dag = _circuit_pieces(n)
-    joint = np.kron(rho_b, rho_c)
-    pinched = (pinch @ joint @ pinch_dag).sum(axis=0)
-    recovered = ucn_dag @ pinched @ ucn_dag.conj().T
-    reduced = linalg.partial_trace(recovered, [n, n], traced=2)
-    return np.diag(reduced).real[1:]
+    return _classical_node(lb[None], lc[None], _EdgeOps(w=mb.T), _EdgeOps(w=mc.T))[0]
 
 
 def quantum_prune(lb, lc, ub, uc) -> np.ndarray:
@@ -159,7 +277,7 @@ def quantum_prune(lb, lc, ub, uc) -> np.ndarray:
             raise ModelError("edge operator is not unitary")
     if ub.shape != (lb.size, lb.size) or uc.shape != (lc.size, lc.size) or lb.size != lc.size:
         raise ShapeMismatchError("pruning operands have mismatched dimensions")
-    return _prune_pair(lb, lc, _embed_stack([ub], 1.0), _embed_stack([uc], 1.0))
+    return _quantum_node(lb[None], lc[None], _EdgeOps.from_kraus([ub]), _EdgeOps.from_kraus([uc]))[0]
 
 
 def prune_embedded(operators, r: int, ub, uc) -> list:
@@ -186,18 +304,18 @@ def dual_prune(lb, lc, ub, uc):
     """
     lb = np.asarray(lb, dtype=float)
     lc = np.asarray(lc, dtype=float)
-    ub = linalg.as_matrix(ub)
-    uc = linalg.as_matrix(uc)
-    nu = float(lb.sum())
-    if nu <= 0.0:
+    if lb.sum() <= 0.0:
         raise ZeroLikelihoodError(-1, "dead lineage: the left operator has zero trace")
-    q = np.diag(ub @ np.diag(lb).astype(complex) @ ub.conj().T).real / nu
-    evolved = uc @ np.diag(lc).astype(complex) @ uc.conj().T
-    return q * np.diag(evolved).real, nu
+    q, nu = _pinch_weights(lb[None], _EdgeOps.from_kraus([ub]))
+    evolved = _diagonal(_kraus_propagate(lc[None], _EdgeOps.from_kraus([uc]).transfer)).real
+    return (q * evolved)[0, 1:], float(nu[0])
 
 
 def dual_adjoint_state(q, uc, rho) -> np.ndarray:
-    """Adjoint map U_C^dagger (sum_k q_k P_k rho P_k) U_C on a density matrix."""
+    """Adjoint map U_C^dagger (sum_k q_k P_k rho P_k) U_C on a density matrix.
+
+    A dense reference for the batched root step of the dual engine.
+    """
     rho = linalg.as_matrix(rho)
     q = np.asarray(q, dtype=float)
     pinched = np.diag(q * np.diag(rho))
@@ -211,29 +329,13 @@ def site_likelihood(ltr, pi: DiagonalDensity) -> float:
         raise ModelError(f"likelihood operator has negative entry {ltr.min()}")
     if ltr.size != pi.dim - 1:
         raise ShapeMismatchError(f"operator size {ltr.size} vs {pi.dim - 1} characters")
-    return float(pi.block @ ltr)
+    return float(ltr @ pi.block)
 
 
-@dataclass(frozen=True)
-class _EdgeOps:
-    """Per-edge data the engines reuse across sites."""
-
-    w: np.ndarray          # likelihood propagation matrix M^T
-    stack: np.ndarray      # embedded Kraus family for the pruning circuit
-    stack_dag: np.ndarray
-
-    @classmethod
-    def for_params(cls, params: ModelParams) -> "_EdgeOps":
-        w = prune_matrix(params)
-        stack = _embed_stack(prune_operators(params), 0.0)
-        stack_dag = stack.conj().transpose(0, 2, 1).copy()
-        for arr in (w, stack, stack_dag):
-            arr.setflags(write=False)
-        return cls(w=w, stack=stack, stack_dag=stack_dag)
+# --- Whole-alignment evaluation -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SiteRecord:
+class SiteRecord(NamedTuple):
     site: int
     likelihood: float
     log: float
@@ -264,69 +366,59 @@ class SiteLikelihoodReport:
         }
 
 
-class _TreeContext:
-    """Tree data prepared once per likelihood evaluation."""
+def _post_order(root: TreeNode):
+    """A tree's nodes in post-order, the root last, built without recursion.
 
-    def __init__(self, tree: PhyloTree, taxa_order):
-        self.tree = tree
-        self.n_states = tree.n_states
-        self.pi = tree.pi
-        self.row_of = {}
-        for leaf in tree.root.leaves():
-            self.row_of[leaf.name] = taxa_order.index(leaf.name)
-        self.edges = {}
+    Returns (nodes, children): ``children[s]`` is the (left, right) pair of
+    positions of an internal node's children, and None for a leaf.
+    """
+    nodes, children, pending = [], [], []
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node.children and not expanded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+            continue
+        if node.children:
+            right, left = pending.pop(), pending.pop()
+            children.append((left, right))
+        else:
+            children.append(None)
+        pending.append(len(nodes))
+        nodes.append(node)
+    return nodes, children
 
-        def collect(node: TreeNode) -> None:
-            for child in node.children:
-                self.edges[id(child)] = _EdgeOps.for_params(child.params)
-                collect(child)
 
-        collect(tree.root)
+def _reduce_below_root(children: list, values: list, edges: list, node_step):
+    """Reduce every internal node below the root, rescaling as it goes.
 
-    def leaf_vector(self, node: TreeNode, pattern: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_states)
-        out[pattern[self.row_of[node.name]]] = 1.0
-        return out
-
-    def reduce(self, node: TreeNode, pattern: np.ndarray, engine: str) -> np.ndarray:
-        """Likelihood operator at a node (before its parent edge)."""
-        if node.is_leaf:
-            return self.leaf_vector(node, pattern)
-        left, right = node.children
-        lb = self.reduce(left, pattern, engine)
-        lc = self.reduce(right, pattern, engine)
-        eb = self.edges[id(left)]
-        ec = self.edges[id(right)]
-        if engine == "classical":
-            return (eb.w @ lb) * (ec.w @ lc)
-        return _prune_pair(lb, lc, eb.stack, ec.stack, eb.stack_dag, ec.stack_dag)
-
-    def pattern_likelihood(self, pattern: np.ndarray, engine: str):
-        """Site likelihood for one character pattern; returns (value, nu)."""
-        if engine in ("classical", "quantum"):
-            ltr = self.reduce(self.tree.root, pattern, engine)
-            return float(self.pi @ ltr), None
-        # Dual engine: subtrees reduce through the pruning circuit, the root
-        # cherry is contracted in the state picture.
-        left, right = self.tree.root.children
-        lbf = self.reduce(left, pattern, "quantum")
-        lcf = self.reduce(right, pattern, "quantum")
-        nu = float(lbf.sum())
-        if nu <= 0.0:
-            return 0.0, 0.0
-        eb = self.edges[id(left)]
-        ec = self.edges[id(right)]
-        q = (eb.w @ lbf) / nu
-        backward = ec.w.T @ (q * self.pi)
-        return nu * float(lcf @ backward), nu
+    ``values`` holds the leaves' (P, k) arrays and is filled in place.
+    Returns the root children as ((array, log-scaler), (array, log-scaler)),
+    where each array times exp(log-scaler) is the unscaled operator.
+    """
+    logs = [0.0] * len(values)
+    for slot, pair in enumerate(children[:-1]):
+        if pair is None:
+            continue
+        left, right = pair
+        out = node_step(values[left], values[right], edges[left], edges[right])
+        scale = out.max(axis=1)
+        scale = np.where(scale > 0.0, scale, 1.0)
+        values[slot] = out / scale[:, None]
+        logs[slot] = logs[left] + logs[right] + np.log(scale)
+        values[left] = values[right] = None
+    left, right = children[-1]
+    return (values[left], logs[left]), (values[right], logs[right])
 
 
 def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical") -> SiteLikelihoodReport:
     """Total log-likelihood of an alignment under one engine.
 
-    Sites are independent; identical site patterns are evaluated once and the
-    per-site report is expanded back in alignment order. A site of zero
-    likelihood raises ZeroLikelihoodError naming the (1-based) site.
+    Sites are independent; identical site patterns are evaluated once, all
+    in one batch, and the per-site report is expanded back in alignment
+    order. A site of zero likelihood raises ZeroLikelihoodError naming the
+    (1-based) site.
     """
     if engine not in ENGINES:
         raise ModelError(f"unknown engine {engine!r}; choose from {ENGINES}")
@@ -341,27 +433,32 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
         raise ModelError(f"alignment alphabet has {aln.alphabet.n_states} states, "
                          f"tree models have {tree.n_states}")
 
-    ctx = _TreeContext(tree, aln.taxa)
+    nodes, children = _post_order(tree.root)
     patterns, _, inverse = aln.site_patterns()
-    values = np.empty(len(patterns))
-    nus = np.empty(len(patterns))
-    for i, pattern in enumerate(patterns):
-        value, nu = ctx.pattern_likelihood(pattern, engine)
-        values[i] = value
-        nus[i] = nu if nu is not None else np.nan
-    site_values = values[inverse]
-    if site_values.min() <= 0.0:
-        site = int(np.argmax(site_values <= 0.0))
-        raise ZeroLikelihoodError(site + 1)
-    logs = np.log(site_values)
-    records = []
-    for site in range(aln.n_sites):
-        nu = nus[inverse[site]]
-        records.append(SiteRecord(site=site + 1, likelihood=float(site_values[site]),
-                                  log=float(logs[site]), nu=None if np.isnan(nu) else float(nu)))
+    row_of = {name: row for row, name in enumerate(aln.taxa)}
+    indicator = np.eye(tree.n_states)
+    values = [None if pair else indicator[patterns[:, row_of[node.name]]]
+              for node, pair in zip(nodes, children)]
+    edges = [_EdgeOps.for_params(node.params, engine) for node in nodes[:-1]]
+    node_step = _classical_node if engine == "classical" else _quantum_node
+
+    (lb, log_b), (lc, log_c) = _reduce_below_root(children, values, edges, node_step)
+    eb, ec = (edges[slot] for slot in children[-1])
+    nus = itertools.repeat(None)
+    if engine == "dual":
+        root_values, nu = _dual_root(lb, lc, eb, ec, tree.pi)
+        nus = (nu * np.exp(log_b))[inverse].tolist()
+    else:
+        root_values = node_step(lb, lc, eb, ec) @ tree.pi
+    zero = root_values[inverse] <= 0.0
+    if zero.any():
+        raise ZeroLikelihoodError(int(np.argmax(zero)) + 1)
+    logs = (np.log(root_values) + log_b + log_c)[inverse]
+    records = tuple(map(SiteRecord._make, zip(range(1, aln.n_sites + 1), np.exp(logs).tolist(),
+                                              logs.tolist(), nus)))
     return SiteLikelihoodReport(
         engine=engine,
-        per_site=tuple(records),
+        per_site=records,
         total_log_likelihood=float(np.sum(logs)),
         parameters={"tree": emit_newick(tree), "n_sites": aln.n_sites, "n_taxa": aln.n_taxa},
     )

@@ -54,7 +54,7 @@ class TaxaMismatchError(QPhyloError):
 
 
 class ZeroLikelihoodError(QPhyloError):
-    """A site has likelihood exactly zero; carries the 0-based site index."""
+    """A site has likelihood exactly zero; carries the 1-based site index."""
 
     def __init__(self, site: int, message: str | None = None):
         super().__init__(message or f"site {site} has zero likelihood")

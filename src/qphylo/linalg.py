@@ -50,12 +50,6 @@ def projector(i: int, dim: int) -> np.ndarray:
     return p
 
 
-def basis_state(i: int, dim: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[i] = 1.0
-    return e
-
-
 def shift_matrix(dim: int) -> np.ndarray:
     """Cyclic shift h with h|i> = |i+1 mod dim>, so h**dim = 1."""
     h = np.zeros((dim, dim), dtype=complex)
@@ -67,13 +61,6 @@ def shift_matrix(dim: int) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Tensor product with slot 1 on the left (most significant index)."""
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def kron_all(matrices) -> np.ndarray:
-    out = as_matrix(matrices[0])
-    for m in matrices[1:]:
-        out = np.kron(out, as_matrix(m))
-    return out
 
 
 def hadamard_product(a, b) -> np.ndarray:
@@ -115,10 +102,6 @@ def partial_trace(rho, dims, traced: int) -> np.ndarray:
     keep = [d for i, d in enumerate(dims) if i != t]
     m = int(np.prod(keep)) if keep else 1
     return work.reshape(m, m)
-
-
-def dagger(m) -> np.ndarray:
-    return as_matrix(m).conj().T
 
 
 def max_abs(m) -> float:

@@ -84,6 +84,8 @@ class PhyloTree:
     root_pi: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.root.is_leaf:
+            raise NewickParseError("tree needs at least two leaves")
         states = set()
 
         def check(node: TreeNode, is_root: bool) -> None:
@@ -109,7 +111,10 @@ class PhyloTree:
         if len(states) > 1:
             raise ModelError("edges mix 2-state and 4-state model families")
         if self.root_pi is not None:
-            pi = linalg.validate_probability_vector(np.asarray(self.root_pi, dtype=float))
+            try:
+                pi = linalg.validate_probability_vector(np.asarray(self.root_pi, dtype=float))
+            except ValueError as exc:
+                raise ModelError(f"root distribution: {exc}") from None
             if pi.size != self.n_states:
                 raise ModelError(f"root distribution has {pi.size} entries for {self.n_states} states")
             pi = pi.copy()
@@ -225,7 +230,11 @@ def _parse_annotation(body: str, offset: int) -> dict:
         if key in out:
             raise NewickParseError(f"duplicate annotation key {key!r}", offset=offset)
         if value.startswith("{") and value.endswith("}"):
-            out[key] = tuple(float(x) for x in value[1:-1].split(","))
+            try:
+                out[key] = tuple(float(x) for x in value[1:-1].split(","))
+            except ValueError:
+                raise NewickParseError(f"annotation {key}={value} is not a list of numbers",
+                                       offset=offset) from None
         else:
             out[key] = value
     return out
@@ -238,13 +247,17 @@ def _params_from_annotation(ann: dict, length: float | None, offset: int) -> Mod
     def num(key):
         if key not in ann:
             raise NewickParseError(f"model {family} needs {key}=", offset=offset)
-        return float(ann[key])
+        try:
+            return float(ann[key])
+        except (TypeError, ValueError):
+            raise NewickParseError(f"annotation {key}= must be a number, got {ann[key]!r}",
+                                   offset=offset) from None
     try:
         if family in ("JC", "B"):
             if "t" in ann and "a" in ann:
                 raise NewickParseError(f"model {family} takes a= or t=, not both", offset=offset)
             if "t" in ann:
-                t = float(ann["t"])
+                t = num("t")
                 return jc_from_branch_length(t) if family == "JC" else binary_from_branch_length(t)
             a = num("a")
             return ModelParams.jc(a) if family == "JC" else ModelParams.binary(a)
@@ -253,7 +266,7 @@ def _params_from_annotation(ann: dict, length: float | None, offset: int) -> Mod
         if family == "K3":
             return ModelParams.k3(num("a"), num("b"), num("c"))
         if family == "F":
-            if "pi" not in ann:
+            if not isinstance(ann.get("pi"), tuple):
                 raise NewickParseError("model F needs pi={...}", offset=offset)
             return ModelParams.felsenstein(num("a"), ann["pi"])
     except ModelError as exc:
@@ -289,7 +302,9 @@ def parse_newick(text: str) -> PhyloTree:
     ann = raw.annotation
     if ann and set(ann) - {"pi"}:
         raise NewickParseError("root annotation may only set pi={...}", offset=raw.offset)
-    root_pi = np.asarray(ann["pi"], dtype=float) if ann and "pi" in ann else None
+    if ann and not isinstance(ann["pi"], tuple):
+        raise NewickParseError("root annotation needs pi={...}", offset=raw.offset)
+    root_pi = np.asarray(ann["pi"], dtype=float) if ann else None
     root = TreeNode(name=raw.name, children=tuple(_resolve(c) for c in raw.children),
                     params=None, length=raw.length)
     return PhyloTree(root=root, root_pi=root_pi)

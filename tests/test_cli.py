@@ -83,6 +83,39 @@ class TestSimulate:
         assert z.max() < 3.0
 
 
+    @pytest.mark.parametrize("sites", [-1, 0, "x"])
+    def test_sites_below_one_rejected_by_argparse(self, tmp_path, tree_file, capsys, sites):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as err:
+            run(["simulate", "--tree", tree_file, "--sites", sites, "--seed", 1, "--out", out])
+        assert err.value.code == cli.EXIT_PARSE
+        assert "--sites" in capsys.readouterr().err
+        assert not out.with_name("run.fasta").exists()
+
+
+class TestTreeInputExitCodes:
+    @pytest.mark.parametrize("text", ["(A:0.1,B[&model=K2,a=0.1,b=x]);",
+                                      "(A:0.1,B[&model=F,a=0.5,pi={0.1,0.2,0.3,x}]);"])
+    def test_non_numeric_annotation_is_parse_error(self, tmp_path, capsys, text):
+        tree = tmp_path / "tree.nwk"
+        tree.write_text(text)
+        assert run(["simulate", "--tree", tree, "--sites", 5, "--seed", 1,
+                    "--out", tmp_path / "x"]) == cli.EXIT_PARSE
+        assert "offset" in capsys.readouterr().err
+
+    def test_single_leaf_is_parse_error(self, tmp_path):
+        tree = tmp_path / "tree.nwk"
+        tree.write_text("A;")
+        assert run(["simulate", "--tree", tree, "--sites", 5, "--seed", 1,
+                    "--out", tmp_path / "x"]) == cli.EXIT_PARSE
+
+    def test_unnormalized_root_distribution_is_model_error(self, tmp_path):
+        tree = tmp_path / "tree.nwk"
+        tree.write_text("(A:0.1,B:0.1)[&pi={0.5,0.5,0.5,0.5}];")
+        assert run(["simulate", "--tree", tree, "--sites", 5, "--seed", 1,
+                    "--out", tmp_path / "x"]) == cli.EXIT_MODEL
+
+
 class TestLikelihood:
     def test_single_engine_report(self, tmp_path, tree_file, capsys):
         fasta, _ = simulate(tmp_path, tree_file)

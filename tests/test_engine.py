@@ -3,15 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
-from qphylo.channels import DiagonalDensity
-from qphylo.engine import (alignment_loglik, classical_prune, dual_adjoint_state, dual_prune,
-                           leaf_likelihood, prune_embedded, quantum_prune, simulate_tree,
-                           site_likelihood, stationary_density)
+from qphylo import linalg
+from qphylo.channels import (DiagonalDensity, KrausChannel, apply_channel, collective_diagonalizer,
+                             control_not)
+from qphylo.engine import (_EdgeOps, _adjoint_state, _collective_pinch, _dual_root,
+                           _inverse_control_shift, _kraus_propagate, _pinch_weights,
+                           _trace_second_slot, alignment_loglik, classical_prune,
+                           dual_adjoint_state, dual_prune, leaf_likelihood, prune_embedded,
+                           quantum_prune, simulate_tree, site_likelihood, stationary_density)
 from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
-from qphylo.models import ModelParams, markov, unitary_from_markov
+from qphylo.models import ModelParams, markov, prune_matrix, prune_operators, unitary_from_markov
 from qphylo.optimize import tree_with_shared_params
 from qphylo.treeio import BINARY, DNA, Alignment, parse_newick
-from qphylo.verify import random_instance
+from qphylo.verify import random_instance, random_params
 
 from conftest import random_density, random_unitary
 
@@ -224,6 +228,86 @@ class TestDualPrune:
             assert abs(lhs - rhs) < 1e-12
 
 
+class TestSparseGates:
+    """Each sparse gate of the batched pruning circuit against its dense operator."""
+
+    def test_kraus_propagation_matches_apply_channel(self, rng):
+        for family in ("JC", "K2", "K3", "B", "F"):
+            for _ in range(5):
+                ops = _EdgeOps.for_params(random_params(rng, family), "quantum")
+                channel = KrausChannel(tuple(ops.stack), trace_preserving=False)
+                k = ops.stack.shape[1] - 1
+                diags = rng.random((3, k))
+                batched = _kraus_propagate(diags, ops.transfer)
+                for d, rho in zip(diags, batched):
+                    dense = apply_channel(channel, np.diag(np.concatenate([[0.0], d])))
+                    assert np.abs(rho - dense).max() < 1e-14
+
+    def test_pinch_gather_matches_collective_diagonalizer(self, rng):
+        for n in (3, 5):
+            rho_b = np.stack([random_density(rng, n) for _ in range(4)])
+            rho_c = np.stack([random_density(rng, n) for _ in range(4)])
+            gathered = _collective_pinch(rho_b, rho_c)
+            for b, c, diag in zip(rho_b, rho_c, gathered):
+                dense = apply_channel(collective_diagonalizer(n), linalg.kron(b, c))
+                assert np.abs(dense - np.diag(diag)).max() < 1e-15
+
+    def test_permutation_matches_control_shift_conjugation(self, rng):
+        for n in (2, 3, 5):
+            ucn_dag = control_not(n).conj().T
+            diags = rng.random((4, n * n)) + 1j * rng.random((4, n * n))
+            permuted = _inverse_control_shift(diags)
+            for d, out in zip(diags, permuted):
+                dense = ucn_dag @ np.diag(d) @ ucn_dag.conj().T
+                assert np.abs(dense - np.diag(out)).max() == 0.0
+
+    def test_reshape_trace_matches_partial_trace(self, rng):
+        for n in (2, 3, 5):
+            diags = rng.random((4, n * n)) + 1j * rng.random((4, n * n))
+            traced = _trace_second_slot(diags)
+            for d, out in zip(diags, traced):
+                dense = linalg.partial_trace(np.diag(d), [n, n], traced=2)
+                assert np.abs(dense - np.diag(out)).max() < 1e-15
+
+
+class TestDualRoot:
+    def test_adjoint_step_matches_dense_reference(self, rng):
+        for _ in range(20):
+            ub, uc = random_unitary(rng, 4), random_unitary(rng, 4)
+            lb, lc = rng.random((3, 4)), rng.random((3, 4))
+            pi = rng.dirichlet(np.ones(4))
+            eb, ec = _EdgeOps.from_kraus([ub]), _EdgeOps.from_kraus([uc])
+            q, nu = _pinch_weights(lb, eb)
+            back = _adjoint_state(q, pi, ec)
+            values, nus = _dual_root(lb, lc, eb, ec, pi)
+            for i in range(3):
+                dense = dual_adjoint_state(q[i, 1:], uc, np.diag(pi))
+                assert np.abs(back[i, 1:, 1:] - dense).max() < 1e-14
+                assert np.abs(back[i, 0, :]).max() == 0.0 and np.abs(back[i, :, 0]).max() == 0.0
+                expected = nu[i] * np.trace(np.diag(lc[i]) @ dense).real
+                assert abs(values[i] - expected) < 1e-14
+                assert nus[i] == lb[i].sum()
+
+    def test_kraus_families_match_classical_root(self, rng):
+        for family in ("JC", "K2", "K3", "B", "F"):
+            pb, pc = random_params(rng, family), random_params(rng, family)
+            k = pb.n_states
+            lb, lc = rng.random((5, k)), rng.random((5, k))
+            pi = rng.dirichlet(np.ones(k))
+            values, _ = _dual_root(lb, lc, _EdgeOps.for_params(pb, "dual"),
+                                   _EdgeOps.for_params(pc, "dual"), pi)
+            classical = ((lb @ prune_matrix(pb).T) * (lc @ prune_matrix(pc).T)) @ pi
+            assert np.abs(values - classical).max() < 1e-14
+
+    def test_edge_ops_build_only_what_the_engine_reads(self):
+        params = ModelParams.k3(0.1, 0.2, 0.05)
+        classical = _EdgeOps.for_params(params, "classical")
+        assert classical.stack is None and classical.transfer is None
+        quantum = _EdgeOps.for_params(params, "quantum")
+        assert quantum.w is None
+        assert quantum.stack.shape == (len(prune_operators(params)), 5, 5)
+
+
 class TestAlignmentLoglik:
     def test_identical_cherry_site_is_quarter(self):
         tree = tree_with_shared_params(CHERRY, ModelParams.jc(0.0))
@@ -285,6 +369,22 @@ class TestAlignmentLoglik:
         with pytest.raises(ZeroLikelihoodError) as err:
             alignment_loglik(tree, aln)
         assert err.value.site == 2
+
+    def test_deep_tree_does_not_underflow_to_zero(self):
+        # Each site's likelihood is about exp(-1470), far below the float64 range.
+        names = [f"t{i}" for i in range(1024)]
+        level = [f"{name}:0.5" for name in names]
+        while len(level) > 1:
+            level = [f"({a},{b}):0.5" for a, b in zip(level[::2], level[1::2])]
+        tree = parse_newick(level[0][:-len(":0.5")] + ";")
+        data = np.random.default_rng(5).integers(0, 4, size=(1024, 5))
+        aln = Alignment(taxa=tuple(names), data=data, alphabet=DNA)
+        totals = [alignment_loglik(tree, aln, engine=e).total_log_likelihood
+                  for e in ("classical", "quantum", "dual")]
+        assert all(np.isfinite(totals))
+        assert totals[0] < 5 * -1000.0
+        assert abs(totals[0] - totals[1]) < 1e-8
+        assert abs(totals[0] - totals[2]) < 1e-8
 
     def test_dual_engine_records_trace_factors(self, rng):
         tree, aln = random_instance(rng, 4, "JC", n_sites=2)

@@ -35,6 +35,27 @@ class TestParseNewick:
             parse_newick("(A:0.1,B:0.2")
         assert err.value.offset is not None
 
+    @pytest.mark.parametrize("text", [
+        "(A:0.1,B[&model=JC,a=x]);",
+        "(A:0.1,B[&model=JC,t=x]);",
+        "(A:0.1,B[&model=JC,a={0.1}]);",
+        "(A:0.1,B[&model=F,a=0.5,pi={0.1,0.2,0.3,x}]);",
+        "(A:0.1,B[&model=F,a=0.5,pi=x]);",
+        "(A:0.1,B:0.1)[&pi=x];",
+    ])
+    def test_non_numeric_annotation_carries_offset(self, text):
+        with pytest.raises(NewickParseError) as err:
+            parse_newick(text)
+        assert err.value.offset is not None
+
+    def test_single_leaf_rejected(self):
+        with pytest.raises(NewickParseError, match="two leaves"):
+            parse_newick("A;")
+
+    def test_unnormalized_root_distribution_is_model_error(self):
+        with pytest.raises(ModelError, match="root distribution"):
+            parse_newick("(A:0.1,B:0.1)[&pi={0.5,0.5,0.5,0.5}];")
+
     def test_missing_edge_parameters(self):
         with pytest.raises(NewickParseError, match="branch length or a model"):
             parse_newick("(A,B:0.1);")
