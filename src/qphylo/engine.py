@@ -1,7 +1,8 @@
 """Tree simulation and the three likelihood engines.
 
 Every engine reduces all unique site patterns of an alignment at once. The
-tree is walked once in post-order, and each node carries a (P, k) array:
+tree's pre-order node table is read in reverse, children before parents,
+and each node carries a (P, k) array:
 for each of the P patterns, the likelihood vector (or the diagonal of the
 likelihood operator) over the k non-null characters.
 
@@ -46,9 +47,13 @@ from .channels import DiagonalDensity, split_at
 from .errors import ModelError, ShapeMismatchError, TaxaMismatchError, ZeroLikelihoodError
 from .linalg import ProbabilityTensor
 from .models import ModelParams, markov, prune_matrix, prune_operators
-from .treeio import DNA, Alignment, PhyloTree, SplitGate, TreeNode, compile_circuit, emit_newick
+from .treeio import DNA, Alignment, PhyloTree, SplitGate, compile_circuit, emit_newick
 
 ENGINES = ("classical", "quantum", "dual")
+
+# simulate_tree refuses, before allocating, an exact pattern tensor larger than
+# this; 12 DNA leaves (128 MiB) run and 14 (2 GiB) are refused.
+MAX_TENSOR_BYTES = 2**30
 
 
 def stationary_density(pi) -> DiagonalDensity:
@@ -67,8 +72,13 @@ def simulate_tree(tree: PhyloTree) -> ProbabilityTensor:
     Executes the compiled schedule on the root's stationary vector: splits
     duplicate a lineage slot, evolutions push the slot through the edge's
     substitution matrix. Output slots follow the tree's left-to-right leaf
-    order.
+    order. Raises ModelError when the n_states**n_leaves tensor would exceed
+    MAX_TENSOR_BYTES.
     """
+    size = tree.n_states ** tree.n_leaves * np.dtype(float).itemsize
+    if size > MAX_TENSOR_BYTES:
+        raise ModelError(f"exact pattern tensor has {tree.n_states}**{tree.n_leaves} entries "
+                         f"({size} bytes), over the {MAX_TENSOR_BYTES}-byte limit")
     schedule = compile_circuit(tree)
     tensor = ProbabilityTensor(tree.pi)
     for gate in schedule.gates:
@@ -366,49 +376,26 @@ class SiteLikelihoodReport:
         }
 
 
-def _post_order(root: TreeNode):
-    """A tree's nodes in post-order, the root last, built without recursion.
-
-    Returns (nodes, children): ``children[s]`` is the (left, right) pair of
-    positions of an internal node's children, and None for a leaf.
-    """
-    nodes, children, pending = [], [], []
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node.children and not expanded:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(node.children))
-            continue
-        if node.children:
-            right, left = pending.pop(), pending.pop()
-            children.append((left, right))
-        else:
-            children.append(None)
-        pending.append(len(nodes))
-        nodes.append(node)
-    return nodes, children
-
-
-def _reduce_below_root(children: list, values: list, edges: list, node_step):
+def _reduce_below_root(kids: tuple, values: list, edges: list, node_step):
     """Reduce every internal node below the root, rescaling as it goes.
 
-    ``values`` holds the leaves' (P, k) arrays and is filled in place.
-    Returns the root children as ((array, log-scaler), (array, log-scaler)),
-    where each array times exp(log-scaler) is the unscaled operator.
+    ``kids`` is the tree's pre-order table, read in reverse. ``values`` holds
+    the leaves' (P, k) arrays and is filled in place. Returns the root
+    children as ((array, log-scaler), (array, log-scaler)), where each array
+    times exp(log-scaler) is the unscaled operator.
     """
     logs = [0.0] * len(values)
-    for slot, pair in enumerate(children[:-1]):
-        if pair is None:
+    for slot in reversed(range(1, len(values))):
+        if not kids[slot]:
             continue
-        left, right = pair
+        left, right = kids[slot]
         out = node_step(values[left], values[right], edges[left], edges[right])
         scale = out.max(axis=1)
         scale = np.where(scale > 0.0, scale, 1.0)
         values[slot] = out / scale[:, None]
         logs[slot] = logs[left] + logs[right] + np.log(scale)
         values[left] = values[right] = None
-    left, right = children[-1]
+    left, right = kids[0]
     return (values[left], logs[left]), (values[right], logs[right])
 
 
@@ -433,17 +420,16 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
         raise ModelError(f"alignment alphabet has {aln.alphabet.n_states} states, "
                          f"tree models have {tree.n_states}")
 
-    nodes, children = _post_order(tree.root)
     patterns, _, inverse = aln.site_patterns()
     row_of = {name: row for row, name in enumerate(aln.taxa)}
     indicator = np.eye(tree.n_states)
-    values = [None if pair else indicator[patterns[:, row_of[node.name]]]
-              for node, pair in zip(nodes, children)]
-    edges = [_EdgeOps.for_params(node.params, engine) for node in nodes[:-1]]
+    values = [None if node.children else indicator[patterns[:, row_of[node.name]]]
+              for node in tree.nodes]
+    edges = [None] + [_EdgeOps.for_params(node.params, engine) for node in tree.nodes[1:]]
     node_step = _classical_node if engine == "classical" else _quantum_node
 
-    (lb, log_b), (lc, log_c) = _reduce_below_root(children, values, edges, node_step)
-    eb, ec = (edges[slot] for slot in children[-1])
+    (lb, log_b), (lc, log_c) = _reduce_below_root(tree.kids, values, edges, node_step)
+    eb, ec = (edges[slot] for slot in tree.kids[0])
     nus = itertools.repeat(None)
     if engine == "dual":
         root_values, nu = _dual_root(lb, lc, eb, ec, tree.pi)

@@ -10,6 +10,7 @@ deterministic; the seed is carried through to the report for provenance.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .engine import alignment_loglik
 from .errors import ModelError, OptimizerError, ZeroLikelihoodError
 from .models import ModelParams
-from .treeio import Alignment, PhyloTree, TreeNode
+from .treeio import Alignment, PhyloTree
 
 DIAMETER_TOL = 1e-7
 MAX_EVALS = 2000
@@ -130,30 +131,23 @@ def count_edges(tree: PhyloTree) -> int:
     return 2 * tree.n_leaves - 2
 
 
-def _retree(node: TreeNode, next_params, is_root: bool) -> TreeNode:
-    if is_root:
-        children = tuple(_retree(c, next_params, False) for c in node.children)
-        return replace(node, children=children)
-    params = next_params()
-    children = tuple(_retree(c, next_params, False) for c in node.children)
-    return replace(node, children=children, params=params, annotated=True)
-
-
 def tree_with_edge_params(tree: PhyloTree, params_by_edge, root_pi=None) -> PhyloTree:
-    """Copy of the topology with edges parameterized in pre-order."""
-    queue = iter(params_by_edge)
+    """Copy of the topology with edges parameterized in pre-order.
 
-    def next_params():
-        return next(queue)
-
-    root = _retree(tree.root, next_params, True)
-    return PhyloTree(root=root, root_pi=root_pi)
+    Edge i (from 0) is the one above pre-order position i + 1 of
+    ``tree.nodes``: the root's left edge first, then the left subtree.
+    """
+    params = [None, *itertools.islice(params_by_edge, len(tree.nodes) - 1)]
+    done = {}
+    for s in reversed(range(len(tree.nodes))):
+        edge = {"params": params[s], "annotated": True} if s else {}
+        done[s] = replace(tree.nodes[s], children=tuple(done.pop(k) for k in tree.kids[s]), **edge)
+    return PhyloTree(root=done[0], root_pi=root_pi)
 
 
 def tree_with_shared_params(tree: PhyloTree, params: ModelParams, root_pi=None) -> PhyloTree:
     """Copy of the topology with every edge carrying the same parameters."""
-    root = _retree(tree.root, lambda: params, True)
-    return PhyloTree(root=root, root_pi=root_pi)
+    return tree_with_edge_params(tree, itertools.repeat(params), root_pi=root_pi)
 
 
 def _reflect_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

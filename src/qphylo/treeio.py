@@ -10,7 +10,7 @@ Alignments are plain FASTA over A/C/G/T, or 0/1 for two-state runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,12 +64,28 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def leaves(self):
-        if self.is_leaf:
-            yield self
-        else:
-            for child in self.children:
-                yield from child.leaves()
+
+def pre_order(root):
+    """A tree's nodes in pre-order, root first, built without recursion.
+
+    Works on any node with a ``children`` tuple. Returns (nodes, kids):
+    ``kids[s]`` holds the positions of node s's children, left to right.
+    Every child comes after its parent, so a forward loop over the positions
+    runs top-down and a reversed loop bottom-up; position s + 1 is the
+    first child of an internal node s.
+    """
+    nodes, kids = [], []
+    stack = [(root, None)]
+    while stack:
+        node, parent = stack.pop()
+        s = len(nodes)
+        if parent is not None:
+            kids[parent].append(s)
+        nodes.append(node)
+        kids.append([])
+        for child in reversed(node.children):
+            stack.append((child, s))
+    return tuple(nodes), tuple(map(tuple, kids))
 
 
 @dataclass(frozen=True)
@@ -77,39 +93,46 @@ class PhyloTree:
     """Rooted binary tree with per-edge model parameters.
 
     ``root_pi`` is the stationary distribution over the non-null characters
-    used at the root; None means uniform.
+    used at the root; None means uniform. ``nodes`` and ``kids`` are the
+    tree's pre-order table (see ``pre_order``), built once; position 0 is
+    the root, and positions 1..n-1 are the edges in pre-order.
     """
 
     root: TreeNode
     root_pi: np.ndarray | None = None
+    nodes: tuple = field(init=False, repr=False, compare=False)
+    kids: tuple = field(init=False, repr=False, compare=False)
+    leaf_names: tuple = field(init=False, repr=False, compare=False)
+    n_states: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.root.is_leaf:
             raise NewickParseError("tree needs at least two leaves")
+        nodes, kids = pre_order(self.root)
         states = set()
-
-        def check(node: TreeNode, is_root: bool) -> None:
-            if not is_root:
+        names = []
+        seen, dup = set(), set()
+        for s, node in enumerate(nodes):
+            if s:
                 if node.params is None:
                     raise ModelError(f"edge above {node.name or 'internal node'} has no model parameters")
                 states.add(node.params.n_states)
             if node.is_leaf:
                 if not node.name:
                     raise NewickParseError("leaf without a name")
-                return
-            if len(node.children) != 2:
+                (dup if node.name in seen else seen).add(node.name)
+                names.append(node.name)
+            elif len(node.children) != 2:
                 raise NewickParseError(
                     f"non-binary node {node.name or ''!r} with {len(node.children)} children")
-            for child in node.children:
-                check(child, False)
-
-        check(self.root, True)
-        names = [leaf.name for leaf in self.root.leaves()]
-        dup = {n for n in names if names.count(n) > 1}
         if dup:
             raise NewickParseError(f"duplicate leaf labels {sorted(dup)}")
         if len(states) > 1:
             raise ModelError("edges mix 2-state and 4-state model families")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "kids", kids)
+        object.__setattr__(self, "leaf_names", tuple(names))
+        object.__setattr__(self, "n_states", states.pop())
         if self.root_pi is not None:
             try:
                 pi = linalg.validate_probability_vector(np.asarray(self.root_pi, dtype=float))
@@ -120,16 +143,6 @@ class PhyloTree:
             pi = pi.copy()
             pi.setflags(write=False)
             object.__setattr__(self, "root_pi", pi)
-
-    @property
-    def n_states(self) -> int:
-        for leaf in self.root.leaves():
-            return leaf.params.n_states
-        raise ModelError("tree has no edges")
-
-    @property
-    def leaf_names(self) -> tuple:
-        return tuple(leaf.name for leaf in self.root.leaves())
 
     @property
     def n_leaves(self) -> int:
@@ -290,7 +303,8 @@ def parse_newick(text: str) -> PhyloTree:
 
     The structure is parsed and validated (binary nodes, named leaves)
     before edge parameters are resolved, so a shape error is reported even
-    when deeper annotations are also missing.
+    when deeper annotations are also missing. Both passes run in pre-order,
+    which is text order, so the first error in the text is the one reported.
     """
     cur = _Cursor(text)
     raw = _parse_raw(cur)
@@ -298,30 +312,50 @@ def parse_newick(text: str) -> PhyloTree:
     cur.skip_ws()
     if cur.pos != len(cur.text):
         raise NewickParseError("trailing text after ';'", offset=cur.pos)
-    _check_shape(raw)
+    nodes, kids = pre_order(raw)
+    for node in nodes:
+        if node.children and len(node.children) != 2:
+            raise NewickParseError(f"non-binary node with {len(node.children)} children", offset=node.offset)
     ann = raw.annotation
     if ann and set(ann) - {"pi"}:
         raise NewickParseError("root annotation may only set pi={...}", offset=raw.offset)
     if ann and not isinstance(ann["pi"], tuple):
         raise NewickParseError("root annotation needs pi={...}", offset=raw.offset)
     root_pi = np.asarray(ann["pi"], dtype=float) if ann else None
-    root = TreeNode(name=raw.name, children=tuple(_resolve(c) for c in raw.children),
-                    params=None, length=raw.length)
-    return PhyloTree(root=root, root_pi=root_pi)
+    params = [None] + [_edge_params(node) for node in nodes[1:]]
+    built = {}
+    for s in reversed(range(len(nodes))):
+        node = nodes[s]
+        built[s] = TreeNode(name=node.name, children=tuple(built.pop(k) for k in kids[s]),
+                            params=params[s], length=node.length,
+                            annotated=s > 0 and node.annotation is not None)
+    return PhyloTree(root=built[0], root_pi=root_pi)
 
 
 def _parse_raw(cur: _Cursor) -> _RawNode:
-    start = cur.pos
-    children = ()
-    if cur.peek() == "(":
-        cur.take("(")
-        kids = [_parse_raw(cur)]
-        while cur.peek() == ",":
-            cur.take(",")
-            kids.append(_parse_raw(cur))
-        cur.take(")")
-        children = tuple(kids)
+    """The node structure, read left to right with a stack of open '(' groups."""
+    groups = []  # (offset, children so far) per open group
+    while True:
+        start = cur.pos
+        if cur.peek() == "(":
+            cur.take("(")
+            groups.append((start, []))
+            continue
+        node = _node_tail(cur, start, ())
+        while True:
+            if not groups:
+                return node
+            groups[-1][1].append(node)
+            if cur.peek() == ",":
+                cur.take(",")
+                break
+            cur.take(")")
+            start, children = groups.pop()
+            node = _node_tail(cur, start, tuple(children))
 
+
+def _node_tail(cur: _Cursor, start: int, children: tuple) -> _RawNode:
+    """Read a node's name, ``:length`` and ``[&...]`` annotation after its children."""
     name = cur.name()
     length = None
     ann = None
@@ -339,24 +373,12 @@ def _parse_raw(cur: _Cursor) -> _RawNode:
     return _RawNode(offset=start, name=name, children=children, length=length, annotation=ann)
 
 
-def _check_shape(raw: _RawNode) -> None:
-    if raw.children and len(raw.children) != 2:
-        raise NewickParseError(f"non-binary node with {len(raw.children)} children", offset=raw.offset)
-    for child in raw.children:
-        _check_shape(child)
-
-
-def _resolve(raw: _RawNode) -> TreeNode:
+def _edge_params(raw: _RawNode) -> ModelParams:
     if raw.annotation is not None:
-        params = _params_from_annotation(raw.annotation, raw.length, raw.offset)
-        annotated = True
-    elif raw.length is not None:
-        params = jc_from_branch_length(raw.length)
-        annotated = False
-    else:
-        raise NewickParseError("edge needs a branch length or a model annotation", offset=raw.offset)
-    children = tuple(_resolve(c) for c in raw.children)
-    return TreeNode(name=raw.name, children=children, params=params, length=raw.length, annotated=annotated)
+        return _params_from_annotation(raw.annotation, raw.length, raw.offset)
+    if raw.length is not None:
+        return jc_from_branch_length(raw.length)
+    raise NewickParseError("edge needs a branch length or a model annotation", offset=raw.offset)
 
 
 def _format_float(x: float) -> str:
@@ -376,20 +398,18 @@ def _format_annotation(params: ModelParams) -> str:
 
 def emit_newick(tree: PhyloTree) -> str:
     """Canonical Newick text; inverse of parse_newick on canonical strings."""
-
-    def emit(node: TreeNode, is_root: bool) -> str:
-        out = ""
-        if node.children:
-            out += "(" + ",".join(emit(c, False) for c in node.children) + ")"
+    done = {}
+    for s in reversed(range(len(tree.nodes))):
+        node = tree.nodes[s]
+        out = "(" + ",".join(done.pop(k) for k in tree.kids[s]) + ")" if node.children else ""
         if node.name:
             out += node.name
         if node.length is not None:
             out += ":" + _format_float(node.length)
-        if not is_root and node.annotated:
+        if s and node.annotated:
             out += _format_annotation(node.params)
-        return out
-
-    text = emit(tree.root, True)
+        done[s] = out
+    text = done[0]
     if tree.root_pi is not None:
         text += "[&pi={" + ",".join(_format_float(p) for p in tree.root_pi) + "}]"
     return text + ";"
@@ -513,30 +533,28 @@ class CircuitSchedule:
 def compile_circuit(tree: PhyloTree) -> CircuitSchedule:
     """Schedule: each internal node splits its lineage slot, each edge evolves.
 
-    Pre-order: the node's slot splits into (slot, slot+1), the left edge
-    evolves in place, the left subtree expands, then the right edge evolves
-    at the slot just past the left block. An s-leaf tree yields s-1 splits
-    and 2s-2 evolutions.
+    Pre-order: each edge evolves at its node's slot, then an internal node's
+    slot splits into (slot, slot+1); the left child keeps the slot and the
+    right child takes the slot just past the left block. An edge is labelled
+    by its node's name, or else by the first leaf below it. An s-leaf tree
+    yields s-1 splits and 2s-2 evolutions.
     """
+    nodes, kids = tree.nodes, tree.kids
+    width = [1] * len(nodes)
+    first_leaf = [node.name for node in nodes]
+    for s in reversed(range(len(nodes))):
+        if kids[s]:
+            width[s] = sum(width[k] for k in kids[s])
+            first_leaf[s] = first_leaf[kids[s][0]]
+    slot = [1] * len(nodes)
     gates = []
-
-    def edge_label(node: TreeNode) -> str:
-        if node.name:
-            return node.name
-        return next(node.leaves()).name
-
-    def emit(node: TreeNode, slot: int) -> int:
-        if node.is_leaf:
-            return 1
-        gates.append(SplitGate(slot))
-        left, right = node.children
-        gates.append(EvolveGate(slot, left.params, edge=edge_label(left)))
-        width_left = emit(left, slot)
-        gates.append(EvolveGate(slot + width_left, right.params, edge=edge_label(right)))
-        width_right = emit(right, slot + width_left)
-        return width_left + width_right
-
-    emit(tree.root, 1)
+    for s, node in enumerate(nodes):
+        if s:
+            gates.append(EvolveGate(slot[s], node.params, edge=node.name or first_leaf[s]))
+        if kids[s]:
+            gates.append(SplitGate(slot[s]))
+            left, right = kids[s]
+            slot[left], slot[right] = slot[s], slot[s] + width[left]
     schedule = CircuitSchedule(gates=tuple(gates), leaf_names=tree.leaf_names)
     schedule.validate()
     return schedule

@@ -2,6 +2,8 @@ import hypothesis
 import numpy as np
 import pytest
 
+from qphylo.verify import random_density, random_unitary  # noqa: F401  (re-exported to the test modules)
+
 hypothesis.settings.register_profile("suite", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("suite")
 
@@ -14,14 +16,3 @@ def rng():
 def random_complex(rng, n, m=None):
     m = n if m is None else m
     return rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-
-
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(random_complex(rng, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_density(rng, n):
-    a = random_complex(rng, n)
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real

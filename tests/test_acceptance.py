@@ -12,15 +12,15 @@ import pytest
 from scipy.linalg import expm
 
 from qphylo import cli, linalg
-from qphylo.channels import (DiagonalDensity, apply_channel, collective_diagonalizer,
-                             control_not, diagonalizer, diagonalizer_fourier, split)
+from qphylo.channels import DiagonalDensity, apply_channel, control_not, split
 from qphylo.engine import alignment_loglik, simulate_tree
 from qphylo.linalg import ProbabilityTensor
 from qphylo.models import (ModelParams, binary_channel, binary_dilation, bitflip_generator,
                            bitflip_unitary, group_channel, markov, qw_dilation, weights)
 from qphylo.qwalk import WalkConfig, closed_form_two_taxon, coin_distribution, evolve_taxa_qw
 from qphylo.treeio import DNA, Alignment, TreeNode, PhyloTree, parse_newick
-from qphylo.verify import random_density, random_instance, random_params, random_unitary
+from qphylo.verify import (random_density, random_params, random_unitary, suite_fourier_equivalence,
+                           suite_pruning_equivalence)
 
 RNG_SEED = 20240809
 
@@ -108,13 +108,7 @@ def test_criterion_3_dilation_equivalence():
 
 def test_criterion_4_diagonalizer_representations():
     rng = np.random.default_rng(RNG_SEED + 4)
-    worst = 0.0
-    for n in (2, 4, 5):
-        proj = diagonalizer(n)
-        four = diagonalizer_fourier(n)
-        for _ in range(50):
-            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            worst = max(worst, np.abs(apply_channel(proj, m) - apply_channel(four, m)).max())
+    worst = suite_fourier_equivalence(rng, samples=50).max_deviation
     assert report(4, "diagonalizer representations", worst, 1e-12)
 
 
@@ -153,20 +147,8 @@ def test_criterion_6_felsenstein_uniform_limit():
 
 def test_criterion_7_pruning_engine_equivalence():
     rng = np.random.default_rng(RNG_SEED + 7)
-    families = ("JC", "K2", "K3", "B", "F")
-    worst_quantum = 0.0
-    worst_dual = 0.0
-    for i in range(200):
-        family = families[i % 5]
-        n_leaves = int(rng.integers(2, 9))
-        tree, aln = random_instance(rng, n_leaves, family, n_sites=1)
-        totals = {engine: alignment_loglik(tree, aln, engine=engine).total_log_likelihood
-                  for engine in ("classical", "quantum", "dual")}
-        worst_quantum = max(worst_quantum, abs(totals["classical"] - totals["quantum"]))
-        worst_dual = max(worst_dual, abs(totals["classical"] - totals["dual"]))
-    ok = report(7, "classical vs quantum pruning", worst_quantum, 1e-8)
-    ok &= report(7, "classical vs dual pruning", worst_dual, 1e-8)
-    assert ok
+    worst = suite_pruning_equivalence(rng, instances=200, max_leaves=8).max_deviation
+    assert report(7, "classical vs quantum and dual pruning", worst, 1e-8)
 
 
 def test_criterion_8_simulation_likelihood_duality():

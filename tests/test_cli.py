@@ -62,6 +62,14 @@ class TestSimulate:
         assert run(["simulate", "--tree", bad, "--sites", 5, "--seed", 1,
                     "--out", tmp_path / "x"]) == cli.EXIT_PARSE
 
+    def test_oversized_tensor_exit_code(self, tmp_path, capsys):
+        big = tmp_path / "big.nwk"
+        big.write_text("(" * 19 + "t0:0.1" + "".join(f",t{i}:0.1):0.1" for i in range(1, 20)) + ";")
+        assert run(["simulate", "--tree", big, "--sites", 5, "--seed", 1,
+                    "--out", tmp_path / "x"]) == cli.EXIT_MODEL
+        assert "4**20 entries" in capsys.readouterr().err
+        assert not (tmp_path / "x.fasta").exists()
+
     def test_large_sample_frequencies_track_exact_tensor(self, tmp_path, tree_file):
         # Fixed seed chosen so every pattern stays inside its 3-sigma
         # multinomial band at this sample size.

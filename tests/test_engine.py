@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from qphylo import linalg
 from qphylo.channels import (DiagonalDensity, KrausChannel, apply_channel, collective_diagonalizer,
                              control_not)
-from qphylo.engine import (_EdgeOps, _adjoint_state, _collective_pinch, _dual_root,
-                           _inverse_control_shift, _kraus_propagate, _pinch_weights,
+from qphylo.engine import (MAX_TENSOR_BYTES, _EdgeOps, _adjoint_state, _collective_pinch,
+                           _dual_root, _inverse_control_shift, _kraus_propagate, _pinch_weights,
                            _trace_second_slot, alignment_loglik, classical_prune,
                            dual_adjoint_state, dual_prune, leaf_likelihood, prune_embedded,
                            quantum_prune, simulate_tree, site_likelihood, stationary_density)
@@ -21,6 +22,7 @@ from conftest import random_density, random_unitary
 
 CHERRY = parse_newick("(A:0.1,B:0.1);")
 UNIFORM4 = stationary_density(np.full(4, 0.25))
+CATERPILLAR_20 = parse_newick("(" * 19 + "t0:0.1" + "".join(f",t{i}:0.1):0.1" for i in range(1, 20)) + ";")
 
 
 def chain_enumeration_oracle(tree):
@@ -71,6 +73,21 @@ class TestSimulateTree:
     def test_mass_is_one_for_eight_leaves(self, rng):
         tree, _ = random_instance(rng, 8, "K3")
         assert abs(simulate_tree(tree).mass() - 1.0) < 1e-12
+
+    def test_oversized_tensor_refused_before_allocating(self):
+        assert 4 ** 20 * 8 > MAX_TENSOR_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match=r"4\*\*20 entries \(8796093022208 bytes\)"):
+                simulate_tree(CATERPILLAR_20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_budget_counts_states_not_leaves(self):
+        tree = tree_with_shared_params(CATERPILLAR_20, ModelParams.binary(0.1))
+        assert simulate_tree(tree).values.shape == (2,) * 20
 
 
 class TestLeafLikelihood:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from qphylo.engine import simulate_tree
+from qphylo.engine import alignment_loglik, simulate_tree
 from qphylo.errors import ModelError, OptimizerError
 from qphylo.models import ModelParams
 from qphylo.optimize import (OptimizationProblem, _family_spec, maximize_loglik,
-                             reflect_feasible, tree_with_shared_params)
+                             reflect_feasible, tree_with_edge_params, tree_with_shared_params)
 from qphylo.treeio import BINARY, DNA, Alignment, parse_newick
 
 BALANCED = parse_newick("((A:0.1,B:0.1):0.1,(C:0.1,D:0.1):0.1);")
@@ -139,3 +139,31 @@ class TestMaximizeLoglik:
         assert {"family", "engine", "seed", "w_star", "fixed", "log_likelihood",
                 "n_eval", "converged", "trace"} == set(doc)
         assert doc["seed"] == 4
+
+
+class TestEdgeOrder:
+    """Edges are numbered in pre-order: the root's left edge first, then its subtree."""
+
+    TREE = parse_newick("((A:1,B:1):1,C:1);")
+
+    def test_edge_params_follow_pre_order(self):
+        params = [ModelParams.jc(a) for a in (0.01, 0.02, 0.03, 0.04)]
+        ab, c = tree_with_edge_params(self.TREE, params).root.children
+        a, b = ab.children
+        assert [ab.params, a.params, b.params, c.params] == params
+
+    def test_per_edge_fit_names_follow_pre_order(self):
+        # A and B agree at every site and C is independent of them, so the fit
+        # sends the A and B edges to zero and saturates the C edge.
+        rng = np.random.default_rng(3)
+        ab, c = rng.integers(0, 4, size=(2, 200))
+        aln = Alignment(taxa=("A", "B", "C"), data=np.array([ab, ab, c]), alphabet=DNA)
+        result = maximize_loglik(OptimizationProblem(tree=self.TREE, alignment=aln, family="JC",
+                                                     per_edge=True))
+        assert result.names == ("edge1.a", "edge2.a", "edge3.a", "edge4.a")
+        w = dict(zip(result.names, result.w_star))
+        assert w["edge2.a"] < 1e-6 and w["edge3.a"] < 1e-6
+        assert w["edge4.a"] > 0.2
+        fitted = tree_with_edge_params(self.TREE, [ModelParams.jc(x) for x in result.w_star])
+        assert alignment_loglik(fitted, aln).total_log_likelihood == pytest.approx(result.loglik,
+                                                                                    abs=1e-9)

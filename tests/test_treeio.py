@@ -1,12 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from qphylo.errors import FastaParseError, ModelError, NewickParseError
+from qphylo.errors import FastaParseError, ModelError, NewickParseError, QPhyloError
 from qphylo.models import ModelParams, jc_from_branch_length
 from qphylo.treeio import (BINARY, DNA, Alignment, EvolveGate, SplitGate, compile_circuit,
                            emit_newick, parse_fasta, parse_newick)
 
 BALANCED = "((A:0.1,B:0.1):0.05,(C:0.2,D:0.2):0.05);"
+
+NEWICK_CHARS = "(),:;[]&={}AB01.e+- \n"
+NEWICK_LIKE = st.one_of(
+    st.text(max_size=80),
+    st.text(alphabet=NEWICK_CHARS, max_size=80),
+    st.tuples(st.integers(0, 3000), st.text(alphabet=NEWICK_CHARS, max_size=40),
+              st.integers(0, 3000)).map(lambda t: "(" * t[0] + t[1] + ")" * t[2]),
+    # Deep well-formed nesting; duplicate B labels make it fail after parsing.
+    st.integers(1, 3000).map(lambda d: "(" * d + "A:1" + ",B:1):1" * d + ";"),
+)
+FASTA_LIKE = st.one_of(st.text(max_size=80), st.text(alphabet=">ACGTacgt01 -x\n", max_size=80))
 
 
 class TestParseNewick:
@@ -55,6 +68,14 @@ class TestParseNewick:
     def test_unnormalized_root_distribution_is_model_error(self):
         with pytest.raises(ModelError, match="root distribution"):
             parse_newick("(A:0.1,B:0.1)[&pi={0.5,0.5,0.5,0.5}];")
+
+    @given(NEWICK_LIKE)
+    @example("(" * 3000 + "A")
+    def test_arbitrary_text_raises_only_package_errors(self, text):
+        try:
+            parse_newick(text)
+        except QPhyloError:
+            pass
 
     def test_missing_edge_parameters(self):
         with pytest.raises(NewickParseError, match="branch length or a model"):
@@ -142,6 +163,13 @@ class TestParseFasta:
     def test_empty_input_rejected(self):
         with pytest.raises(FastaParseError):
             parse_fasta("\n\n")
+
+    @given(FASTA_LIKE)
+    def test_arbitrary_text_raises_only_package_errors(self, text):
+        try:
+            parse_fasta(text)
+        except QPhyloError:
+            pass
 
     def test_site_patterns_collapse(self):
         aln = parse_fasta(">x\nAAC\n>y\nGGC\n")
