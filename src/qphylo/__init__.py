@@ -15,7 +15,7 @@ from .engine import (ENGINES, SiteLikelihoodReport, alignment_loglik, classical_
 from .errors import (FastaParseError, ModelError, NewickParseError, NotUnistochasticError,
                      OptimizerError, QPhyloError, ShapeMismatchError, TaxaMismatchError,
                      ZeroLikelihoodError)
-from .linalg import ProbabilityTensor, adjoint_action, hadamard_product, kron, partial_trace
+from .linalg import ProbabilityTensor, adjoint_action, kron, partial_trace
 from .models import (Dilation, FelsensteinChannel, ModelParams, WeightTable, binary_channel,
                      binary_dilation, binary_from_branch_length, felsenstein_channel,
                      group_channel, jc_from_branch_length, markov, qw_dilation,

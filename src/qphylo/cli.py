@@ -1,9 +1,10 @@
 """Command-line interface: simulate, likelihood, optimize, verify.
 
-Exit codes are stable API: 0 ok, 1 verify failure, 2 input parse error,
-3 model error, 4 taxa mismatch, 5 zero site likelihood, 6 optimizer
-degeneracy. All outputs are deterministic for a fixed seed: no timestamps,
-no environment-dependent content.
+Exit codes are stable API: 0 ok, 1 verify failure, 2 input parse error
+(an unreadable input or an unwritable output included), 3 model error,
+4 taxa mismatch, 5 zero site likelihood, 6 optimizer degeneracy. All
+outputs are deterministic for a fixed seed: no timestamps, no
+environment-dependent content.
 """
 
 from __future__ import annotations
@@ -48,12 +49,22 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _read_input(path: str) -> str:
+    """Text of an input file; one that cannot be read as UTF-8 text is a parse error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_tree(path: str):
-    return parse_newick(Path(path).read_text(encoding="utf-8"))
+    return parse_newick(_read_input(path))
 
 
 def _load_alignment(path: str):
-    return parse_fasta(Path(path).read_text(encoding="utf-8"))
+    return parse_fasta(_read_input(path))
 
 
 def cmd_simulate(args) -> int:
@@ -187,8 +198,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"parse error: cannot read {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # _read_input turns read failures into ParseError
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
     except TaxaMismatchError as exc:
         print(f"taxa mismatch: {exc}", file=sys.stderr)

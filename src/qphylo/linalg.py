@@ -63,15 +63,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def hadamard_product(a, b) -> np.ndarray:
-    """Entry-wise product; both operands must have identical shape."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"entry-wise product needs equal shapes, got {a.shape} vs {b.shape}")
-    return a * b
-
-
 def adjoint_action(s, rho) -> np.ndarray:
     """S rho S^dagger for square S and rho of matching dimension."""
     s = as_matrix(s)

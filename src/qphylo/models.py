@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import least_squares
 
 from . import linalg
@@ -28,6 +29,14 @@ FAMILIES = GROUP_FAMILIES + ("B", "F")
 
 # Parameter-simplex slack: weights may sit exactly on the boundary.
 _EDGE = 1e-12
+
+# The bit-flip group on n = 2 and n = 4 states: _XOR[n][i, j] = i XOR j, and
+# row g of _FLIPS[n] is the permutation matrix of |m> -> |m XOR g>, the one
+# entry of column j sitting in row j XOR g. B is the one-bit member.
+_XOR = {n: np.bitwise_xor.outer(np.arange(n), np.arange(n)) for n in (2, 4)}
+_FLIPS = {n: (xor == np.arange(n)[:, None, None]).astype(complex) for n, xor in _XOR.items()}
+for _t in (*_XOR.values(), *_FLIPS.values()):
+    _t.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -154,11 +163,24 @@ def weights(params: ModelParams) -> WeightTable:
     return WeightTable(lam)
 
 
+def _flip_vector(params: ModelParams) -> np.ndarray:
+    """Weights w_g of the flips in table order, identity first: B gives (1-a, a)."""
+    if params.family == "B":
+        return np.array([1.0 - params.a, params.a])
+    return weights(params).vector
+
+
+def _flip_kraus(w: np.ndarray) -> tuple:
+    """The operators sqrt(w_g) X_g of the flips with positive weight."""
+    if w.min() < 0.0:
+        raise ModelError(f"flip weights {w.tolist()} outside [0, 1]")
+    flips = _FLIPS[w.size]
+    return tuple(math.sqrt(x) * flips[g] for g, x in enumerate(w) if x > 0.0)
+
+
 def bitflip_unitary(k: int, l: int) -> np.ndarray:
     """X^k (x) X^l on the 4-state space; permutes m to m XOR (2k+l)."""
-    xk = linalg.PAULI_X if k else linalg.identity(2)
-    xl = linalg.PAULI_X if l else linalg.identity(2)
-    return linalg.kron(xk, xl)
+    return _FLIPS[4][2 * k + l].copy()
 
 
 def bitflip_generator(k: int, l: int) -> np.ndarray:
@@ -176,22 +198,15 @@ def bitflip_generator(k: int, l: int) -> np.ndarray:
 def markov(params: ModelParams) -> np.ndarray:
     """Column-stochastic substitution matrix, M[i, j] = P(child=i | parent=j).
 
-    Group families: M[m, n] = lambda[m XOR n] (symmetric, doubly stochastic).
-    B: (1-a) 1 + a X. F: a 1 + (1-a) pi 1^T, the column-stochastic
-    orientation in which the update reads p' = a p + (1-a) pi.
+    Flip families (JC, K2, K3 and B): M[m, n] = w[m XOR n] with w the flip
+    weights (symmetric, doubly stochastic); for B, (1-a) 1 + a X.
+    F: a 1 + (1-a) pi 1^T, the column-stochastic orientation in which the
+    update reads p' = a p + (1-a) pi.
     """
-    if params.family in GROUP_FAMILIES:
-        vec = weights(params).vector
-        m = np.empty((4, 4))
-        for i in range(4):
-            for j in range(4):
-                m[i, j] = vec[i ^ j]
-        return m
-    if params.family == "B":
+    if params.family == "F":
         a = params.a
-        return np.array([[1.0 - a, a], [a, 1.0 - a]])
-    a = params.a
-    return a * np.eye(4) + (1.0 - a) * np.outer(params.pi, np.ones(4))
+        return a * np.eye(4) + (1.0 - a) * np.outer(params.pi, np.ones(4))
+    return _flip_vector(params)[_XOR[params.n_states]]
 
 
 def validate_markov(m: np.ndarray, doubly_stochastic: bool = False, tol: float = linalg.STRUCT_TOL) -> None:
@@ -215,25 +230,14 @@ def group_channel(params: ModelParams) -> KrausChannel:
     """
     if params.family not in GROUP_FAMILIES:
         raise ModelError(f"group channel is defined for {GROUP_FAMILIES}, not {params.family}")
-    lam = weights(params).lam
-    ops = []
-    for k in (0, 1):
-        for l in (0, 1):
-            if lam[k, l] > 0.0:
-                ops.append(math.sqrt(lam[k, l]) * bitflip_unitary(k, l))
-    return KrausChannel(tuple(ops), label=f"{params.family}_channel")
+    return KrausChannel(_flip_kraus(weights(params).vector), label=f"{params.family}_channel")
 
 
 def binary_channel(a: float) -> KrausChannel:
     """Two-state flip channel {sqrt(1-a) 1, sqrt(a) X}."""
     if not 0.0 <= a <= 1.0:
         raise ModelError(f"binary flip weight {a} outside [0, 1]")
-    ops = []
-    if a < 1.0:
-        ops.append(math.sqrt(1.0 - a) * linalg.identity(2))
-    if a > 0.0:
-        ops.append(math.sqrt(a) * linalg.PAULI_X)
-    return KrausChannel(tuple(ops), label="B_channel")
+    return KrausChannel(_flip_kraus(_flip_vector(ModelParams.binary(a))), label="B_channel")
 
 
 def felsenstein_instruments(pi) -> tuple:
@@ -243,13 +247,9 @@ def felsenstein_instruments(pi) -> tuple:
     L -> 1 <pi, L>; together with sqrt(a) 1 they propagate likelihoods for
     the F model.
     """
-    pi = np.asarray(pi, dtype=float)
-    ops = []
-    for i in range(4):
-        for j in range(4):
-            op = np.zeros((4, 4), dtype=complex)
-            op[i, j] = math.sqrt(pi[j])
-            ops.append(op)
+    i, j = np.divmod(np.arange(16), 4)
+    ops = np.zeros((16, 4, 4), dtype=complex)
+    ops[np.arange(16), i, j] = np.sqrt(np.asarray(pi, dtype=float))[j]
     return tuple(ops)
 
 
@@ -351,11 +351,7 @@ def qw_dilation(params: ModelParams) -> Dilation:
     lam_vec = weights(params).vector
     first_col = np.sqrt(lam_vec)
     u_coin = _householder_with_first_column(first_col).astype(complex)
-    controlled = np.zeros((16, 16), dtype=complex)
-    for k in (0, 1):
-        for l in (0, 1):
-            controlled += linalg.kron(linalg.projector(2 * k + l, 4), bitflip_unitary(k, l))
-    v = controlled @ linalg.kron(u_coin, linalg.identity(4))
+    v = block_diag(*_FLIPS[4]) @ linalg.kron(u_coin, linalg.identity(4))
     return Dilation(v, linalg.projector(0, 4), coin_dim=4, label=f"{params.family}_dilation",
                     metadata={"coin_column": first_col.tolist()})
 
@@ -394,11 +390,7 @@ def _klein_structure(m: np.ndarray, tol: float) -> np.ndarray | None:
     if m.shape != (4, 4):
         return None
     lam = m[:, 0].copy()
-    for i in range(4):
-        for j in range(4):
-            if abs(m[i, j] - lam[i ^ j]) > tol:
-                return None
-    return lam
+    return None if linalg.max_abs(m - lam[_XOR[4]]) > tol else lam
 
 
 def unitary_from_markov(m, rng=0, max_starts: int = 64, max_iter: int = 500,
@@ -463,11 +455,7 @@ def _solve_klein_phases(lam: np.ndarray, rng: np.random.Generator, start: int, m
 
     x0 = np.zeros(3) if start == 0 else rng.uniform(0.0, 2.0 * np.pi, size=3)
     sol = least_squares(residuals, x0, method="lm", max_nfev=max_iter, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    c = coefficients(sol.x)
-    u = np.zeros((4, 4), dtype=complex)
-    for g in range(4):
-        u += c[g] * bitflip_unitary(g >> 1, g & 1)
-    return u
+    return coefficients(sol.x)[_XOR[4]]  # sum_g c_g X_g
 
 
 def _solve_generic_phases(m: np.ndarray, rng: np.random.Generator, start: int, max_iter: int) -> np.ndarray:
@@ -537,13 +525,11 @@ def prune_operators(params: ModelParams) -> tuple:
 
     For any diagonal likelihood operator L, the diagonal of sum_k A_k L A_k^+
     equals prune_matrix(params) @ diag(L); this is the per-edge propagator of
-    the quantum pruning circuit. Group families reuse their channel
-    operators; F adds sqrt(a) 1 to the scaled instruments.
+    the quantum pruning circuit. The flip families give the operators of
+    their channels; F adds sqrt(a) 1 to the scaled instruments.
     """
-    if params.family in GROUP_FAMILIES:
-        return group_channel(params).operators
-    if params.family == "B":
-        return binary_channel(params.a).operators
+    if params.family != "F":
+        return _flip_kraus(_flip_vector(params))
     ops = []
     if params.a > 0.0:
         ops.append(math.sqrt(params.a) * linalg.identity(4))

@@ -124,6 +124,33 @@ class TestTreeInputExitCodes:
                     "--out", tmp_path / "x"]) == cli.EXIT_MODEL
 
 
+class TestFileAccessExitCodes:
+    @pytest.mark.parametrize("broken", ["tree", "alignment"])
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_input_is_parse_error(self, tmp_path, tree_file, capsys, broken, kind):
+        aln = tmp_path / "aln.fasta"
+        aln.write_text(">A\nAC\n>B\nAC\n>C\nAC\n>D\nAC\n")
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe(A,B);")
+        paths = {"tree": tree_file, "alignment": aln, broken: bad}
+        assert run(["likelihood", "--tree", paths["tree"],
+                    "--alignment", paths["alignment"]]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"cannot read {bad}" in err
+
+    def test_unwritable_output_names_the_write(self, tmp_path, tree_file, capsys):
+        out = tmp_path / "missing_dir" / "x"
+        assert run(["simulate", "--tree", tree_file, "--sites", 5, "--seed", 1,
+                    "--out", out]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "cannot write" in err
+        assert "missing_dir" in err
+
+
 class TestLikelihood:
     def test_single_engine_report(self, tmp_path, tree_file, capsys):
         fasta, _ = simulate(tmp_path, tree_file)

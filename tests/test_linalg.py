@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from qphylo import linalg
 from qphylo.errors import ShapeMismatchError
-from qphylo.linalg import (PAULI_X, ProbabilityTensor, adjoint_action, hadamard_product,
-                           kron, partial_trace)
+from qphylo.linalg import PAULI_X, ProbabilityTensor, adjoint_action, kron, partial_trace
 
 from conftest import random_complex, random_density, random_unitary
 
@@ -46,28 +45,6 @@ class TestKron:
         right = kron(a, kron(b, c))
         # Entries are triple products; regrouping them costs at most an ulp.
         assert np.abs(left - right).max() <= 1e-14 * np.abs(left).max()
-
-
-class TestHadamardProduct:
-    def test_all_ones_is_identity(self, rng):
-        a = random_complex(rng, 3)
-        assert np.array_equal(hadamard_product(a, np.ones((3, 3))), a)
-
-    def test_real_hadamard_unitary_squares_to_half(self):
-        u = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        assert np.abs(hadamard_product(u, u.conj()) - 0.5).max() < 1e-15
-
-    def test_zero_one_idempotent(self):
-        assert np.array_equal(hadamard_product(PAULI_X, PAULI_X), PAULI_X)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            hadamard_product(np.eye(2), np.eye(3))
-
-    def test_binary_matrices_give_entrywise_and(self, rng):
-        a = (rng.random((4, 4)) < 0.5).astype(float)
-        b = (rng.random((4, 4)) < 0.5).astype(float)
-        assert np.array_equal(hadamard_product(a, b), np.logical_and(a, b).astype(float))
 
 
 class TestPartialTrace:

@@ -58,14 +58,20 @@ class TestWeights:
         assert lam[0, 1] == lam[1, 1] == 0.2
 
 
+def kron_flip(k, l):
+    """X^k (x) X^l as a tensor product of Pauli X factors."""
+    eye2 = linalg.identity(2)
+    return linalg.kron(linalg.PAULI_X if k else eye2, linalg.PAULI_X if l else eye2)
+
+
 def markov_weight_sum_oracle(params):
     """Entry-wise convex sum of Hadamard squares of the flip unitaries."""
     lam = weights(params).lam
     total = np.zeros((4, 4))
     for k in (0, 1):
         for l in (0, 1):
-            u = bitflip_unitary(k, l)
-            total += lam[k, l] * linalg.hadamard_product(u, u.conj()).real
+            u = kron_flip(k, l)
+            total += lam[k, l] * (u * u.conj()).real
     return total
 
 
@@ -216,6 +222,18 @@ class TestBinaryDilation:
             assert np.abs(dil.apply(rho) - apply_channel(ch, rho)).max() < 1e-12
 
 
+class TestBitflipUnitary:
+    def test_matches_pauli_tensor_products(self):
+        for k in (0, 1):
+            for l in (0, 1):
+                assert np.array_equal(bitflip_unitary(k, l), kron_flip(k, l))
+
+    def test_returns_a_writable_copy(self):
+        u = bitflip_unitary(1, 0)
+        u[0, 0] = 5.0
+        assert np.array_equal(bitflip_unitary(1, 0), kron_flip(1, 0))
+
+
 class TestBitflipGenerators:
     def test_exponentials_reproduce_unitaries(self):
         for k in (0, 1):
@@ -304,7 +322,45 @@ class TestBranchLengths:
             jc_from_branch_length(-0.1)
 
 
+FLIP_FAMILY_DRAWS = ALL_FAMILY_DRAWS[:4] + [
+    ModelParams.jc(0.0), ModelParams.jc(1.0 / 3.0), ModelParams.k2(0.0, 0.5), ModelParams.k2(1.0, 0.0),
+    ModelParams.k3(0.0, 0.0, 1.0), ModelParams.k3(0.5, 0.5, 0.0), ModelParams.binary(0.0),
+    ModelParams.binary(1.0),
+]
+
+
 class TestPruneOperators:
+    def test_binary_operators_are_scaled_identity_and_flip(self):
+        a = 0.37
+        ops = prune_operators(ModelParams.binary(a))
+        expected = [math.sqrt(1.0 - a) * linalg.identity(2), math.sqrt(a) * linalg.PAULI_X]
+        assert len(ops) == 2
+        assert all(np.array_equal(op, ref) for op, ref in zip(ops, expected))
+
+    def test_binary_limits_drop_one_operator(self):
+        (stay,) = prune_operators(ModelParams.binary(0.0))
+        assert np.array_equal(stay, linalg.identity(2))
+        (flip,) = prune_operators(ModelParams.binary(1.0))
+        assert np.array_equal(flip, linalg.PAULI_X)
+
+    def test_binary_weight_outside_unit_interval_rejected(self):
+        for a in (-1e-13, 1.0 + 1e-13):
+            with pytest.raises(ModelError):
+                prune_operators(ModelParams.binary(a))
+
+    def test_flip_families_resolve_identity(self):
+        for params in FLIP_FAMILY_DRAWS:
+            ops = prune_operators(params)
+            total = sum(op.conj().T @ op for op in ops)
+            assert np.abs(total - np.eye(params.n_states)).max() < 1e-15
+
+    def test_channel_operators_are_prune_operators(self):
+        for params in FLIP_FAMILY_DRAWS:
+            channel = binary_channel(params.a) if params.family == "B" else group_channel(params)
+            ops = prune_operators(params)
+            assert len(channel.operators) == len(ops)
+            assert all(np.array_equal(c, op) for c, op in zip(channel.operators, ops))
+
     def test_squared_moduli_sum_to_prune_matrix(self):
         for params in ALL_FAMILY_DRAWS:
             ops = prune_operators(params)
