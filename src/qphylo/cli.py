@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ENGINES, alignment_loglik, simulate_tree
+from .engine import ENGINES, MAX_TENSOR_BYTES, alignment_loglik, simulate_tree
 from .errors import (ModelError, OptimizerError, ParseError, QPhyloError,
                      TaxaMismatchError, ZeroLikelihoodError)
 from .optimize import OptimizationProblem, maximize_loglik
@@ -34,19 +34,23 @@ EXIT_OPTIMIZER = 6
 _FAMILIES = ("JC", "K2", "K3", "B", "F")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an integer that must be at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _read_input(path: str) -> str:
@@ -69,6 +73,11 @@ def _load_alignment(path: str):
 
 def cmd_simulate(args) -> int:
     tree = _load_tree(args.tree)
+    # Per site: the flat draw and one index per leaf (int64), one FASTA character per leaf.
+    size = args.sites * (8 + 9 * tree.n_leaves)
+    if size > MAX_TENSOR_BYTES:
+        raise ModelError(f"a sample of {args.sites} sites for {tree.n_leaves} taxa needs "
+                         f"{size} bytes, over the {MAX_TENSOR_BYTES}-byte limit")
     tensor = simulate_tree(tree)
     rng = np.random.default_rng(args.seed)
     flat = tensor.values.ravel()
@@ -106,16 +115,14 @@ def cmd_likelihood(args) -> int:
               f"({aln.n_sites} sites)")
     doc = {"engines": {tag: rep.to_document() for tag, rep in reports.items()}}
     if len(reports) > 1:
-        totals = {tag: rep.total_log_likelihood for tag, rep in reports.items()}
-        site_vectors = {tag: np.array([r.likelihood for r in rep.per_site])
-                        for tag, rep in reports.items()}
         deviations = {}
         tags = list(reports)
         for i, one in enumerate(tags):
             for other in tags[i + 1:]:
+                a, b = reports[one], reports[other]
                 deviations[f"{one}_vs_{other}"] = {
-                    "total": abs(totals[one] - totals[other]),
-                    "per_site_max": float(np.abs(site_vectors[one] - site_vectors[other]).max()),
+                    "total": abs(a.total_log_likelihood - b.total_log_likelihood),
+                    "per_site_max": float(np.abs(a.likelihood - b.likelihood).max()),
                 }
         doc["cross_engine_deviation"] = deviations
         worst = max(d["total"] for d in deviations.values())
@@ -162,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="sample an alignment from a tree's pattern distribution")
     sim.add_argument("--tree", required=True, help="Newick file")
-    sim.add_argument("--sites", type=_positive_int, required=True, help="number of sites to sample")
-    sim.add_argument("--seed", type=int, required=True, help="sampling seed")
+    sim.add_argument("--sites", type=_int_at_least(1), required=True, help="number of sites to sample")
+    sim.add_argument("--seed", type=_int_at_least(0), required=True, help="sampling seed")
     sim.add_argument("--out", required=True, help="output prefix (<out>.fasta, <out>.patterns.json)")
     sim.set_defaults(run=cmd_simulate)
 

@@ -35,10 +35,8 @@ factors through the same likelihood-propagation matrix W = M^T.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -345,32 +343,24 @@ def site_likelihood(ltr, pi: DiagonalDensity) -> float:
 # --- Whole-alignment evaluation -------------------------------------------------
 
 
-class SiteRecord(NamedTuple):
-    site: int
-    likelihood: float
-    log: float
-    nu: float | None = None
-
-
 @dataclass(frozen=True)
 class SiteLikelihoodReport:
-    """Per-site likelihoods, their logs, and the total for one engine run."""
+    """Per-site likelihoods and their logs, in alignment order, and the total for one engine run."""
 
     engine: str
-    per_site: tuple
+    likelihood: np.ndarray
+    log: np.ndarray
+    nu: np.ndarray | None  # the dual engine's per-site trace factors, else None
     total_log_likelihood: float
     parameters: dict
 
     def to_document(self) -> dict:
-        sites = []
-        for rec in self.per_site:
-            entry = {"site": rec.site, "likelihood": rec.likelihood, "log": rec.log}
-            if rec.nu is not None:
-                entry["nu"] = rec.nu
-            sites.append(entry)
+        columns = {"likelihood": self.likelihood, "log": self.log, "nu": self.nu}
+        columns = {key: value.tolist() for key, value in columns.items() if value is not None}
+        rows = zip(range(1, len(self.log) + 1), *columns.values())
         return {
             "engine": self.engine,
-            "per_site": sites,
+            "per_site": [dict(zip(("site", *columns), row)) for row in rows],
             "total_log_likelihood": self.total_log_likelihood,
             "parameters": self.parameters,
         }
@@ -430,21 +420,21 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
 
     (lb, log_b), (lc, log_c) = _reduce_below_root(tree.kids, values, edges, node_step)
     eb, ec = (edges[slot] for slot in tree.kids[0])
-    nus = itertools.repeat(None)
+    nu = None
     if engine == "dual":
         root_values, nu = _dual_root(lb, lc, eb, ec, tree.pi)
-        nus = (nu * np.exp(log_b))[inverse].tolist()
+        nu = (nu * np.exp(log_b))[inverse]
     else:
         root_values = node_step(lb, lc, eb, ec) @ tree.pi
     zero = root_values[inverse] <= 0.0
     if zero.any():
         raise ZeroLikelihoodError(int(np.argmax(zero)) + 1)
     logs = (np.log(root_values) + log_b + log_c)[inverse]
-    records = tuple(map(SiteRecord._make, zip(range(1, aln.n_sites + 1), np.exp(logs).tolist(),
-                                              logs.tolist(), nus)))
     return SiteLikelihoodReport(
         engine=engine,
-        per_site=records,
+        likelihood=np.exp(logs),
+        log=logs,
+        nu=nu,
         total_log_likelihood=float(np.sum(logs)),
         parameters={"tree": emit_newick(tree), "n_sites": aln.n_sites, "n_taxa": aln.n_taxa},
     )

@@ -27,7 +27,9 @@ from .channels import DiagonalDensity, KrausChannel
 GROUP_FAMILIES = ("JC", "K2", "K3")
 FAMILIES = GROUP_FAMILIES + ("B", "F")
 
-# Parameter-simplex slack: weights may sit exactly on the boundary.
+# Slack on a weight that is computed, not given: the group identity weight
+# 1 - a - b - c can round to just below 0 on the simplex boundary. Given
+# weights a, b, c must lie in [0, 1] exactly.
 _EDGE = 1e-12
 
 # The bit-flip group on n = 2 and n = 4 states: _XOR[n][i, j] = i XOR j, and
@@ -72,7 +74,7 @@ class ModelParams:
             raise ModelError(f"{self.family} takes parameters {self._signature()}, "
                              f"got a={self.a}, b={self.b}, c={self.c}, pi={self.pi}")
         for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if value is not None and not -_EDGE <= value <= 1.0 + _EDGE:
+            if value is not None and not 0.0 <= value <= 1.0:
                 raise ModelError(f"{self.family} weight {name}={value} outside [0, 1]")
         if self.family in GROUP_FAMILIES:
             rest = 1.0 - sum(self.flip_weights())

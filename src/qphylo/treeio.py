@@ -422,6 +422,9 @@ class Alignment:
     taxa: tuple
     data: np.ndarray  # (n_taxa, n_sites) integer character indices
     alphabet: Alphabet
+    patterns: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.int64)
@@ -430,8 +433,10 @@ class Alignment:
         if data.size and (data.min() < 0 or data.max() >= self.alphabet.n_states):
             raise FastaParseError("character index out of alphabet range")
         data = data.copy()
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        unique = np.unique(data.T, axis=0, return_inverse=True, return_counts=True)
+        for name, array in zip(("data", "patterns", "inverse", "counts"), (data, *unique)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "taxa", tuple(self.taxa))
 
     @property
@@ -447,10 +452,8 @@ class Alignment:
         return "".join(self.alphabet.symbols[i] for i in row)
 
     def site_patterns(self):
-        """Unique site columns with counts and the site -> pattern map."""
-        columns = self.data.T
-        patterns, inverse, counts = np.unique(columns, axis=0, return_inverse=True, return_counts=True)
-        return patterns, counts, inverse
+        """Unique site columns with counts and the site -> pattern map, found at construction."""
+        return self.patterns, self.counts, self.inverse
 
 
 def parse_fasta(text: str) -> Alignment:

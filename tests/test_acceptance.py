@@ -9,18 +9,17 @@ import json
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from qphylo import cli, linalg
-from qphylo.channels import DiagonalDensity, apply_channel, control_not, split
+from qphylo.channels import DiagonalDensity, control_not, split
 from qphylo.engine import alignment_loglik, simulate_tree
 from qphylo.linalg import ProbabilityTensor
-from qphylo.models import (ModelParams, binary_channel, binary_dilation, bitflip_generator,
-                           bitflip_unitary, group_channel, markov, qw_dilation, weights)
+from qphylo.models import ModelParams, bitflip_unitary, markov, weights
 from qphylo.qwalk import WalkConfig, closed_form_two_taxon, coin_distribution, evolve_taxa_qw
 from qphylo.treeio import DNA, Alignment, TreeNode, PhyloTree, parse_newick
-from qphylo.verify import (random_density, random_params, random_unitary, suite_fourier_equivalence,
-                           suite_pruning_equivalence)
+from qphylo.verify import (random_params, random_unitary, suite_dilation_unitarity,
+                           suite_dilation_vs_channel, suite_flip_generators,
+                           suite_fourier_equivalence, suite_pruning_equivalence)
 
 RNG_SEED = 20240809
 
@@ -78,30 +77,11 @@ def test_criterion_2_markov_weight_sum_identity():
 
 def test_criterion_3_dilation_equivalence():
     rng = np.random.default_rng(RNG_SEED + 3)
-    worst_action = 0.0
-    worst_unitarity = 0.0
-    for family in ("JC", "K2", "K3"):
-        for _ in range(50):
-            params = random_params(rng, family)
-            dil = qw_dilation(params)
-            ch = group_channel(params)
-            for _ in range(20):
-                rho = random_density(rng, 4)
-                worst_action = max(worst_action, np.abs(dil.apply(rho) - apply_channel(ch, rho)).max())
-    for _ in range(50):
-        a = rng.uniform(0.0, 1.0)
-        dil = binary_dilation(a)
-        v = dil.unitary
-        worst_unitarity = max(worst_unitarity, linalg.max_abs(v @ v.conj().T - np.eye(4)))
-        ch = binary_channel(dil.metadata["flip_weight"])
-        for _ in range(20):
-            rho = random_density(rng, 2)
-            worst_action = max(worst_action, np.abs(dil.apply(rho) - apply_channel(ch, rho)).max())
-    worst_generator = max(
-        np.abs(expm(1j * bitflip_generator(k, l)) - bitflip_unitary(k, l)).max()
-        for k in (0, 1) for l in (0, 1))
+    worst_action = suite_dilation_vs_channel(rng, draws=50, densities=20).max_deviation
+    worst_generator = suite_flip_generators().max_deviation
+    worst_unitarity = suite_dilation_unitarity(rng, draws=50).max_deviation
     ok = report(3, "dilation vs channel action", worst_action, 1e-12)
-    ok &= report(3, "binary dilation unitarity", worst_unitarity, 1e-14)
+    ok &= report(3, "dilation unitarity", worst_unitarity, 1e-14)
     ok &= report(3, "generator exponentials", worst_generator, 1e-10)
     assert ok
 

@@ -1,7 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qphylo import cli
 
@@ -100,6 +103,28 @@ class TestSimulate:
         assert "--sites" in capsys.readouterr().err
         assert not out.with_name("run.fasta").exists()
 
+    @pytest.mark.parametrize("seed", [-1, "x"])
+    def test_seed_below_zero_rejected_by_argparse(self, tmp_path, tree_file, capsys, seed):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as err:
+            run(["simulate", "--tree", tree_file, "--sites", 5, "--seed", seed, "--out", out])
+        assert err.value.code == cli.EXIT_PARSE
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sites", [10**13, 10**20])
+    def test_oversized_sample_refused_before_allocating(self, tmp_path, tree_file, capsys, sites):
+        out = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            code = run(["simulate", "--tree", tree_file, "--sites", sites, "--seed", 1, "--out", out])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_MODEL
+        assert peak < 1 << 20
+        assert f"{sites} sites for 4 taxa needs {sites * 44} bytes" in capsys.readouterr().err
+        assert not out.with_name("run.fasta").exists()
+
 
 class TestTreeInputExitCodes:
     @pytest.mark.parametrize("text", ["(A:0.1,B[&model=K2,a=0.1,b=x]);",
@@ -122,6 +147,23 @@ class TestTreeInputExitCodes:
         tree.write_text("(A:0.1,B:0.1)[&pi={0.5,0.5,0.5,0.5}];")
         assert run(["simulate", "--tree", tree, "--sites", 5, "--seed", 1,
                     "--out", tmp_path / "x"]) == cli.EXIT_MODEL
+
+
+class TestModelWeightBounds:
+    TREE = "(A[&model=B,a=1.0000000000001],B[&model=B,a=0.1]);"
+
+    @pytest.mark.parametrize("command", ["simulate", "classical", "quantum", "dual"])
+    def test_weight_just_above_one_is_parse_error_everywhere(self, tmp_path, capsys, command):
+        tree = tmp_path / "tree.nwk"
+        tree.write_text(self.TREE)
+        fasta = tmp_path / "aln.fasta"
+        fasta.write_text(">A\n01\n>B\n11\n")
+        if command == "simulate":
+            argv = ["simulate", "--tree", tree, "--sites", 5, "--seed", 1, "--out", tmp_path / "x"]
+        else:
+            argv = ["likelihood", "--tree", tree, "--alignment", fasta, "--engine", command]
+        assert run(argv) == cli.EXIT_PARSE
+        assert "invalid model parameters" in capsys.readouterr().err
 
 
 class TestFileAccessExitCodes:
@@ -233,3 +275,84 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "dilation vs channel" in out
+
+
+# Inputs for the argv property: "@name" stands for a file or directory under
+# the module's input directory, and "@missing..." for a path that is not there.
+ARGV_FILES = {
+    "cherry.nwk": "(A:0.1,B:0.1);",
+    "balanced.nwk": BALANCED,
+    "binary.nwk": "(A[&model=B,a=0.2],B[&model=B,a=0.1]);",
+    "mixed.nwk": "((A[&model=K3,a=0.1,b=0.2,c=0.3],B:0.1):0.1,C[&model=F,a=0.5,pi={0.1,0.2,0.3,0.4}]);",
+    "zero.nwk": ZERO_CHERRY,
+    "unbalanced_paren.nwk": "((A,B);",
+    "leaf.nwk": "A;",
+    "weight_above_one.nwk": "(A[&model=B,a=1.0000000000001],B[&model=B,a=0.1]);",
+    "unnormalized_pi.nwk": "(A:0.1,B:0.1)[&pi={0.5,0.5,0.5,0.5}];",
+    "dna2.fasta": ">A\nACGTACGT\n>B\nACGAACGA\n",
+    "dna3.fasta": ">A\nACG\n>B\nACC\n>C\nTCG\n",
+    "dna4.fasta": ">A\nACGTA\n>B\nACGTC\n>C\nAGGTA\n>D\nTCGTA\n",
+    "binary.fasta": ">A\n0101\n>B\n0011\n",
+    "other_taxa.fasta": ">A\nAC\n>X\nAC\n",
+    "ragged.fasta": ">A\nACG\n>B\nAC\n",
+    "gap.fasta": ">A\nA-\n>B\nAC\n",
+}
+ODD_PATHS = ("@missing", "@dir", "@latin1")
+ARGV_INTS = st.sampled_from(["-1", "0", "1", "7", str(10**13), str(10**20), "x"])
+ARGV_TREES = st.sampled_from([f"@{n}" for n in ARGV_FILES if n.endswith(".nwk")] + list(ODD_PATHS))
+ARGV_FASTAS = st.sampled_from([f"@{n}" for n in ARGV_FILES if n.endswith(".fasta")] + list(ODD_PATHS))
+ARGV_OUTS = st.sampled_from(["@out/run", "@missing_dir/run"])
+ARGV_ENGINES = st.sampled_from(["classical", "quantum", "dual", "bogus"])
+
+
+def _argv(command, required, optional=()):
+    """argv for one subcommand: every required flag, and each optional one or not."""
+    parts = [st.tuples(st.just(flag), values) for flag, values in required]
+    parts += [st.one_of(st.just(()), st.tuples(st.just(flag), values)) for flag, values in optional]
+    return st.tuples(*parts).map(lambda pairs: [command, *(token for pair in pairs for token in pair)])
+
+
+# verify, the only command that may exit 1, is left out.
+CLI_ARGV = st.one_of(
+    _argv("simulate", [("--tree", ARGV_TREES), ("--sites", ARGV_INTS), ("--seed", ARGV_INTS),
+                       ("--out", ARGV_OUTS)]),
+    _argv("likelihood", [("--tree", ARGV_TREES), ("--alignment", ARGV_FASTAS)],
+          [("--engine", st.one_of(ARGV_ENGINES, st.just("all"))), ("--out", ARGV_OUTS)]),
+    _argv("optimize", [("--tree", ARGV_TREES), ("--alignment", ARGV_FASTAS),
+                       ("--family", st.sampled_from(["JC", "K2", "K3", "B", "F", "X"])),
+                       ("--seed", ARGV_INTS)],
+          [("--engine", ARGV_ENGINES), ("--out", ARGV_OUTS)]),
+)
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    for name, text in ARGV_FILES.items():
+        (root / name).write_text(text)
+    (root / "dir").mkdir()
+    (root / "out").mkdir()
+    (root / "latin1").write_bytes(b">A\n\xe9\n")
+    return root
+
+
+class TestArgvExitCodes:
+    @settings(max_examples=150)
+    @given(argv=CLI_ARGV)
+    @example(argv=["simulate", "--tree", "@balanced.nwk", "--sites", "5", "--seed", "-1",
+                   "--out", "@out/run"])
+    @example(argv=["simulate", "--tree", "@balanced.nwk", "--sites", str(10**13), "--seed", "1",
+                   "--out", "@out/run"])
+    @example(argv=["simulate", "--tree", "@balanced.nwk", "--sites", str(10**20), "--seed", "1",
+                   "--out", "@out/run"])
+    @example(argv=["simulate", "--tree", "@weight_above_one.nwk", "--sites", "5", "--seed", "1",
+                   "--out", "@out/run"])
+    def test_every_argv_gets_a_documented_exit_code(self, argv_inputs, argv):
+        argv = [str(argv_inputs / token[1:]) if token.startswith("@") else token for token in argv]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            assert exc.code == cli.EXIT_PARSE
+        else:
+            assert code in {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_MODEL, cli.EXIT_TAXA,
+                            cli.EXIT_ZERO_LIKELIHOOD, cli.EXIT_OPTIMIZER}

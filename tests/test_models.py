@@ -41,6 +41,23 @@ class TestModelParams:
         with pytest.raises(ModelError):
             ModelParams("JC", 0.1, b=0.2)
 
+    @pytest.mark.parametrize("build", [
+        ModelParams.binary,
+        ModelParams.jc,
+        lambda a: ModelParams.felsenstein(a, (0.25, 0.25, 0.25, 0.25)),
+        lambda a: ModelParams.k3(a, 0.0, 0.0),
+        lambda a: ModelParams.k3(0.0, 0.0, a),
+    ])
+    @pytest.mark.parametrize("a", [-1e-13, 1.0 + 1e-13])
+    def test_rejects_given_weight_just_outside_unit_interval(self, build, a):
+        with pytest.raises(ModelError, match=r"outside \[0, 1\]"):
+            build(a)
+
+    def test_identity_weight_keeps_rounding_slack(self):
+        params = ModelParams.k3(0.5, 0.5, 1e-13)
+        assert 1.0 - sum(params.flip_weights()) < 0.0
+        assert weights(params).vector.min() == 0.0
+
 
 class TestWeights:
     def test_identity_limit(self):

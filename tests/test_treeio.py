@@ -178,6 +178,14 @@ class TestParseFasta:
         assert sorted(counts.tolist()) == [1, 2]
         assert len(inverse) == 3
 
+    def test_site_patterns_are_computed_once_and_read_only(self, monkeypatch):
+        aln = parse_fasta(">x\nAAC\n>y\nGGC\n")
+        monkeypatch.setattr(np, "unique", None)  # a second compression would fail
+        first, second = aln.site_patterns(), aln.site_patterns()
+        assert all(a is b for a, b in zip(first, second))
+        assert not any(array.flags.writeable for array in first)
+        assert np.array_equal(first[0][first[2]], aln.data.T)
+
 
 class TestCompileCircuit:
     def test_cherry_schedule(self):
