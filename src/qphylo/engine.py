@@ -41,27 +41,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import DiagonalDensity, split_at
-from .errors import ModelError, ShapeMismatchError, TaxaMismatchError, ZeroLikelihoodError
+from .channels import split_at
+from .errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
 from .linalg import ProbabilityTensor
 from .models import ModelParams, markov, prune_matrix, prune_operators
-from .treeio import DNA, Alignment, PhyloTree, SplitGate, compile_circuit, emit_newick
+from .treeio import Alignment, PhyloTree, SplitGate, compile_circuit, emit_newick
 
 ENGINES = ("classical", "quantum", "dual")
 
 # simulate_tree refuses, before allocating, an exact pattern tensor larger than
 # this; 12 DNA leaves (128 MiB) run and 14 (2 GiB) are refused.
 MAX_TENSOR_BYTES = 2**30
-
-
-def stationary_density(pi) -> DiagonalDensity:
-    """Diagonal density with the stationary weights on the non-null characters."""
-    return DiagonalDensity.from_block(pi)
-
-
-def _evolve_slot(values: np.ndarray, m: np.ndarray, slot: int) -> np.ndarray:
-    """Apply a column-stochastic matrix along one 1-based tensor slot."""
-    return np.moveaxis(np.tensordot(m, values, axes=([1], [slot - 1])), 0, slot - 1)
 
 
 def simulate_tree(tree: PhyloTree) -> ProbabilityTensor:
@@ -83,25 +73,9 @@ def simulate_tree(tree: PhyloTree) -> ProbabilityTensor:
         if isinstance(gate, SplitGate):
             tensor = split_at(tensor, gate.slot)
         else:
-            tensor = ProbabilityTensor(_evolve_slot(tensor.values, markov(gate.params), gate.slot))
+            tensor = ProbabilityTensor(linalg.apply_on_axes(markov(gate.params), tensor.values,
+                                                            [gate.slot - 1]))
     return tensor
-
-
-def leaf_likelihood(symbol: str, n_states: int = 4) -> np.ndarray:
-    """Indicator likelihood vector for an observed leaf character.
-
-    Accepts the DNA letters A/C/G/T (4-state) or a 1-based numeric character
-    label: '1' is the first non-null character of any alphabet.
-    """
-    if n_states == 4 and symbol in DNA.symbols:
-        idx = DNA.symbols.index(symbol)
-    elif symbol.isdigit() and 1 <= int(symbol) <= n_states:
-        idx = int(symbol) - 1
-    else:
-        raise ModelError(f"unknown character {symbol!r} for a {n_states}-state alphabet")
-    out = np.zeros(n_states)
-    out[idx] = 1.0
-    return out
 
 
 # --- Per-edge data -----------------------------------------------------------
@@ -256,103 +230,19 @@ def _dual_root(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps, pi: n
     return nu * np.einsum("pi,pii->p", lc, back[:, 1:, 1:]).real, nu
 
 
-# --- Single-pair primitives: the kernels at P = 1 -------------------------------
-
-
-def classical_prune(lb, lc, mb, mc) -> np.ndarray:
-    """Parent likelihood (W_B L_B) o (W_C L_C) with W = M^T per edge."""
-    lb = np.asarray(lb, dtype=float)
-    lc = np.asarray(lc, dtype=float)
-    mb = np.asarray(mb, dtype=float)
-    mc = np.asarray(mc, dtype=float)
-    if lb.shape != lc.shape or mb.shape != (lb.size, lb.size) or mc.shape != mb.shape:
-        raise ShapeMismatchError("pruning operands have mismatched dimensions")
-    return _classical_node(lb[None], lc[None], _EdgeOps(w=mb.T), _EdgeOps(w=mc.T))[0]
-
-
-def quantum_prune(lb, lc, ub, uc) -> np.ndarray:
-    """Pruning-circuit parent operator using one unitary per edge.
-
-    The unitaries must satisfy |U|^2 = W for the intended propagation
-    matrices; the result then equals classical_prune with M = W^T.
-    """
-    lb = np.asarray(lb, dtype=float)
-    lc = np.asarray(lc, dtype=float)
-    ub = linalg.as_matrix(ub)
-    uc = linalg.as_matrix(uc)
-    for u in (ub, uc):
-        if not linalg.is_unitary(u):
-            raise ModelError("edge operator is not unitary")
-    if ub.shape != (lb.size, lb.size) or uc.shape != (lc.size, lc.size) or lb.size != lc.size:
-        raise ShapeMismatchError("pruning operands have mismatched dimensions")
-    return _quantum_node(lb[None], lc[None], _EdgeOps.from_kraus([ub]), _EdgeOps.from_kraus([uc]))[0]
-
-
-def prune_embedded(operators, r: int, ub, uc) -> list:
-    """Merge slots r and r+1 of a likelihood-operator list, leaving the rest.
-
-    The joint state of the s slots is the tensor product of the listed
-    diagonal operators, so the embedded map id^(r-1) (x) mu (x) id^(s-r-1)
-    acts only on the named pair and the list representation is exact.
-    """
-    ops = [np.asarray(x, dtype=float) for x in operators]
-    if not 1 <= r <= len(ops) - 1:
-        raise ShapeMismatchError(f"slot {r} out of range for {len(ops)} operators")
-    merged = quantum_prune(ops[r - 1], ops[r], ub, uc)
-    return ops[:r - 1] + [merged] + ops[r + 1:]
-
-
-def dual_prune(lb, lc, ub, uc):
-    """State-picture form of the pruning map: (E_B(L_C), nu).
-
-    nu = Tr L_B; q_k = <k| U_B L_B U_B^dagger |k> / nu; the returned operator
-    is sum_k q_k P_k U_C L_C U_C^dagger P_k. The circuit-picture result
-    equals nu times this operator (the scaling convention is pinned to the
-    circuit picture, which reproduces classical pruning).
-    """
-    lb = np.asarray(lb, dtype=float)
-    lc = np.asarray(lc, dtype=float)
-    if lb.sum() <= 0.0:
-        raise ZeroLikelihoodError(-1, "dead lineage: the left operator has zero trace")
-    q, nu = _pinch_weights(lb[None], _EdgeOps.from_kraus([ub]))
-    evolved = _diagonal(_kraus_propagate(lc[None], _EdgeOps.from_kraus([uc]).transfer)).real
-    return (q * evolved)[0, 1:], float(nu[0])
-
-
-def dual_adjoint_state(q, uc, rho) -> np.ndarray:
-    """Adjoint map U_C^dagger (sum_k q_k P_k rho P_k) U_C on a density matrix.
-
-    A dense reference for the batched root step of the dual engine.
-    """
-    rho = linalg.as_matrix(rho)
-    q = np.asarray(q, dtype=float)
-    pinched = np.diag(q * np.diag(rho))
-    return uc.conj().T @ pinched @ uc
-
-
-def site_likelihood(ltr, pi: DiagonalDensity) -> float:
-    """Contraction sum_i pi_i L_i of a likelihood operator with the root density."""
-    ltr = np.asarray(ltr, dtype=float)
-    if ltr.min() < 0.0:
-        raise ModelError(f"likelihood operator has negative entry {ltr.min()}")
-    if ltr.size != pi.dim - 1:
-        raise ShapeMismatchError(f"operator size {ltr.size} vs {pi.dim - 1} characters")
-    return float(ltr @ pi.block)
-
-
 # --- Whole-alignment evaluation -------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SiteLikelihoodReport:
-    """Per-site likelihoods and their logs, in alignment order, and the total for one engine run."""
+    """One engine run: per-site likelihoods and logs in alignment order, the total, and the tree."""
 
     engine: str
     likelihood: np.ndarray
     log: np.ndarray
     nu: np.ndarray | None  # the dual engine's per-site trace factors, else None
     total_log_likelihood: float
-    parameters: dict
+    tree: PhyloTree
 
     def to_document(self) -> dict:
         columns = {"likelihood": self.likelihood, "log": self.log, "nu": self.nu}
@@ -362,7 +252,8 @@ class SiteLikelihoodReport:
             "engine": self.engine,
             "per_site": [dict(zip(("site", *columns), row)) for row in rows],
             "total_log_likelihood": self.total_log_likelihood,
-            "parameters": self.parameters,
+            "parameters": {"tree": emit_newick(self.tree), "n_sites": len(self.log),
+                           "n_taxa": self.tree.n_leaves},
         }
 
 
@@ -436,5 +327,5 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
         log=logs,
         nu=nu,
         total_log_likelihood=float(np.sum(logs)),
-        parameters={"tree": emit_newick(tree), "n_sites": aln.n_sites, "n_taxa": aln.n_taxa},
+        tree=tree,
     )

@@ -56,8 +56,8 @@ class TaxaMismatchError(QPhyloError):
 class ZeroLikelihoodError(QPhyloError):
     """A site has likelihood exactly zero; carries the 1-based site index."""
 
-    def __init__(self, site: int, message: str | None = None):
-        super().__init__(message or f"site {site} has zero likelihood")
+    def __init__(self, site: int):
+        super().__init__(f"site {site} has zero likelihood")
         self.site = site
 
 

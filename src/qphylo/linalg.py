@@ -16,10 +16,8 @@ import numpy as np
 from .errors import ShapeMismatchError
 
 # Structural predicates (unitary, Hermitian, stochastic) use STRUCT_TOL as the
-# max-abs deviation; independently computed quantities are compared at
-# COMPARE_TOL unless an operation pins a tighter bound.
+# max-abs deviation.
 STRUCT_TOL = 1e-12
-COMPARE_TOL = 1e-10
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -70,6 +68,23 @@ def adjoint_action(s, rho) -> np.ndarray:
     if s.shape[0] != s.shape[1] or s.shape != rho.shape:
         raise ShapeMismatchError(f"adjoint action needs matching square operands, got {s.shape} and {rho.shape}")
     return s @ rho @ s.conj().T
+
+
+def apply_on_axes(op, tensor: np.ndarray, axes, bra_axes=()) -> np.ndarray:
+    """Apply an operator to some axes of a tensor, leaving every other axis alone.
+
+    ``op`` acts jointly on the listed axes, the first listed the most
+    significant, and its outputs take their places. For an operator stored
+    as a tensor with one ket and one bra axis per slot, list the matching
+    bra axes in ``bra_axes``: they get ``op.conj()``, giving op T op^dagger.
+    """
+    op = np.asarray(op)
+    for factor, where in ((op, list(axes)), (op.conj(), list(bra_axes))):
+        if where:
+            k, dims = len(where), [tensor.shape[a] for a in where]
+            tensor = np.tensordot(factor.reshape(dims + dims), tensor, axes=(list(range(k, 2 * k)), where))
+            tensor = np.moveaxis(tensor, list(range(k)), where)
+    return tensor
 
 
 def partial_trace(rho, dims, traced: int) -> np.ndarray:

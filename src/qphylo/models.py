@@ -22,7 +22,7 @@ from scipy.optimize import least_squares
 
 from . import linalg
 from .errors import ModelError, NotUnistochasticError, ShapeMismatchError
-from .channels import DiagonalDensity, KrausChannel
+from .channels import KrausChannel
 
 GROUP_FAMILIES = ("JC", "K2", "K3")
 FAMILIES = GROUP_FAMILIES + ("B", "F")
@@ -256,45 +256,6 @@ def felsenstein_instruments(pi) -> tuple:
 
 
 @dataclass(frozen=True)
-class FelsensteinChannel:
-    """The F-model map with its state-dependent normalization exposed.
-
-    On diagonal densities the action is the column-stochastic update
-    p' = a p + (1-a) pi (trace 1 by construction); p_pi(rho) = sum_i pi_i p_i
-    is the normalization constant of the raw instrument sum.
-    """
-
-    params: ModelParams
-    markov_matrix: np.ndarray
-
-    @property
-    def pi(self) -> np.ndarray:
-        return self.params.pi
-
-    def p_pi(self, rho: DiagonalDensity) -> float:
-        self._check(rho)
-        return float(self.pi @ rho.block)
-
-    def apply_diagonal(self, rho: DiagonalDensity) -> DiagonalDensity:
-        self._check(rho)
-        if self.p_pi(rho) == 0.0:
-            raise ModelError("instrument normalization p_pi is zero")
-        return DiagonalDensity.from_block(self.markov_matrix @ rho.block)
-
-    def _check(self, rho: DiagonalDensity) -> None:
-        if rho.dim != 5:
-            raise ShapeMismatchError(f"F model acts on 4 characters plus null, got dim {rho.dim}")
-
-
-def felsenstein_channel(params: ModelParams) -> FelsensteinChannel:
-    if params.family != "F":
-        raise ModelError(f"felsenstein_channel needs family F, not {params.family}")
-    m = markov(params)
-    m.setflags(write=False)
-    return FelsensteinChannel(params, m)
-
-
-@dataclass(frozen=True)
 class Dilation:
     """A unitary on coin (x) walker space realizing a channel by partial trace."""
 
@@ -375,8 +336,8 @@ def binary_dilation(a: float) -> Dilation:
     probe = np.diag([1.0, 0.0]).astype(complex)
     flipped = float(dil.apply(probe)[1, 1].real)
     matches = min(("a", a), ("1-a", 1.0 - a), key=lambda item: abs(item[1] - flipped))
-    meta = {"input_weight": a, "flip_weight": matches[1], "matches": matches[0]}
-    return Dilation(v, linalg.projector(1, 2), coin_dim=2, label="B_dilation", metadata=meta)
+    dil.metadata.update(input_weight=a, flip_weight=matches[1], matches=matches[0])
+    return dil
 
 
 _KLEIN_CHARACTERS = np.array([

@@ -133,7 +133,7 @@ def evolve_taxa_qw(tensor: ProbabilityTensor, cfgs) -> ProbabilityTensor:
             raise ShapeMismatchError(
                 f"slot {slot + 1} walk has dimension {cfg.walker_dim}, tensor alphabet is {tensor.alphabet}")
         t = step_transition_matrix(cfg)
-        values = np.moveaxis(np.tensordot(t, values, axes=([1], [slot])), 0, slot)
+        values = linalg.apply_on_axes(t, values, [slot])
     return ProbabilityTensor(values)
 
 

@@ -253,7 +253,7 @@ def _parse_annotation(body: str, offset: int) -> dict:
     return out
 
 
-def _params_from_annotation(ann: dict, length: float | None, offset: int) -> ModelParams:
+def _params_from_annotation(ann: dict, offset: int) -> ModelParams:
     family = ann.get("model")
     if family is None:
         raise NewickParseError("edge annotation needs a model= entry", offset=offset)
@@ -265,25 +265,22 @@ def _params_from_annotation(ann: dict, length: float | None, offset: int) -> Mod
         except (TypeError, ValueError):
             raise NewickParseError(f"annotation {key}= must be a number, got {ann[key]!r}",
                                    offset=offset) from None
-    try:
-        if family in ("JC", "B"):
-            if "t" in ann and "a" in ann:
-                raise NewickParseError(f"model {family} takes a= or t=, not both", offset=offset)
-            if "t" in ann:
-                t = num("t")
-                return jc_from_branch_length(t) if family == "JC" else binary_from_branch_length(t)
-            a = num("a")
-            return ModelParams.jc(a) if family == "JC" else ModelParams.binary(a)
-        if family == "K2":
-            return ModelParams.k2(num("a"), num("b"))
-        if family == "K3":
-            return ModelParams.k3(num("a"), num("b"), num("c"))
-        if family == "F":
-            if not isinstance(ann.get("pi"), tuple):
-                raise NewickParseError("model F needs pi={...}", offset=offset)
-            return ModelParams.felsenstein(num("a"), ann["pi"])
-    except ModelError as exc:
-        raise NewickParseError(f"invalid model parameters: {exc}", offset=offset) from exc
+    if family in ("JC", "B"):
+        if "t" in ann and "a" in ann:
+            raise NewickParseError(f"model {family} takes a= or t=, not both", offset=offset)
+        if "t" in ann:
+            t = num("t")
+            return jc_from_branch_length(t) if family == "JC" else binary_from_branch_length(t)
+        a = num("a")
+        return ModelParams.jc(a) if family == "JC" else ModelParams.binary(a)
+    if family == "K2":
+        return ModelParams.k2(num("a"), num("b"))
+    if family == "K3":
+        return ModelParams.k3(num("a"), num("b"), num("c"))
+    if family == "F":
+        if not isinstance(ann.get("pi"), tuple):
+            raise NewickParseError("model F needs pi={...}", offset=offset)
+        return ModelParams.felsenstein(num("a"), ann["pi"])
     raise NewickParseError(f"unknown model family {family!r}", offset=offset)
 
 
@@ -374,10 +371,14 @@ def _node_tail(cur: _Cursor, start: int, children: tuple) -> _RawNode:
 
 
 def _edge_params(raw: _RawNode) -> ModelParams:
-    if raw.annotation is not None:
-        return _params_from_annotation(raw.annotation, raw.length, raw.offset)
-    if raw.length is not None:
-        return jc_from_branch_length(raw.length)
+    """The edge's model, from its annotation or else its bare branch length."""
+    try:
+        if raw.annotation is not None:
+            return _params_from_annotation(raw.annotation, raw.offset)
+        if raw.length is not None:
+            return jc_from_branch_length(raw.length)
+    except ModelError as exc:
+        raise NewickParseError(f"invalid model parameters: {exc}", offset=raw.offset) from exc
     raise NewickParseError("edge needs a branch length or a model annotation", offset=raw.offset)
 
 

@@ -136,6 +136,15 @@ class TestTreeInputExitCodes:
                     "--out", tmp_path / "x"]) == cli.EXIT_PARSE
         assert "offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["(A:-0.1,B:0.1);", "(A[&model=JC,t=-0.1],B:0.1);"],
+                             ids=["bare_length", "t_annotation"])
+    def test_negative_branch_length_is_parse_error(self, tmp_path, capsys, text):
+        tree = tmp_path / "tree.nwk"
+        tree.write_text(text)
+        assert run(["simulate", "--tree", tree, "--sites", 5, "--seed", 1,
+                    "--out", tmp_path / "x"]) == cli.EXIT_PARSE
+        assert "branch length -0.1 is negative (at offset 1)" in capsys.readouterr().err
+
     def test_single_leaf_is_parse_error(self, tmp_path):
         tree = tmp_path / "tree.nwk"
         tree.write_text("A;")

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from qphylo import linalg
-from qphylo.channels import (DiagonalDensity, KrausChannel, apply_channel, collective_diagonalizer,
-                             control_not)
-from qphylo.engine import (MAX_TENSOR_BYTES, _EdgeOps, _adjoint_state, _collective_pinch,
-                           _dual_root, _inverse_control_shift, _kraus_propagate, _pinch_weights,
-                           _trace_second_slot, alignment_loglik, classical_prune,
-                           dual_adjoint_state, dual_prune, leaf_likelihood, prune_embedded,
-                           quantum_prune, simulate_tree, site_likelihood, stationary_density)
+from qphylo.channels import KrausChannel, apply_channel, collective_diagonalizer, control_not
+from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _EdgeOps, _adjoint_state, _classical_node,
+                           _collective_pinch, _diagonal, _dual_root, _inverse_control_shift,
+                           _kraus_propagate, _pinch_weights, _quantum_node, _trace_second_slot,
+                           alignment_loglik, simulate_tree)
 from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
 from qphylo.models import ModelParams, markov, prune_matrix, prune_operators, unitary_from_markov
 from qphylo.optimize import tree_with_shared_params
@@ -21,7 +19,8 @@ from qphylo.verify import random_instance, random_params
 from conftest import random_density, random_unitary
 
 CHERRY = parse_newick("(A:0.1,B:0.1);")
-UNIFORM4 = stationary_density(np.full(4, 0.25))
+# Leaf likelihood vectors as alignment_loglik builds them: row x indicates character x.
+A, C = np.eye(4)[:2]
 CATERPILLAR_20 = parse_newick("(" * 19 + "t0:0.1" + "".join(f",t{i}:0.1):0.1" for i in range(1, 20)) + ";")
 
 
@@ -90,47 +89,40 @@ class TestSimulateTree:
         assert simulate_tree(tree).values.shape == (2,) * 20
 
 
-class TestLeafLikelihood:
-    def test_dna_letters(self):
-        assert np.array_equal(leaf_likelihood("A"), [1, 0, 0, 0])
-        assert np.array_equal(leaf_likelihood("T"), [0, 0, 0, 1])
+def classical_pair(lb, lc, mb, mc):
+    """One classical node step at P = 1, W = M^T per edge."""
+    return _classical_node(lb[None], lc[None], _EdgeOps(w=mb.T), _EdgeOps(w=mc.T))[0]
 
-    def test_numeric_label_is_one_based(self):
-        assert np.array_equal(leaf_likelihood("1", n_states=2), [1, 0])
-        assert np.array_equal(leaf_likelihood("2", n_states=2), [0, 1])
 
-    def test_unknown_character(self):
-        with pytest.raises(ModelError):
-            leaf_likelihood("Z")
-        with pytest.raises(ModelError):
-            leaf_likelihood("3", n_states=2)
+def quantum_pair(lb, lc, ub, uc):
+    """One pruning-circuit node step at P = 1, one unitary per edge."""
+    return _quantum_node(lb[None], lc[None], _EdgeOps.from_kraus([ub]), _EdgeOps.from_kraus([uc]))[0]
 
 
 class TestClassicalPrune:
     def test_zero_length_edges_pass_through(self):
-        la = leaf_likelihood("A")
-        assert np.array_equal(classical_prune(la, la, np.eye(4), np.eye(4)), la)
+        assert np.array_equal(classical_pair(A, A, np.eye(4), np.eye(4)), A)
 
     def test_frozen_jc_example(self):
         m = markov(ModelParams.jc(0.1))
-        out = classical_prune(leaf_likelihood("A"), leaf_likelihood("C"), m, m)
+        out = classical_pair(A, C, m, m)
         assert np.abs(out - [0.07, 0.07, 0.01, 0.01]).max() < 1e-15
 
     def test_incompatible_observations_vanish(self):
-        out = classical_prune(leaf_likelihood("A"), leaf_likelihood("C"), np.eye(4), np.eye(4))
+        out = classical_pair(A, C, np.eye(4), np.eye(4))
         assert np.abs(out).max() == 0.0
 
 
 class TestQuantumPrune:
     def test_identity_edges_give_elementwise_product(self, rng):
         lb, lc = rng.random(4), rng.random(4)
-        out = quantum_prune(lb, lc, np.eye(4), np.eye(4))
+        out = quantum_pair(lb, lc, np.eye(4), np.eye(4))
         assert np.abs(out - lb * lc).max() < 1e-13
 
     def test_frozen_jc_example(self):
         m = markov(ModelParams.jc(0.1))
         u = unitary_from_markov(m)
-        out = quantum_prune(leaf_likelihood("A"), leaf_likelihood("C"), u, u)
+        out = quantum_pair(A, C, u, u)
         assert np.abs(out - [0.07, 0.07, 0.01, 0.01]).max() < 1e-10
 
     def test_matches_classical_on_random_unistochastic_edges(self, rng):
@@ -139,8 +131,8 @@ class TestQuantumPrune:
             ub, uc = random_unitary(rng, 4), random_unitary(rng, 4)
             wb, wc = np.abs(ub) ** 2, np.abs(uc) ** 2
             lb, lc = rng.random(4), rng.random(4)
-            quantum = quantum_prune(lb, lc, ub, uc)
-            classical = classical_prune(lb, lc, wb.T, wc.T)
+            quantum = quantum_pair(lb, lc, ub, uc)
+            classical = classical_pair(lb, lc, wb.T, wc.T)
             worst = max(worst, np.abs(quantum - classical).max())
         assert worst < 1e-10
 
@@ -149,76 +141,28 @@ class TestQuantumPrune:
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(2, 4)))
         u_alt = np.diag(phases[0]) @ u @ np.diag(phases[1])
         lb, lc = rng.random(4), rng.random(4)
-        a = quantum_prune(lb, lc, u, u)
-        b = quantum_prune(lb, lc, u_alt, u_alt)
+        a = quantum_pair(lb, lc, u, u)
+        b = quantum_pair(lb, lc, u_alt, u_alt)
         assert np.abs(a - b).max() < 1e-12
-
-    def test_rejects_non_unitary(self, rng):
-        with pytest.raises(ModelError):
-            quantum_prune(rng.random(4), rng.random(4), np.eye(4) * 2, np.eye(4))
-
-
-class TestPruneEmbedded:
-    def test_two_slots_reduce_to_plain_prune(self, rng):
-        u = random_unitary(rng, 4)
-        lb, lc = rng.random(4), rng.random(4)
-        out = prune_embedded([lb, lc], 1, u, u)
-        assert len(out) == 1
-        assert np.abs(out[0] - quantum_prune(lb, lc, u, u)).max() == 0.0
-
-    def test_untouched_slot_is_left_alone(self, rng):
-        u = random_unitary(rng, 4)
-        ops = [rng.random(4) for _ in range(3)]
-        out = prune_embedded(ops, 2, u, u)
-        assert len(out) == 2
-        assert np.array_equal(out[0], ops[0])
-
-    def test_full_reduction_matches_classical_bottom_up(self, rng):
-        m = markov(ModelParams.jc(0.07))
-        u = unitary_from_markov(m)
-        leaves = [leaf_likelihood(ch) for ch in "ACGT"]
-        state = prune_embedded(leaves, 1, u, u)
-        state = prune_embedded(state, 2, u, u)
-        state = prune_embedded(state, 1, u, u)
-        classical = classical_prune(
-            classical_prune(leaves[0], leaves[1], m, m),
-            classical_prune(leaves[2], leaves[3], m, m), m, m)
-        assert len(state) == 1
-        assert np.abs(state[0] - classical).max() < 1e-10
-
-
-class TestSiteLikelihood:
-    def test_certain_event(self):
-        assert site_likelihood(np.ones(4), UNIFORM4) == pytest.approx(1.0)
-
-    def test_frozen_value(self):
-        assert site_likelihood(np.array([0.07, 0.07, 0.01, 0.01]), UNIFORM4) == pytest.approx(0.04)
-
-    def test_zero_operator(self):
-        assert site_likelihood(np.zeros(4), UNIFORM4) == 0.0
-
-    def test_linear_in_operator_and_distribution(self, rng):
-        l1, l2 = rng.random(4), rng.random(4)
-        pi = stationary_density(rng.dirichlet(np.ones(4)))
-        lhs = site_likelihood(0.3 * l1 + 0.7 * l2, pi)
-        rhs = 0.3 * site_likelihood(l1, pi) + 0.7 * site_likelihood(l2, pi)
-        assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
 class TestDualPrune:
     def test_identity_edges_pinch_onto_left_support(self, rng):
         lc = rng.random(4)
-        out, nu = dual_prune(leaf_likelihood("A"), lc, np.eye(4), np.eye(4))
-        assert nu == 1.0
-        expected = np.zeros(4)
-        expected[0] = lc[0]
-        assert np.abs(out - expected).max() < 1e-14
+        pi = rng.dirichlet(np.ones(4))
+        eye = _EdgeOps.from_kraus([np.eye(4)])
+        q, nu = _pinch_weights(A[None], eye)
+        assert nu[0] == 1.0
+        assert np.abs(q[0] - [0.0, 1.0, 0.0, 0.0, 0.0]).max() < 1e-14
+        values, _ = _dual_root(A[None], lc[None], eye, eye, pi)
+        assert abs(values[0] - lc[0] * pi[0]) < 1e-14
 
     def test_frozen_jc_cherry_recovers_circuit_result(self):
-        m = markov(ModelParams.jc(0.1))
-        u = unitary_from_markov(m)
-        out, nu = dual_prune(leaf_likelihood("A"), leaf_likelihood("C"), u, u)
-        assert np.abs(nu * out - np.array([0.07, 0.07, 0.01, 0.01])).max() < 1e-10
+        # A point-mass root reads off one entry of the parent operator nu * E_B(L_C).
+        u = unitary_from_markov(markov(ModelParams.jc(0.1)))
+        edge = _EdgeOps.from_kraus([u])
+        out = [_dual_root(A[None], C[None], edge, edge, root)[0][0] for root in np.eye(4)]
+        assert np.abs(np.array(out) - [0.07, 0.07, 0.01, 0.01]).max() < 1e-10
 
     def test_pinch_weights_normalize_for_doubly_stochastic_edges(self, rng):
         for _ in range(100):
@@ -226,10 +170,6 @@ class TestDualPrune:
             lb = rng.random(4)
             q = np.diag(ub @ np.diag(lb).astype(complex) @ ub.conj().T).real / lb.sum()
             assert abs(q.sum() - 1.0) < 1e-12
-
-    def test_dead_lineage_reported(self, rng):
-        with pytest.raises(ZeroLikelihoodError):
-            dual_prune(np.zeros(4), rng.random(4), np.eye(4), np.eye(4))
 
     def test_adjoint_identity(self, rng):
         for _ in range(20):
@@ -239,9 +179,12 @@ class TestDualPrune:
             ub = random_unitary(rng, 4)
             q = np.diag(ub @ np.diag(lb).astype(complex) @ ub.conj().T).real / nu
             rho = random_density(rng, 4)
-            forward, _ = dual_prune(lb, lc, ub, uc)
+            pinch, _ = _pinch_weights(lb[None], _EdgeOps.from_kraus([ub]))
+            evolved = _diagonal(_kraus_propagate(lc[None], _EdgeOps.from_kraus([uc]).transfer)).real
+            forward = (pinch * evolved)[0, 1:]
             lhs = float(forward @ np.diag(rho).real)
-            rhs = np.trace(np.diag(lc).astype(complex) @ dual_adjoint_state(q, uc, rho)).real
+            adjoint = uc.conj().T @ np.diag(q * np.diag(rho)) @ uc
+            rhs = np.trace(np.diag(lc).astype(complex) @ adjoint).real
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -298,7 +241,7 @@ class TestDualRoot:
             back = _adjoint_state(q, pi, ec)
             values, nus = _dual_root(lb, lc, eb, ec, pi)
             for i in range(3):
-                dense = dual_adjoint_state(q[i, 1:], uc, np.diag(pi))
+                dense = uc.conj().T @ np.diag(q[i, 1:] * pi) @ uc
                 assert np.abs(back[i, 1:, 1:] - dense).max() < 1e-14
                 assert np.abs(back[i, 0, :]).max() == 0.0 and np.abs(back[i, :, 0]).max() == 0.0
                 expected = nu[i] * np.trace(np.diag(lc[i]) @ dense).real
@@ -380,11 +323,24 @@ class TestAlignmentLoglik:
         with pytest.raises(ModelError):
             alignment_loglik(tree, aln)
 
-    def test_zero_site_reported_with_index(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_zero_site_reported_with_index(self, engine):
         tree = tree_with_shared_params(CHERRY, ModelParams.jc(0.0))
         aln = Alignment(taxa=("A", "B"), data=np.array([[0, 0], [0, 1]]), alphabet=DNA)
         with pytest.raises(ZeroLikelihoodError) as err:
-            alignment_loglik(tree, aln)
+            alignment_loglik(tree, aln, engine=engine)
+        assert err.value.site == 2
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_dead_root_left_child_reported_with_index(self, engine):
+        # Site 2 puts different characters on the frozen cherry (A, B), so the
+        # root's left child has a zero likelihood operator (the dual engine's nu = 0).
+        tree = parse_newick("((A[&model=JC,a=0],B[&model=JC,a=0])[&model=JC,a=0.1],"
+                            "C[&model=JC,a=0.1]);")
+        aln = Alignment(taxa=("A", "B", "C"), data=np.array([[0, 0, 2], [0, 1, 2], [0, 1, 2]]),
+                        alphabet=DNA)
+        with pytest.raises(ZeroLikelihoodError) as err:
+            alignment_loglik(tree, aln, engine=engine)
         assert err.value.site == 2
 
     def test_deep_tree_does_not_underflow_to_zero(self):

@@ -5,11 +5,11 @@ import pytest
 from scipy.linalg import expm
 
 from qphylo import linalg
-from qphylo.channels import DiagonalDensity, apply_channel, diagonalizer
+from qphylo.channels import apply_channel
 from qphylo.errors import ModelError, NotUnistochasticError
 from qphylo.models import (ModelParams, binary_channel, binary_dilation,
                            binary_from_branch_length, bitflip_generator, bitflip_unitary,
-                           felsenstein_channel, group_channel, jc_from_branch_length,
+                           group_channel, jc_from_branch_length,
                            markov, prune_matrix, prune_operators, qw_dilation,
                            unitary_from_markov, validate_markov, weights)
 
@@ -124,6 +124,20 @@ class TestMarkov:
         m = markov(ModelParams.felsenstein(0.5, (0.1, 0.2, 0.3, 0.4)))
         assert np.abs(m[:, 0] - [0.55, 0.10, 0.15, 0.20]).max() < 1e-15
 
+    def test_f_identity_limit(self, rng):
+        m = markov(ModelParams.felsenstein(1.0, (0.1, 0.2, 0.3, 0.4)))
+        p = rng.dirichlet(np.ones(4))
+        assert np.abs(m @ p - p).max() < 1e-15
+
+    def test_f_uniform_equals_group_channel(self, rng):
+        a = 0.35
+        m = markov(ModelParams.felsenstein(a, np.full(4, 0.25)))
+        jc = group_channel(ModelParams.jc((1.0 - a) / 4.0))
+        for _ in range(50):
+            p = rng.dirichlet(np.ones(4))
+            via_jc = np.diag(apply_channel(jc, np.diag(p).astype(complex))).real
+            assert np.abs(m @ p - via_jc).max() < 1e-12
+
 
 class TestGroupChannel:
     def test_identity_limit(self):
@@ -155,38 +169,6 @@ class TestBinaryChannel:
     def test_range_check(self):
         with pytest.raises(ModelError):
             binary_channel(1.2)
-
-
-class TestFelsensteinChannel:
-    def test_identity_limit(self, rng):
-        ch = felsenstein_channel(ModelParams.felsenstein(1.0, (0.1, 0.2, 0.3, 0.4)))
-        p = rng.dirichlet(np.ones(4))
-        out = ch.apply_diagonal(DiagonalDensity.from_block(p))
-        assert np.abs(out.block - p).max() < 1e-15
-
-    def test_point_mass_column(self):
-        ch = felsenstein_channel(ModelParams.felsenstein(0.5, (0.1, 0.2, 0.3, 0.4)))
-        out = ch.apply_diagonal(DiagonalDensity.from_block([1.0, 0, 0, 0]))
-        assert np.abs(out.block - [0.55, 0.10, 0.15, 0.20]).max() < 1e-15
-
-    def test_uniform_equals_group_channel(self, rng):
-        a = 0.35
-        ch = felsenstein_channel(ModelParams.felsenstein(a, np.full(4, 0.25)))
-        jc = group_channel(ModelParams.jc((1.0 - a) / 4.0))
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(4))
-            via_f = ch.apply_diagonal(DiagonalDensity.from_block(p)).block
-            via_jc = np.diag(apply_channel(jc, np.diag(p).astype(complex))).real
-            assert np.abs(via_f - via_jc).max() < 1e-12
-
-    def test_normalization_exposed_and_trace_one(self, rng):
-        params = ModelParams.felsenstein(0.5, (0.1, 0.2, 0.3, 0.4))
-        ch = felsenstein_channel(params)
-        p = rng.dirichlet(np.ones(4))
-        rho = DiagonalDensity.from_block(p)
-        assert ch.p_pi(rho) == pytest.approx(float(np.dot(params.pi, p)))
-        out = ch.apply_diagonal(rho)
-        assert abs(out.weights.sum() - 1.0) < 1e-12
 
 
 class TestQwDilation:

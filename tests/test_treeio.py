@@ -48,6 +48,13 @@ class TestParseNewick:
             parse_newick("(A:0.1,B:0.2")
         assert err.value.offset is not None
 
+    @pytest.mark.parametrize("text", ["(A:-0.1,B:0.1);", "(A[&model=JC,t=-0.1],B:0.1);"],
+                             ids=["bare_length", "t_annotation"])
+    def test_negative_branch_length_is_parse_error_at_its_edge(self, text):
+        with pytest.raises(NewickParseError, match="invalid model parameters: branch length -0.1") as err:
+            parse_newick(text)
+        assert err.value.offset == 1
+
     @pytest.mark.parametrize("text", [
         "(A:0.1,B[&model=JC,a=x]);",
         "(A:0.1,B[&model=JC,t=x]);",
