@@ -111,23 +111,54 @@ class _EdgeOps:
     """Per-edge data that one engine reads for every pattern.
 
     The classical engine reads only ``w``; the quantum and dual engines
-    read only the Kraus family, so each engine builds only its own.
+    read only the Kraus family, so each engine builds only its own. Every
+    array is read-only, because ``for_params`` hands the same entry to
+    every caller.
     """
 
     w: np.ndarray | None = None         # likelihood propagation matrix M^T
     stack: np.ndarray | None = None     # embedded Kraus family
     transfer: np.ndarray | None = None  # _transfer(stack)
 
+    def __post_init__(self):
+        for value in (self.w, self.stack, self.transfer):
+            if value is not None:
+                value.setflags(write=False)
+
+    @functools.cached_property
+    def adjoint(self) -> np.ndarray:
+        """_transfer of the adjoint Kraus family, built when the dual root first reads it.
+
+        Only the dual root's right edge reads it, so edges that only the
+        quantum engine reads never pay for it.
+        """
+        adjoint = _transfer(self.stack.conj().transpose(0, 2, 1))
+        adjoint.setflags(write=False)
+        return adjoint
+
     @classmethod
     def for_params(cls, params: ModelParams, engine: str) -> "_EdgeOps":
-        if engine == "classical":
-            return cls(w=prune_matrix(params))
-        return cls.from_kraus(prune_operators(params))
+        return _edge_ops(params, engine == "classical")
 
     @classmethod
     def from_kraus(cls, ops) -> "_EdgeOps":
         stack = _embed_stack(ops)
         return cls(stack=stack, transfer=_transfer(stack))
+
+
+@functools.lru_cache(maxsize=256)
+def _edge_ops(params: ModelParams, classical: bool) -> _EdgeOps:
+    """One edge's operators, built once per distinct parameter value.
+
+    A parsed tree's edges never change, and a shared fit gives every edge
+    one value, so repeated engine calls only look their operators up. The
+    quantum and dual engines share the Kraus entry. 256 entries hold both
+    kinds for 128 distinct edges; the largest entry, an F Kraus family, is
+    10 000 bytes, so the cache stays under 2.6 MB.
+    """
+    if classical:
+        return _EdgeOps(w=prune_matrix(params))
+    return _EdgeOps.from_kraus(prune_operators(params))
 
 
 # --- Batched kernels: arrays carry one row per site pattern --------------------
@@ -215,8 +246,7 @@ def _adjoint_state(q: np.ndarray, pi: np.ndarray, ec: _EdgeOps) -> np.ndarray:
     sigma = sum_k q_k P_k diag(0, pi) P_k is diagonal; the adjoint map is the
     operator sum of the adjoint Kraus family.
     """
-    adjoint = _transfer(ec.stack.conj().transpose(0, 2, 1))
-    return _kraus_propagate(q[:, 1:] * pi, adjoint)
+    return _kraus_propagate(q[:, 1:] * pi, ec.adjoint)
 
 
 def _dual_root(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps, pi: np.ndarray):

@@ -41,7 +41,7 @@ for _t in (*_XOR.values(), *_FLIPS.values()):
     _t.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Parameters of one substitution model family.
 
@@ -50,6 +50,9 @@ class ModelParams:
     identity weight is whatever the flips leave over. B(a): flip probability
     of the two-state model. F(a, pi): identity weight a and stationary
     distribution pi.
+
+    Equality and hashing go by value, pi by its bytes, so parameters can key
+    a cache of edge operators.
     """
 
     family: str
@@ -91,6 +94,17 @@ class ModelParams:
             pi = pi.copy()
             pi.setflags(write=False)
             object.__setattr__(self, "pi", pi)
+
+    def _key(self) -> tuple:
+        return (self.family, self.a, self.b, self.c, None if self.pi is None else self.pi.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, ModelParams):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def _signature(self) -> str:
         return {"JC": "(a)", "K2": "(a, b)", "K3": "(a, b, c)", "B": "(a)", "F": "(a, pi)"}[self.family]
@@ -166,10 +180,15 @@ def weights(params: ModelParams) -> WeightTable:
 
 
 def _flip_vector(params: ModelParams) -> np.ndarray:
-    """Weights w_g of the flips in table order, identity first: B gives (1-a, a)."""
+    """Weights w_g of the flips in table order, identity first: B gives (1-a, a).
+
+    The group families give weights(params).vector, (1-a-b-c, b, a, c) clipped
+    at 0, built directly: ModelParams has already checked the simplex.
+    """
     if params.family == "B":
         return np.array([1.0 - params.a, params.a])
-    return weights(params).vector
+    a, b, c = params.flip_weights()
+    return np.clip(np.array([1.0 - a - b - c, b, a, c]), 0.0, None)
 
 
 def _flip_kraus(w: np.ndarray) -> tuple:

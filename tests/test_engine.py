@@ -1,18 +1,21 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qphylo import linalg
+from qphylo import engine, linalg
 from qphylo.channels import KrausChannel, apply_channel, collective_diagonalizer, control_not
 from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _EdgeOps, _adjoint_state, _classical_node,
                            _collective_pinch, _diagonal, _dual_root, _inverse_control_shift,
                            _kraus_propagate, _pinch_weights, _quantum_node, _trace_second_slot,
                            alignment_loglik, simulate_tree)
 from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
-from qphylo.models import ModelParams, markov, prune_matrix, prune_operators, unitary_from_markov
-from qphylo.optimize import tree_with_shared_params
+from qphylo.models import FAMILIES, ModelParams, markov, prune_matrix, prune_operators, unitary_from_markov
+from qphylo.optimize import OptimizationProblem, maximize_loglik, tree_with_shared_params
 from qphylo.treeio import BINARY, DNA, Alignment, parse_newick
 from qphylo.verify import random_instance, random_params
 
@@ -266,6 +269,72 @@ class TestDualRoot:
         quantum = _EdgeOps.for_params(params, "quantum")
         assert quantum.w is None
         assert quantum.stack.shape == (len(prune_operators(params)), 5, 5)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """A cold edge-operator cache, and the engine's per-edge builds counted by name."""
+    engine._edge_ops.cache_clear()
+    counts = dict.fromkeys(("prune_operators", "prune_matrix"), 0)
+    for name in counts:
+        def counted(params, _build=getattr(engine, name), _name=name):
+            counts[_name] += 1
+            return _build(params)
+        monkeypatch.setattr(engine, name, counted)
+    yield counts
+    engine._edge_ops.cache_clear()
+
+
+class TestEdgeCache:
+    def test_second_call_builds_nothing(self, rng, builds):
+        tree, aln = random_instance(rng, 5, "K3", n_sites=4)
+        first = [alignment_loglik(tree, aln, engine=e) for e in ENGINES]
+        assert builds == {"prune_operators": 8, "prune_matrix": 8}
+        second = [alignment_loglik(tree, aln, engine=e) for e in ENGINES]
+        assert builds == {"prune_operators": 8, "prune_matrix": 8}
+        for a, b in zip(first, second):
+            assert a.log.tobytes() == b.log.tobytes()
+
+    def test_shared_tree_builds_one_entry_per_kind(self, rng, builds):
+        tree = tree_with_shared_params(parse_newick("((A:1,B:1):1,(C:1,D:1):1);"),
+                                       ModelParams.jc(0.1))
+        aln = Alignment(taxa=tree.leaf_names, data=rng.integers(0, 4, (4, 6)), alphabet=DNA)
+        for e in ENGINES:
+            alignment_loglik(tree, aln, engine=e)
+        assert builds == {"prune_operators": 1, "prune_matrix": 1}
+        assert engine._edge_ops.cache_info().currsize == 2
+
+    def test_dual_after_quantum_builds_nothing(self, rng, builds):
+        tree, aln = random_instance(rng, 4, "F", n_sites=3)
+        alignment_loglik(tree, aln, engine="quantum")
+        assert builds == {"prune_operators": 6, "prune_matrix": 0}
+        alignment_loglik(tree, aln, engine="dual")
+        assert builds == {"prune_operators": 6, "prune_matrix": 0}
+
+    def test_per_edge_fit_stays_within_maxsize(self, rng, builds):
+        tree, aln = random_instance(rng, 4, "JC", n_sites=40)
+        maximize_loglik(OptimizationProblem(tree=tree, alignment=aln, family="JC", per_edge=True))
+        info = engine._edge_ops.cache_info()
+        assert info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
+
+    def test_cached_arrays_are_read_only(self, builds):
+        params = ModelParams.felsenstein(0.3, (0.1, 0.2, 0.3, 0.4))
+        classical = _EdgeOps.for_params(params, "classical")
+        kraus = _EdgeOps.for_params(params, "quantum")
+        assert _EdgeOps.for_params(params, "dual") is kraus
+        for array in (classical.w, kraus.stack, kraus.transfer, kraus.adjoint):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 6), st.sampled_from(FAMILIES))
+    def test_warm_cache_reports_are_byte_identical(self, seed, n_leaves, family):
+        tree, aln = random_instance(np.random.default_rng(seed), n_leaves, family, n_sites=5)
+        engine._edge_ops.cache_clear()
+        cold = [json.dumps(alignment_loglik(tree, aln, engine=e).to_document()) for e in ENGINES]
+        warm = [json.dumps(alignment_loglik(tree, aln, engine=e).to_document())
+                for e in reversed(ENGINES)]
+        assert cold == warm[::-1]
 
 
 class TestAlignmentLoglik:

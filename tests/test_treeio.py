@@ -96,6 +96,12 @@ class TestParseNewick:
         assert b.params.family == "F"
         assert np.array_equal(b.params.pi, [0.1, 0.2, 0.3, 0.4])
 
+    def test_f_edges_compare_by_value(self):
+        text = "((A[&model=F,a=0.5,pi={0.1,0.2,0.3,0.4}],B:0.1):0.2,C:0.1);"
+        assert parse_newick(text).root == parse_newick(text).root
+        assert parse_newick(text) == parse_newick(text)
+        assert parse_newick(text).root != parse_newick(text.replace("0.3,0.4", "0.4,0.3")).root
+
     def test_annotation_with_branch_length_map(self):
         tree = parse_newick("(A[&model=B,t=0.5],B[&model=B,a=0.25]);")
         a, b = tree.root.children
