@@ -14,7 +14,8 @@ from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _EdgeOps, _adjoint_state, 
                            _kraus_propagate, _pinch_weights, _quantum_node, _trace_second_slot,
                            alignment_loglik, simulate_tree)
 from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
-from qphylo.models import FAMILIES, ModelParams, markov, prune_matrix, prune_operators, unitary_from_markov
+from qphylo.models import (FAMILIES, ModelParams, markov, prune_matrix, prune_operators,
+                           unitary_from_markov)
 from qphylo.optimize import OptimizationProblem, maximize_loglik, tree_with_shared_params
 from qphylo.treeio import BINARY, DNA, Alignment, parse_newick
 from qphylo.verify import random_instance, random_params

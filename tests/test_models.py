@@ -9,9 +9,9 @@ from scipy.linalg import expm
 from qphylo import linalg
 from qphylo.channels import apply_channel
 from qphylo.errors import ModelError, NotUnistochasticError
-from qphylo.models import (GROUP_FAMILIES, ModelParams, _flip_vector, binary_channel, binary_dilation,
-                           binary_from_branch_length, bitflip_generator, bitflip_unitary,
-                           group_channel, jc_from_branch_length,
+from qphylo.models import (GROUP_FAMILIES, ModelParams, _flip_vector, binary_channel,
+                           binary_dilation, binary_from_branch_length, bitflip_generator,
+                           bitflip_unitary, group_channel, jc_from_branch_length,
                            markov, prune_matrix, prune_operators, qw_dilation,
                            unitary_from_markov, validate_markov, weights)
 
