@@ -112,8 +112,8 @@ class _EdgeOps:
 
     The classical engine reads only ``w``; the quantum and dual engines
     read only the Kraus family, so each engine builds only its own. Every
-    array is read-only, because ``for_params`` hands the same entry to
-    every caller.
+    array is read-only, because ``_edge_ops`` hands the same entry to every
+    caller.
     """
 
     w: np.ndarray | None = None         # likelihood propagation matrix M^T
@@ -138,7 +138,9 @@ class _EdgeOps:
 
     @classmethod
     def for_params(cls, params: ModelParams, engine: str) -> "_EdgeOps":
-        return _edge_ops(params, engine == "classical")
+        if engine == "classical":
+            return cls(w=prune_matrix(params))
+        return cls.from_kraus(prune_operators(params))
 
     @classmethod
     def from_kraus(cls, ops) -> "_EdgeOps":
@@ -146,19 +148,21 @@ class _EdgeOps:
         return cls(stack=stack, transfer=_transfer(stack))
 
 
-@functools.lru_cache(maxsize=256)
-def _edge_ops(params: ModelParams, classical: bool) -> _EdgeOps:
-    """One edge's operators, built once per distinct parameter value.
+@functools.lru_cache(maxsize=4)
+def _edge_ops(edge_params: tuple, classical: bool) -> tuple:
+    """The operators of a tree's edges, in pre-order, for the classical or the Kraus engines.
 
-    A parsed tree's edges never change, and a shared fit gives every edge
-    one value, so repeated engine calls only look their operators up. The
-    quantum and dual engines share the Kraus entry. 256 entries hold both
-    kinds for 128 distinct edges; the largest entry, an F Kraus family, is
-    10 000 bytes, so the cache stays under 2.6 MB.
+    Each distinct parameter value is built once, so a shared-parameter tree
+    builds one entry. The key is the edges' parameter values, so the same
+    tree evaluated again (on another alignment, by the dual engine after the
+    quantum one, or parsed again from the same text) builds nothing; the
+    quantum and dual engines share the Kraus entry. Four entries hold both
+    kinds for two trees, whatever their size, and each is the edge list
+    that one call would build anyway.
     """
-    if classical:
-        return _EdgeOps(w=prune_matrix(params))
-    return _EdgeOps.from_kraus(prune_operators(params))
+    engine = "classical" if classical else "quantum"
+    built = {params: _EdgeOps.for_params(params, engine) for params in dict.fromkeys(edge_params)}
+    return tuple(built[params] for params in edge_params)
 
 
 # --- Batched kernels: arrays carry one row per site pattern --------------------
@@ -336,7 +340,7 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
     indicator = np.eye(tree.n_states)
     values = [None if node.children else indicator[patterns[:, row_of[node.name]]]
               for node in tree.nodes]
-    edges = [None] + [_EdgeOps.for_params(node.params, engine) for node in tree.nodes[1:]]
+    edges = [None, *_edge_ops(tuple(node.params for node in tree.nodes[1:]), engine == "classical")]
     node_step = _classical_node if engine == "classical" else _quantum_node
 
     (lb, log_b), (lc, log_c) = _reduce_below_root(tree.kids, values, edges, node_step)

@@ -180,15 +180,10 @@ def weights(params: ModelParams) -> WeightTable:
 
 
 def _flip_vector(params: ModelParams) -> np.ndarray:
-    """Weights w_g of the flips in table order, identity first: B gives (1-a, a).
-
-    The group families give weights(params).vector, (1-a-b-c, b, a, c) clipped
-    at 0, built directly: ModelParams has already checked the simplex.
-    """
+    """Weights w_g of the flips in table order, identity first: B gives (1-a, a)."""
     if params.family == "B":
         return np.array([1.0 - params.a, params.a])
-    a, b, c = params.flip_weights()
-    return np.clip(np.array([1.0 - a - b - c, b, a, c]), 0.0, None)
+    return weights(params).vector
 
 
 def _flip_kraus(w: np.ndarray) -> tuple:

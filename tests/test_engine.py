@@ -17,7 +17,7 @@ from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
 from qphylo.models import (FAMILIES, ModelParams, markov, prune_matrix, prune_operators,
                            unitary_from_markov)
 from qphylo.optimize import OptimizationProblem, maximize_loglik, tree_with_shared_params
-from qphylo.treeio import BINARY, DNA, Alignment, parse_newick
+from qphylo.treeio import BINARY, DNA, Alignment, emit_newick, parse_newick
 from qphylo.verify import random_instance, random_params
 
 from conftest import random_density, random_unitary
@@ -287,12 +287,16 @@ def builds(monkeypatch):
 
 
 class TestEdgeCache:
-    def test_second_call_builds_nothing(self, rng, builds):
-        tree, aln = random_instance(rng, 5, "K3", n_sites=4)
+    @pytest.mark.parametrize("n_leaves", [5, 130])
+    def test_second_call_builds_nothing(self, rng, builds, n_leaves):
+        # 130 leaves give 258 distinct edges, more than any per-edge cache of 256 would hold.
+        tree, aln = random_instance(rng, n_leaves, "K3", n_sites=4)
+        n_edges = 2 * n_leaves - 2
         first = [alignment_loglik(tree, aln, engine=e) for e in ENGINES]
-        assert builds == {"prune_operators": 8, "prune_matrix": 8}
-        second = [alignment_loglik(tree, aln, engine=e) for e in ENGINES]
-        assert builds == {"prune_operators": 8, "prune_matrix": 8}
+        assert builds == {"prune_operators": n_edges, "prune_matrix": n_edges}
+        again = parse_newick(emit_newick(tree))
+        second = [alignment_loglik(again, aln, engine=e) for e in ENGINES]
+        assert builds == {"prune_operators": n_edges, "prune_matrix": n_edges}
         for a, b in zip(first, second):
             assert a.log.tobytes() == b.log.tobytes()
 
@@ -321,9 +325,8 @@ class TestEdgeCache:
 
     def test_cached_arrays_are_read_only(self, builds):
         params = ModelParams.felsenstein(0.3, (0.1, 0.2, 0.3, 0.4))
-        classical = _EdgeOps.for_params(params, "classical")
-        kraus = _EdgeOps.for_params(params, "quantum")
-        assert _EdgeOps.for_params(params, "dual") is kraus
+        (classical,) = engine._edge_ops((params,), True)
+        (kraus,) = engine._edge_ops((params,), False)
         for array in (classical.w, kraus.stack, kraus.transfer, kraus.adjoint):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0

@@ -2,16 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
-from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qphylo import linalg
 from qphylo.channels import apply_channel
 from qphylo.errors import ModelError, NotUnistochasticError
-from qphylo.models import (GROUP_FAMILIES, ModelParams, _flip_vector, binary_channel,
-                           binary_dilation, binary_from_branch_length, bitflip_generator,
-                           bitflip_unitary, group_channel, jc_from_branch_length,
+from qphylo.models import (ModelParams, binary_channel, binary_dilation,
+                           binary_from_branch_length, bitflip_generator, bitflip_unitary,
+                           group_channel, jc_from_branch_length,
                            markov, prune_matrix, prune_operators, qw_dilation,
                            unitary_from_markov, validate_markov, weights)
 
@@ -81,24 +79,6 @@ class TestModelParams:
 
 
 class TestWeights:
-    @given(family=st.sampled_from(GROUP_FAMILIES),
-           raw=st.tuples(*[st.floats(0.0, 1.0)] * 3),
-           total=st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1.0 + 1e-12)))
-    @example(family="K3", raw=(0.5, 0.5, 1e-13), total=1.0 + 1e-13)
-    @example(family="JC", raw=(1.0, 0.0, 0.0), total=1.0 + 5e-13)
-    def test_flip_vector_is_the_table_vector(self, family, raw, total):
-        # Weights that sum to `total`, so totals above 1 put the identity
-        # weight within the simplex slack below 0.
-        covers = {"JC": (3,), "K2": (1, 2), "K3": (1, 1, 1)}[family]
-        raw = raw[:len(covers)]
-        mass = sum(n * x for n, x in zip(covers, raw))
-        assume(mass > 0.0)
-        try:
-            params = ModelParams(family, *(x * total / mass for x in raw))
-        except ModelError:
-            assume(False)
-        assert _flip_vector(params).tobytes() == weights(params).vector.tobytes()
-
     def test_identity_limit(self):
         assert np.array_equal(weights(ModelParams.jc(0.0)).vector, [1.0, 0.0, 0.0, 0.0])
 
