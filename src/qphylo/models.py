@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import least_squares
 
 from . import linalg
 from .errors import ModelError, NotUnistochasticError, ShapeMismatchError
@@ -37,7 +35,10 @@ _EDGE = 1e-12
 # entry of column j sitting in row j XOR g. B is the one-bit member.
 _XOR = {n: np.bitwise_xor.outer(np.arange(n), np.arange(n)) for n in (2, 4)}
 _FLIPS = {n: (xor == np.arange(n)[:, None, None]).astype(complex) for n, xor in _XOR.items()}
-for _t in (*_XOR.values(), *_FLIPS.values()):
+# sum_g |g><g| (x) X_g on coin (x) walker space: the block-diagonal control
+# of qw_dilation, blocks _FLIPS[4] in order.
+_CONTROLLED_FLIPS = np.einsum("gh,gij->gihj", np.eye(4), _FLIPS[4]).reshape(16, 16)
+for _t in (*_XOR.values(), *_FLIPS.values(), _CONTROLLED_FLIPS):
     _t.setflags(write=False)
 
 
@@ -328,7 +329,7 @@ def qw_dilation(params: ModelParams) -> Dilation:
     lam_vec = weights(params).vector
     first_col = np.sqrt(lam_vec)
     u_coin = _householder_with_first_column(first_col).astype(complex)
-    v = block_diag(*_FLIPS[4]) @ linalg.kron(u_coin, linalg.identity(4))
+    v = _CONTROLLED_FLIPS @ linalg.kron(u_coin, linalg.identity(4))
     return Dilation(v, linalg.projector(0, 4), coin_dim=4, label=f"{params.family}_dilation",
                     metadata={"coin_column": first_col.tolist()})
 
@@ -431,8 +432,7 @@ def _solve_klein_phases(lam: np.ndarray, rng: np.random.Generator, start: int, m
         return np.abs(hat) ** 2 - 1.0
 
     x0 = np.zeros(3) if start == 0 else rng.uniform(0.0, 2.0 * np.pi, size=3)
-    sol = least_squares(residuals, x0, method="lm", max_nfev=max_iter, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    return coefficients(sol.x)[_XOR[4]]  # sum_g c_g X_g
+    return coefficients(_least_squares(residuals, x0, max_iter))[_XOR[4]]  # sum_g c_g X_g
 
 
 def _solve_generic_phases(m: np.ndarray, rng: np.random.Generator, start: int, max_iter: int) -> np.ndarray:
@@ -458,8 +458,19 @@ def _solve_generic_phases(m: np.ndarray, rng: np.random.Generator, start: int, m
         return np.array(out)
 
     x0 = np.zeros(len(free)) if start == 0 else rng.uniform(0.0, 2.0 * np.pi, size=len(free))
-    sol = least_squares(residuals, x0, method="lm", max_nfev=max_iter, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    return build(sol.x)
+    return build(_least_squares(residuals, x0, max_iter))
+
+
+def _least_squares(residuals, x0: np.ndarray, max_iter: int) -> np.ndarray:
+    """Levenberg-Marquardt minimizer of residuals from x0, at pinned tolerances.
+
+    scipy.optimize is imported here, not at module load, so that the
+    likelihood, fit and simulate paths run on numpy alone.
+    """
+    from scipy.optimize import least_squares
+
+    return least_squares(residuals, x0, method="lm", max_nfev=max_iter,
+                         xtol=1e-15, ftol=1e-15, gtol=1e-15).x
 
 
 def _nearest_unitary(candidate: np.ndarray) -> np.ndarray:

@@ -88,7 +88,7 @@ def pre_order(root):
     return tuple(nodes), tuple(map(tuple, kids))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhyloTree:
     """Rooted binary tree with per-edge model parameters.
 
@@ -96,6 +96,8 @@ class PhyloTree:
     used at the root; None means uniform. ``nodes`` and ``kids`` are the
     tree's pre-order table (see ``pre_order``), built once; position 0 is
     the root, and positions 1..n-1 are the edges in pre-order.
+
+    Equality and hashing go by the root node and ``root_pi``'s bytes.
     """
 
     root: TreeNode
@@ -143,6 +145,17 @@ class PhyloTree:
             pi = pi.copy()
             pi.setflags(write=False)
             object.__setattr__(self, "root_pi", pi)
+
+    def _key(self) -> tuple:
+        return (self.root, None if self.root_pi is None else self.root_pi.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, PhyloTree):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_leaves(self) -> int:

@@ -15,7 +15,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import linalg
 from .channels import (apply_channel, collective_diagonalizer, control_not, diagonalizer,
@@ -129,6 +128,8 @@ def suite_dilation_vs_channel(rng: np.random.Generator, draws: int = 50,
 
 def suite_flip_generators() -> SuiteResult:
     """Exponentiated generators reproduce the four bit-flip unitaries."""
+    from scipy.linalg import expm  # the one scipy user in verify; kept off the import path
+
     worst = 0.0
     for k in (0, 1):
         for l in (0, 1):

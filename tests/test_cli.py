@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +289,38 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "dilation vs channel" in out
+
+
+# Runs in a fresh interpreter, so no earlier import in this session can load
+# scipy first; prints the scipy modules loaded after the numpy-only commands,
+# then those of scipy.optimize after verify.
+_FOOTPRINT_SCRIPT = textwrap.dedent('''
+    import json, sys
+    import qphylo
+    from qphylo.cli import main
+    tree, out = sys.argv[1], sys.argv[2]
+    fasta = out + ".fasta"
+    assert main(["simulate", "--tree", tree, "--sites", "20", "--seed", "3", "--out", out]) == 0
+    assert main(["likelihood", "--tree", tree, "--alignment", fasta, "--engine", "all",
+                 "--out", out + ".lik.json"]) == 0
+    assert main(["optimize", "--tree", tree, "--alignment", fasta, "--family", "JC",
+                 "--seed", "1", "--out", out + ".fit.json"]) == 0
+    numpy_only = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert main(["verify"]) == 0
+    after_verify = sorted(m for m in sys.modules if m == "scipy.optimize" or m.startswith("scipy.optimize."))
+    print(json.dumps({"numpy_only": numpy_only, "after_verify": after_verify}))
+''')
+
+
+class TestImportFootprint:
+    def test_commands_other_than_verify_never_load_scipy(self, tmp_path, tree_file):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tree_file), str(tmp_path / "run")],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout.strip().splitlines()[-1])
+        assert loaded == {"numpy_only": [], "after_verify": []}
 
 
 # Inputs for the argv property: "@name" stands for a file or directory under

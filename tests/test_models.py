@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from qphylo import linalg
 from qphylo.channels import apply_channel
 from qphylo.errors import ModelError, NotUnistochasticError
-from qphylo.models import (ModelParams, binary_channel, binary_dilation,
+from qphylo.models import (_CONTROLLED_FLIPS, _FLIPS, ModelParams, _householder_with_first_column,
+                           binary_channel, binary_dilation,
                            binary_from_branch_length, bitflip_generator, bitflip_unitary,
                            group_channel, jc_from_branch_length,
                            markov, prune_matrix, prune_operators, qw_dilation,
@@ -203,6 +204,15 @@ class TestQwDilation:
         # First coin column is accessible through the metadata contract.
         col = np.asarray(dil.metadata["coin_column"])
         assert np.abs(col ** 2 - weights(params).vector).max() < 1e-15
+
+    def test_unitary_bytes_match_block_diag_form(self, rng):
+        for _ in range(10):
+            a, b, c = rng.dirichlet(np.ones(4))[:3]
+            for params in (ModelParams.jc(a / 3.0), ModelParams.k2(a, b / 2.0), ModelParams.k3(a, b, c)):
+                u_coin = _householder_with_first_column(np.sqrt(weights(params).vector)).astype(complex)
+                old = block_diag(*_FLIPS[4]) @ linalg.kron(u_coin, linalg.identity(4))
+                assert qw_dilation(params).unitary.tobytes() == old.tobytes()
+        assert not _CONTROLLED_FLIPS.flags.writeable
 
     def test_traced_action_matches_channel(self, rng):
         for params in ALL_FAMILY_DRAWS[:3]:

@@ -113,6 +113,14 @@ class TestParseNewick:
         tree = parse_newick("(A:0.1,B:0.1)[&pi={0.1,0.2,0.3,0.4}];")
         assert np.array_equal(tree.pi, [0.1, 0.2, 0.3, 0.4])
 
+    def test_trees_with_root_distribution_compare_and_hash_by_value(self):
+        text = "(A:0.1,B:0.1)[&pi={0.1,0.2,0.3,0.4}];"
+        assert parse_newick(text) == parse_newick(text)
+        assert hash(parse_newick(text)) == hash(parse_newick(text))
+        assert parse_newick(text) != parse_newick(text.replace("0.3,0.4", "0.4,0.3"))
+        assert parse_newick(text) != parse_newick("(A:0.1,B:0.1);")
+        assert parse_newick("(A:0.1,B:0.1);") != parse_newick(text)
+
     def test_uniform_default_root(self):
         tree = parse_newick("(A:0.1,B:0.1);")
         assert np.array_equal(tree.pi, np.full(4, 0.25))
