@@ -171,14 +171,10 @@ def split(rho: DiagonalDensity) -> ProbabilityTensor:
 
     Conjugating rho (x) |0><0| by the control-shift copies the parent
     character onto the null ancilla, giving the two-taxon pattern tensor
-    p_ij = p_i * delta_ij over the non-null characters. The tensor is built
-    directly from that delta form; the full-matrix conjugation is exercised
-    by the tests.
+    p_ij = p_i * delta_ij over the non-null characters: ``split_at`` on the
+    one-taxon tensor. The full-matrix conjugation is exercised by the tests.
     """
-    m = rho.dim - 1
-    values = np.zeros((m, m))
-    np.fill_diagonal(values, rho.block)
-    return ProbabilityTensor(values)
+    return split_at(ProbabilityTensor(rho.block), 1)
 
 
 def split_at(tensor: ProbabilityTensor, k: int) -> ProbabilityTensor:

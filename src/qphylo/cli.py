@@ -19,6 +19,7 @@ import numpy as np
 from .engine import ENGINES, MAX_TENSOR_BYTES, alignment_loglik, simulate_tree
 from .errors import (ModelError, OptimizerError, ParseError, QPhyloError,
                      TaxaMismatchError, ZeroLikelihoodError)
+from .models import FAMILIES
 from .optimize import OptimizationProblem, maximize_loglik
 from .treeio import parse_fasta, parse_newick
 from .verify import run_suites
@@ -30,9 +31,6 @@ EXIT_MODEL = 3
 EXIT_TAXA = 4
 EXIT_ZERO_LIKELIHOOD = 5
 EXIT_OPTIMIZER = 6
-
-_FAMILIES = ("JC", "K2", "K3", "B", "F")
-
 
 def _int_at_least(low: int):
     """argparse type for an integer that must be at least ``low``."""
@@ -184,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt = sub.add_parser("optimize", help="maximum-likelihood fit of shared model weights")
     opt.add_argument("--tree", required=True, help="Newick file (topology)")
     opt.add_argument("--alignment", required=True, help="FASTA file")
-    opt.add_argument("--family", required=True, choices=_FAMILIES)
+    opt.add_argument("--family", required=True, choices=FAMILIES)
     opt.add_argument("--engine", default="classical", choices=ENGINES)
     opt.add_argument("--seed", type=int, required=True, help="recorded in the report")
     opt.add_argument("--out", help="write the JSON report here")

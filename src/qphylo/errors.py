@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Every error the CLI maps to a process exit code lives here, so the mapping
-in :mod:`qphylo.cli` stays a single dictionary.
+Every error the CLI maps to a process exit code lives here. ``qphylo.cli.main``
+maps them with one ``except`` clause per exit code, a subclass before its
+base class.
 """
 
 from __future__ import annotations

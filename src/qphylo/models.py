@@ -3,7 +3,9 @@
 Each family is available as (i) a column-stochastic Markov matrix over the
 non-null characters, (ii) an operator-sum (Kraus) channel whose diagonal
 action equals the Markov matrix, and (iii) a unitary dilation on a
-coin (x) walker space whose traced action equals the channel.
+coin (x) walker space whose traced action equals the channel. What each
+family takes (its weights, state count, flips, pi and length map) is
+declared once, in ``FAMILY``.
 
 Basis order for the 4-state families: characters (A, C, G, T) map to indices
 (0, 1, 2, 3) read as 2-bit strings m = 2k + l, so the unitary X^k (x) X^l
@@ -15,15 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .errors import ModelError, NotUnistochasticError, ShapeMismatchError
 from .channels import KrausChannel
-
-GROUP_FAMILIES = ("JC", "K2", "K3")
-FAMILIES = GROUP_FAMILIES + ("B", "F")
 
 # Slack on a weight that is computed, not given: the group identity weight
 # 1 - a - b - c can round to just below 0 on the simplex boundary. Given
@@ -40,6 +40,49 @@ _FLIPS = {n: (xor == np.arange(n)[:, None, None]).astype(complex) for n, xor in 
 _CONTROLLED_FLIPS = np.einsum("gh,gij->gihj", np.eye(4), _FLIPS[4]).reshape(16, 16)
 for _t in (*_XOR.values(), *_FLIPS.values(), _CONTROLLED_FLIPS):
     _t.setflags(write=False)
+
+
+def jc_from_branch_length(t: float) -> ModelParams:
+    """4-state one-parameter model at branch length t.
+
+    The per-flip weight is a(t) = (1/4)(1 - e^{-4t/3}), so the total
+    probability of observing a change is 3 a(t) = (3/4)(1 - e^{-4t/3}),
+    rising from 0 to 3/4 at the stationary limit. This is the unique curve
+    for which the matrices compose: markov(a(t1)) markov(a(t2)) =
+    markov(a(t1+t2)).
+    """
+    if t < 0.0:
+        raise ModelError(f"branch length {t} is negative")
+    return ModelParams.jc(0.25 * (1.0 - math.exp(-4.0 * t / 3.0)))
+
+
+def binary_from_branch_length(t: float) -> ModelParams:
+    """Two-state flip weight a(t) = (1/2)(1 - e^{-2t})."""
+    if t < 0.0:
+        raise ModelError(f"branch length {t} is negative")
+    return ModelParams.binary(0.5 * (1.0 - math.exp(-2.0 * t)))
+
+
+class Family(NamedTuple):
+    """What one model family takes; the validator, Newick reader, optimizer
+    and CLI all read it from ``FAMILY``."""
+
+    weights: tuple  # the ModelParams weights it takes, in field order
+    n_states: int
+    flips: tuple | None = None  # flip family: which weight drives each of flips a, b, c
+    takes_pi: bool = False  # carries a stationary distribution pi
+    from_length: Callable | None = None  # the map behind an annotation's t=
+
+
+FAMILY = {
+    "JC": Family(("a",), 4, flips=(0, 0, 0), from_length=jc_from_branch_length),
+    "K2": Family(("a", "b"), 4, flips=(0, 1, 1)),
+    "K3": Family(("a", "b", "c"), 4, flips=(0, 1, 2)),
+    "B": Family(("a",), 2, from_length=binary_from_branch_length),
+    "F": Family(("a",), 4, takes_pi=True),
+}
+FAMILIES = tuple(FAMILY)
+GROUP_FAMILIES = tuple(name for name, family in FAMILY.items() if family.flips)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,28 +106,27 @@ class ModelParams:
     pi: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        family = FAMILY.get(self.family)
+        if family is None:
             raise ModelError(f"unknown model family {self.family!r}")
         object.__setattr__(self, "a", float(self.a))
         if self.b is not None:
             object.__setattr__(self, "b", float(self.b))
         if self.c is not None:
             object.__setattr__(self, "c", float(self.c))
-        expect = {"JC": (False, False, False), "K2": (True, False, False),
-                  "K3": (True, True, False), "B": (False, False, False),
-                  "F": (False, False, True)}[self.family]
-        have = (self.b is not None, self.c is not None, self.pi is not None)
-        if have != expect:
-            raise ModelError(f"{self.family} takes parameters {self._signature()}, "
+        given = tuple(name for name in ("a", "b", "c", "pi") if getattr(self, name) is not None)
+        takes = family.weights + ("pi",) * family.takes_pi
+        if given != takes:
+            raise ModelError(f"{self.family} takes parameters ({', '.join(takes)}), "
                              f"got a={self.a}, b={self.b}, c={self.c}, pi={self.pi}")
         for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ModelError(f"{self.family} weight {name}={value} outside [0, 1]")
-        if self.family in GROUP_FAMILIES:
+        if family.flips:
             rest = 1.0 - sum(self.flip_weights())
             if rest < -_EDGE:
                 raise ModelError(f"{self.family} weights exceed the simplex: identity weight {rest}")
-        if self.family == "F":
+        if family.takes_pi:
             pi = np.asarray(self.pi, dtype=float)
             if pi.shape != (4,):
                 raise ModelError(f"F needs a length-4 stationary distribution, got shape {pi.shape}")
@@ -107,22 +149,17 @@ class ModelParams:
     def __hash__(self):
         return hash(self._key())
 
-    def _signature(self) -> str:
-        return {"JC": "(a)", "K2": "(a, b)", "K3": "(a, b, c)", "B": "(a)", "F": "(a, pi)"}[self.family]
-
     def flip_weights(self) -> tuple:
         """(a, b, c) after family symmetry: K2 has b=c, JC has a=b=c."""
-        if self.family == "JC":
-            return (self.a, self.a, self.a)
-        if self.family == "K2":
-            return (self.a, self.b, self.b)
-        if self.family == "K3":
-            return (self.a, self.b, self.c)
-        raise ModelError(f"{self.family} has no flip-weight table")
+        flips = FAMILY[self.family].flips
+        if flips is None:
+            raise ModelError(f"{self.family} has no flip-weight table")
+        given = (self.a, self.b, self.c)
+        return tuple(given[i] for i in flips)
 
     @property
     def n_states(self) -> int:
-        return 2 if self.family == "B" else 4
+        return FAMILY[self.family].n_states
 
     @classmethod
     def jc(cls, a: float) -> "ModelParams":
@@ -476,27 +513,6 @@ def _least_squares(residuals, x0: np.ndarray, max_iter: int) -> np.ndarray:
 def _nearest_unitary(candidate: np.ndarray) -> np.ndarray:
     w, _, vh = np.linalg.svd(candidate)
     return w @ vh
-
-
-def jc_from_branch_length(t: float) -> ModelParams:
-    """4-state one-parameter model at branch length t.
-
-    The per-flip weight is a(t) = (1/4)(1 - e^{-4t/3}), so the total
-    probability of observing a change is 3 a(t) = (3/4)(1 - e^{-4t/3}),
-    rising from 0 to 3/4 at the stationary limit. This is the unique curve
-    for which the matrices compose: markov(a(t1)) markov(a(t2)) =
-    markov(a(t1+t2)).
-    """
-    if t < 0.0:
-        raise ModelError(f"branch length {t} is negative")
-    return ModelParams.jc(0.25 * (1.0 - math.exp(-4.0 * t / 3.0)))
-
-
-def binary_from_branch_length(t: float) -> ModelParams:
-    """Two-state flip weight a(t) = (1/2)(1 - e^{-2t})."""
-    if t < 0.0:
-        raise ModelError(f"branch length {t} is negative")
-    return ModelParams.binary(0.5 * (1.0 - math.exp(-2.0 * t)))
 
 
 def prune_matrix(params: ModelParams) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import alignment_loglik
 from .errors import ModelError, OptimizerError, ZeroLikelihoodError
-from .models import ModelParams
+from .models import FAMILY, ModelParams
 from .treeio import Alignment, PhyloTree
 
 DIAMETER_TOL = 1e-7
@@ -35,28 +35,18 @@ class _FamilySpec:
     sum_bound: float = 1.0
 
 
-def _family_spec(family: str) -> _FamilySpec:
-    if family == "JC":
-        return _FamilySpec(("a",), np.zeros(1), np.array([1.0 / 3.0]), None)
-    if family == "K2":
-        return _FamilySpec(("a", "b"), np.zeros(2), np.ones(2), np.array([1.0, 2.0]))
-    if family == "K3":
-        return _FamilySpec(("a", "b", "c"), np.zeros(3), np.ones(3), np.ones(3))
-    if family in ("B", "F"):
-        return _FamilySpec(("a",), np.zeros(1), np.ones(1), None)
-    raise ModelError(f"unknown model family {family!r}")
-
-
-def _build_params(family: str, x: np.ndarray, pi) -> ModelParams:
-    if family == "JC":
-        return ModelParams.jc(x[0])
-    if family == "K2":
-        return ModelParams.k2(x[0], x[1])
-    if family == "K3":
-        return ModelParams.k3(x[0], x[1], x[2])
-    if family == "B":
-        return ModelParams.binary(x[0])
-    return ModelParams.felsenstein(x[0], pi)
+def _family_spec(name: str) -> _FamilySpec:
+    """The search region: every weight in [0, 1] and, for a flip family, a
+    nonnegative identity weight 1 - drives @ x, drives[i] counting the flips
+    that weight i drives. A single weight takes that bound as its box."""
+    family = FAMILY.get(name)
+    if family is None:
+        raise ModelError(f"unknown model family {name!r}")
+    n = len(family.weights)
+    drives = None if family.flips is None else np.bincount(family.flips).astype(float)
+    if drives is not None and n == 1:
+        return _FamilySpec(family.weights, np.zeros(1), 1.0 / drives, None)
+    return _FamilySpec(family.weights, np.zeros(n), np.ones(n), drives)
 
 
 @dataclass(frozen=True)
@@ -66,8 +56,8 @@ class OptimizationProblem:
     By default all edges share one parameter vector of the chosen family
     (the template tree's own edge parameters are placeholders for the
     topology); ``per_edge`` gives every edge its own vector instead. For the
-    F family the stationary distribution is fixed, taken from ``pi`` or the
-    tree root (uniform when absent); only the weight a is searched.
+    F family the stationary distribution is fixed, taken from the tree root
+    (uniform when absent); only the weight a is searched.
     """
 
     tree: PhyloTree
@@ -75,19 +65,8 @@ class OptimizationProblem:
     family: str
     engine: str = "classical"
     seed: int = 0
-    pi: np.ndarray | None = None
     fixed: dict | None = None  # e.g. {"b": 0.2} to search only the rest
     per_edge: bool = False
-
-    def states(self) -> int:
-        return 2 if self.family == "B" else 4
-
-    def stationary(self) -> np.ndarray:
-        if self.pi is not None:
-            return np.asarray(self.pi, dtype=float)
-        if self.tree.root_pi is not None and self.tree.root_pi.size == self.states():
-            return self.tree.root_pi
-        return np.full(self.states(), 1.0 / self.states())
 
 
 @dataclass(frozen=True)
@@ -202,11 +181,16 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
         sum_coeffs=sum_coeffs,
         sum_bound=sum_bound,
     )
-    if problem.states() != problem.alignment.alphabet.n_states:
-        raise ModelError(f"family {problem.family} has {problem.states()} states but the "
+    family = FAMILY[problem.family]
+    n_states = family.n_states
+    if n_states != problem.alignment.alphabet.n_states:
+        raise ModelError(f"family {problem.family} has {n_states} states but the "
                          f"alignment alphabet has {problem.alignment.alphabet.n_states}")
-    pi = problem.stationary() if problem.family == "F" else None
     root_pi = problem.tree.root_pi
+    pi = None
+    if family.takes_pi:
+        uniform = root_pi is None or root_pi.size != n_states
+        pi = np.full(n_states, 1.0 / n_states) if uniform else root_pi
     block_dim = len(spec.names)
     n_blocks = count_edges(problem.tree) if problem.per_edge else 1
     dim = n_blocks * block_dim
@@ -224,7 +208,7 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
         return out
 
     def edge_params(x: np.ndarray) -> list:
-        return [_build_params(problem.family, expand(x[b * block_dim:(b + 1) * block_dim]), pi)
+        return [ModelParams(problem.family, *expand(x[b * block_dim:(b + 1) * block_dim]), pi=pi)
                 for b in range(n_blocks)]
 
     n_eval = 0

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import FastaParseError, ModelError, NewickParseError, ShapeMismatchError
-from .models import ModelParams, binary_from_branch_length, jc_from_branch_length
+from .models import FAMILY, ModelParams, jc_from_branch_length
 
 _NAME_CHARS = re.compile(r"[A-Za-z0-9_.\-|]")
 _NUMBER = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
@@ -50,9 +50,13 @@ def alphabet_for_states(n_states: int) -> Alphabet:
     raise ModelError(f"no alphabet with {n_states} states")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeNode:
-    """One tree node; ``params`` describe the edge up to the parent."""
+    """One tree node; ``params`` describe the edge up to the parent.
+
+    Equality and hashing go by the subtree's fields, read node by node in
+    pre-order with each node's child count, so no comparison recurses.
+    """
 
     name: str | None = None
     children: tuple = ()
@@ -63,6 +67,19 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+    def __eq__(self, other):
+        if not isinstance(other, TreeNode):
+            return NotImplemented
+        return _shape_key(pre_order(self)[0]) == _shape_key(pre_order(other)[0])
+
+    def __hash__(self):
+        return hash(_shape_key(pre_order(self)[0]))
+
+
+def _shape_key(nodes) -> tuple:
+    """The fields of a pre-order node sequence; equal keys mean equal trees."""
+    return tuple((n.name, n.params, n.length, n.annotated, len(n.children)) for n in nodes)
 
 
 def pre_order(root):
@@ -97,7 +114,7 @@ class PhyloTree:
     tree's pre-order table (see ``pre_order``), built once; position 0 is
     the root, and positions 1..n-1 are the edges in pre-order.
 
-    Equality and hashing go by the root node and ``root_pi``'s bytes.
+    Equality and hashing go by the nodes and ``root_pi``'s bytes.
     """
 
     root: TreeNode
@@ -147,7 +164,7 @@ class PhyloTree:
             object.__setattr__(self, "root_pi", pi)
 
     def _key(self) -> tuple:
-        return (self.root, None if self.root_pi is None else self.root_pi.tobytes())
+        return (_shape_key(self.nodes), None if self.root_pi is None else self.root_pi.tobytes())
 
     def __eq__(self, other):
         if not isinstance(other, PhyloTree):
@@ -267,34 +284,35 @@ def _parse_annotation(body: str, offset: int) -> dict:
 
 
 def _params_from_annotation(ann: dict, offset: int) -> ModelParams:
-    family = ann.get("model")
-    if family is None:
+    name = ann.get("model")
+    if name is None:
         raise NewickParseError("edge annotation needs a model= entry", offset=offset)
+    family = FAMILY.get(name)
+    if family is None:
+        raise NewickParseError(f"unknown model family {name!r}", offset=offset)
+    takes = {"model", *family.weights}
+    if family.takes_pi:
+        takes.add("pi")
+    if family.from_length:
+        takes.add("t")
+    extra = sorted(set(ann) - takes)
+    if extra:
+        raise NewickParseError(f"model {name} does not take {extra}", offset=offset)
     def num(key):
         if key not in ann:
-            raise NewickParseError(f"model {family} needs {key}=", offset=offset)
+            raise NewickParseError(f"model {name} needs {key}=", offset=offset)
         try:
             return float(ann[key])
         except (TypeError, ValueError):
             raise NewickParseError(f"annotation {key}= must be a number, got {ann[key]!r}",
                                    offset=offset) from None
-    if family in ("JC", "B"):
-        if "t" in ann and "a" in ann:
-            raise NewickParseError(f"model {family} takes a= or t=, not both", offset=offset)
-        if "t" in ann:
-            t = num("t")
-            return jc_from_branch_length(t) if family == "JC" else binary_from_branch_length(t)
-        a = num("a")
-        return ModelParams.jc(a) if family == "JC" else ModelParams.binary(a)
-    if family == "K2":
-        return ModelParams.k2(num("a"), num("b"))
-    if family == "K3":
-        return ModelParams.k3(num("a"), num("b"), num("c"))
-    if family == "F":
-        if not isinstance(ann.get("pi"), tuple):
-            raise NewickParseError("model F needs pi={...}", offset=offset)
-        return ModelParams.felsenstein(num("a"), ann["pi"])
-    raise NewickParseError(f"unknown model family {family!r}", offset=offset)
+    if family.takes_pi and not isinstance(ann.get("pi"), tuple):
+        raise NewickParseError(f"model {name} needs pi={{...}}", offset=offset)
+    if "t" in ann:
+        if "a" in ann:
+            raise NewickParseError(f"model {name} takes a= or t=, not both", offset=offset)
+        return family.from_length(num("t"))
+    return ModelParams(name, *map(num, family.weights), pi=ann.get("pi"))
 
 
 @dataclass

@@ -150,6 +150,14 @@ class TestTreeInputExitCodes:
                     "--out", tmp_path / "x"]) == cli.EXIT_PARSE
         assert "branch length -0.1 is negative (at offset 1)" in capsys.readouterr().err
 
+    def test_key_the_family_does_not_take_is_parse_error(self, tmp_path, capsys):
+        tree = tmp_path / "tree.nwk"
+        tree.write_text("(A[&model=K2,a=0.1,b=0.2,c=0.3],B:0.1);")
+        fasta = tmp_path / "aln.fasta"
+        fasta.write_text(">A\nAC\n>B\nAG\n")
+        assert run(["likelihood", "--tree", tree, "--alignment", fasta]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: model K2 does not take ['c'] (at offset 1)\n"
+
     def test_single_leaf_is_parse_error(self, tmp_path):
         tree = tmp_path / "tree.nwk"
         tree.write_text("A;")

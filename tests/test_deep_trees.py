@@ -46,6 +46,14 @@ def test_parse_and_emit_round_trip(tree):
     assert emit_newick(parse_newick(emit_newick(tree))) == TEXT
 
 
+def test_equality_and_hash_do_not_recurse(tree):
+    again = parse_newick(TEXT)
+    assert again == tree and again.root == tree.root
+    assert hash(again) == hash(tree) and hash(again.root) == hash(tree.root)
+    deeper = parse_newick(TEXT.replace("t0:0.1", "t0:0.2", 1))
+    assert deeper != tree and deeper.root != tree.root
+
+
 def test_compile_circuit(tree):
     gates = compile_circuit(tree).gates
     assert sum(isinstance(g, SplitGate) for g in gates) == N_LEAVES - 1

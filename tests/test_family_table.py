@@ -1,0 +1,139 @@
+"""What each model family takes, pinned family by family.
+
+The optimizer's search region, the ModelParams signature errors, the Newick
+reader's annotation errors and the annotation round trip are compared with
+literal values, so a change to how the families are declared cannot move
+any of them. The README's family table is checked against ``FAMILY``.
+"""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qphylo.errors import ModelError, NewickParseError
+from qphylo.models import FAMILIES, FAMILY, ModelParams
+from qphylo.optimize import _family_spec
+from qphylo.treeio import emit_newick, parse_newick
+
+# (lower, upper, sum_coeffs) of the search region.
+SPECS = {
+    "JC": (np.zeros(1), np.array([1.0 / 3.0]), None),
+    "K2": (np.zeros(2), np.ones(2), np.array([1.0, 2.0])),
+    "K3": (np.zeros(3), np.ones(3), np.ones(3)),
+    "B": (np.zeros(1), np.ones(1), None),
+    "F": (np.zeros(1), np.ones(1), None),
+}
+
+SIGNATURES = {"JC": "(a)", "K2": "(a, b)", "K3": "(a, b, c)", "B": "(a)", "F": "(a, pi)"}
+SHAPES = {"JC": (False, False, False), "K2": (True, False, False), "K3": (True, True, False),
+          "B": (False, False, False), "F": (False, False, True)}
+PI = [0.1, 0.2, 0.3, 0.4]
+
+# One annotation per family missing one of its keys, with its message.
+MISSING = {
+    "JC": ("[&model=JC]", "model JC needs a="),
+    "K2": ("[&model=K2,a=0.1]", "model K2 needs b="),
+    "K3": ("[&model=K3,a=0.1,b=0.2]", "model K3 needs c="),
+    "B": ("[&model=B]", "model B needs a="),
+    "F": ("[&model=F,pi={0.1,0.2,0.3,0.4}]", "model F needs a="),
+}
+
+OTHER_ERRORS = [
+    ("[&model=F,a=0.5]", "model F needs pi={...}"),
+    ("[&model=JC,a=0.1,t=0.2]", "model JC takes a= or t=, not both"),
+    ("[&model=B,t=0.2,a=0.1]", "model B takes a= or t=, not both"),
+    ("[&model=HKY,a=0.1]", "unknown model family 'HKY'"),
+    ("[&a=0.1]", "edge annotation needs a model= entry"),
+    ("[&model=K2,a=0.1,b=x]", "annotation b= must be a number, got 'x'"),
+    ("[&model=K3,a=0.5,b=0.3,c=0.3]",
+     "invalid model parameters: K3 weights exceed the simplex: identity weight -0.10000000000000009"),
+    ("[&model=F,a=0.5,pi={0.5,0.5}]",
+     "invalid model parameters: F needs a length-4 stationary distribution, got shape (2,)"),
+]
+
+ROUND_TRIP = {
+    "JC": "(A[&model=JC,a=0.1],B[&model=JC,t=0.2]);",
+    "K2": "(A[&model=K2,a=0.1,b=0.2],B[&model=K2,a=0.0,b=0.5]);",
+    "K3": "(A[&model=K3,a=0.1,b=0.2,c=0.3],B[&model=K3,a=0.25,b=0.25,c=0.25]);",
+    "B": "(A[&model=B,a=0.1],B[&model=B,t=0.2]);",
+    "F": "(A[&model=F,a=0.5,pi={0.1,0.2,0.3,0.4}],B[&model=F,a=1.0,pi={0.25,0.25,0.25,0.25}]);",
+}
+
+
+def test_every_family_is_pinned():
+    for table in (SPECS, SIGNATURES, SHAPES, MISSING, ROUND_TRIP):
+        assert tuple(table) == FAMILIES
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_search_region_is_bytewise_unchanged(family):
+    spec = _family_spec(family)
+    lower, upper, sum_coeffs = SPECS[family]
+    for got, want in ((spec.lower, lower), (spec.upper, upper)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if sum_coeffs is None:
+        assert spec.sum_coeffs is None
+    else:
+        assert spec.sum_coeffs.dtype == sum_coeffs.dtype
+        assert spec.sum_coeffs.tobytes() == sum_coeffs.tobytes()
+    assert spec.sum_bound == 1.0
+
+
+def test_unknown_family_has_no_search_region():
+    with pytest.raises(ModelError, match=r"^unknown model family 'HKY'$"):
+        _family_spec("HKY")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_signature_errors(family):
+    """Every shape of (b, c, pi) but the family's own is refused with the same message."""
+    for have in np.ndindex(2, 2, 2):
+        have = tuple(map(bool, have))
+        if have == SHAPES[family]:
+            continue
+        b, c, pi = (value if given else None for value, given in zip((0.2, 0.3, PI), have))
+        with pytest.raises(ModelError) as err:
+            ModelParams(family, 0.1, b, c, pi=pi)
+        assert str(err.value) == (f"{family} takes parameters {SIGNATURES[family]}, "
+                                  f"got a=0.1, b={b}, c={c}, pi={pi}")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_missing_key_error(family):
+    annotation, message = MISSING[family]
+    with pytest.raises(NewickParseError) as err:
+        parse_newick(f"(A:0.1,B{annotation});")
+    assert str(err.value) == f"{message} (at offset 7)"
+    assert err.value.offset == 7
+
+
+@pytest.mark.parametrize("annotation, message", OTHER_ERRORS)
+def test_annotation_errors(annotation, message):
+    with pytest.raises(NewickParseError) as err:
+        parse_newick(f"(A:0.1,B{annotation});")
+    assert type(err.value) is NewickParseError
+    assert str(err.value) == f"{message} (at offset 7)"
+    assert err.value.offset == 7
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_annotation_round_trip(family):
+    tree = parse_newick(ROUND_TRIP[family])
+    assert {node.params.family for node in tree.nodes[1:]} == {family}
+    text = emit_newick(tree)
+    again = parse_newick(text)
+    assert [n.params for n in again.nodes[1:]] == [n.params for n in tree.nodes[1:]]
+    assert emit_newick(again) == text
+
+
+def test_readme_family_table_matches_the_family_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` +\| `([^`]*)`( \(or `t`\))? +\| (\d+) +\|", readme, re.MULTILINE)
+    assert tuple(row[0] for row in rows) == FAMILIES
+    for name, params, or_t, states in rows:
+        family = FAMILY[name]
+        assert tuple(params.split(", ")) == family.weights + ("pi",) * family.takes_pi
+        assert bool(or_t) == (family.from_length is not None)
+        assert int(states) == family.n_states

@@ -129,6 +129,28 @@ class TestParseNewick:
         with pytest.raises(ModelError, match="mix"):
             parse_newick("(A[&model=B,a=0.1],B:0.2);")
 
+    @pytest.mark.parametrize("annotation, extra", [
+        ("[&model=JC,a=0.1,b=0.3]", "['b']"),
+        ("[&model=K2,a=0.1,b=0.2,c=0.3]", "['c']"),
+        ("[&model=F,a=0.5,b=0.2,pi={0.1,0.2,0.3,0.4}]", "['b']"),
+    ])
+    def test_key_the_family_does_not_take_is_refused(self, annotation, extra):
+        family = annotation.split(",")[0].split("=")[1]
+        with pytest.raises(NewickParseError) as err:
+            parse_newick(f"(A:0.1,B{annotation});")
+        assert str(err.value) == f"model {family} does not take {extra} (at offset 7)"
+        assert err.value.offset == 7
+
+    @pytest.mark.parametrize("text", [
+        "(A[&model=JC,t=0.1],B[&model=JC,a=0.1]);",
+        "(A[&model=K2,a=0.1,b=0.2],B:0.1);",
+        "(A[&model=K3,a=0.1,b=0.2,c=0.3],B:0.1);",
+        "(A[&model=B,t=0.1],B[&model=B,a=0.1]);",
+        "(A[&model=F,a=0.5,pi={0.1,0.2,0.3,0.4}],B:0.1);",
+    ], ids=["JC", "K2", "K3", "B", "F"])
+    def test_every_key_the_family_takes_is_accepted(self, text):
+        assert parse_newick(text).n_leaves == 2
+
     def test_comment_placement_before_length(self):
         tree = parse_newick("(A[&model=JC,a=0.05]:0.7,B:0.1);")
         assert tree.root.children[0].params == ModelParams.jc(0.05)
