@@ -10,13 +10,12 @@ against the classical pruning recursion throughout.
 from .channels import (DiagonalDensity, KrausChannel, apply_channel, collective_diagonalizer,
                        control_not, diagonalizer, diagonalizer_fourier, split, split_at)
 from .engine import ENGINES, SiteLikelihoodReport, alignment_loglik, simulate_tree
-from .errors import (FastaParseError, ModelError, NewickParseError, NotUnistochasticError,
-                     OptimizerError, QPhyloError, ShapeMismatchError, TaxaMismatchError,
-                     ZeroLikelihoodError)
+from .errors import (FastaParseError, ModelError, NewickParseError, OptimizerError, QPhyloError,
+                     ShapeMismatchError, TaxaMismatchError, ZeroLikelihoodError)
 from .linalg import ProbabilityTensor, adjoint_action, kron, partial_trace
 from .models import (Dilation, ModelParams, WeightTable, binary_channel, binary_dilation,
                      binary_from_branch_length, group_channel, jc_from_branch_length, markov,
-                     qw_dilation, unitary_from_markov, weights)
+                     qw_dilation, weights)
 from .optimize import (OptimizationProblem, OptimizationResult, maximize_loglik,
                        tree_with_edge_params, tree_with_shared_params)
 from .qwalk import (WalkConfig, closed_form_two_taxon, coin_distribution, evolve_taxa_qw,

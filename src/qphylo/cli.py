@@ -148,7 +148,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suites(level=args.level, perturb_markov=args.perturb_markov)
+    results = run_suites(level=args.level)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the cross-representation property suites")
     ver.add_argument("--level", default="default", choices=("default", "deep"))
-    ver.add_argument("--perturb-markov", action="store_true", help=argparse.SUPPRESS)
     ver.set_defaults(run=cmd_verify)
     return parser
 

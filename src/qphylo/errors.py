@@ -38,18 +38,6 @@ class ModelError(QPhyloError):
     """Invalid model parameters or model/alphabet mismatch."""
 
 
-class NotUnistochasticError(ModelError):
-    """No unitary with the requested Hadamard square was found within budget.
-
-    This is a genuine mathematical possibility for doubly stochastic input,
-    not only a search failure, so it is reported rather than approximated.
-    """
-
-    def __init__(self, message: str, best_residual: float | None = None):
-        super().__init__(message)
-        self.best_residual = best_residual
-
-
 class TaxaMismatchError(QPhyloError):
     """Alignment taxa do not match the tree's leaves."""
 

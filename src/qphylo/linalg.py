@@ -127,16 +127,6 @@ def is_unitary(m, tol: float = STRUCT_TOL) -> bool:
     return max_abs(m @ m.conj().T - identity(m.shape[0])) <= tol
 
 
-def is_permutation_matrix(m, tol: float = STRUCT_TOL) -> bool:
-    """Exactly one unit entry per row and column, all others zero."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    close01 = np.minimum(np.abs(m), np.abs(m - 1.0)) <= tol
-    ones = np.abs(m - 1.0) <= tol
-    return bool(close01.all() and (ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all())
-
-
 def validate_probability_vector(p, tol: float = STRUCT_TOL) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import ModelError, NotUnistochasticError, ShapeMismatchError
+from .errors import ModelError, ShapeMismatchError
 from .channels import KrausChannel
 
 # Slack on a weight that is computed, not given: the group identity weight
@@ -263,18 +263,6 @@ def markov(params: ModelParams) -> np.ndarray:
     return _flip_vector(params)[_XOR[params.n_states]]
 
 
-def validate_markov(m: np.ndarray, doubly_stochastic: bool = False, tol: float = linalg.STRUCT_TOL) -> None:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatchError(f"Markov matrix must be square, got {m.shape}")
-    if m.min() < -1e-14:
-        raise ModelError(f"negative transition probability {m.min()}")
-    if linalg.max_abs(m.sum(axis=0) - 1.0) > tol:
-        raise ModelError("columns do not sum to 1")
-    if doubly_stochastic and linalg.max_abs(m.sum(axis=1) - 1.0) > tol:
-        raise ModelError("rows do not sum to 1")
-
-
 def group_channel(params: ModelParams) -> KrausChannel:
     """Operator-sum form of a group-based model: {sqrt(lam_kl) X^k (x) X^l}.
 
@@ -390,129 +378,6 @@ def binary_dilation(a: float) -> Dilation:
     matches = min(("a", a), ("1-a", 1.0 - a), key=lambda item: abs(item[1] - flipped))
     dil.metadata.update(input_weight=a, flip_weight=matches[1], matches=matches[0])
     return dil
-
-
-_KLEIN_CHARACTERS = np.array([
-    [1, 1, 1, 1],
-    [1, -1, 1, -1],
-    [1, 1, -1, -1],
-    [1, -1, -1, 1],
-], dtype=float)  # chi[r, g] with g = 2k+l and chi_r(g) = (-1)^{<r,g>}
-
-
-def _klein_structure(m: np.ndarray, tol: float) -> np.ndarray | None:
-    """Return the weight vector lam if M[i, j] = lam[i XOR j], else None."""
-    if m.shape != (4, 4):
-        return None
-    lam = m[:, 0].copy()
-    return None if linalg.max_abs(m - lam[_XOR[4]]) > tol else lam
-
-
-def unitary_from_markov(m, rng=0, max_starts: int = 64, max_iter: int = 500,
-                        tol: float = 1e-8) -> np.ndarray:
-    """Find a unitary U with U o U* equal to a doubly stochastic matrix.
-
-    Group-structure input is parameterized as U = sum_g c_g X^k (x) X^l with
-    |c_g|^2 = lam_g, solving for the three free phases; generic input runs a
-    least-squares search over the free entry phases of sqrt(M) o e^{i theta}
-    (first row and column pinned to zero). Both paths polish the candidate to
-    the nearest unitary and verify the Hadamard-square residual. Failure
-    after the start budget raises NotUnistochasticError: not every doubly
-    stochastic matrix has such a unitary.
-    """
-    m = np.asarray(m, dtype=float)
-    validate_markov(m, doubly_stochastic=True)
-    n = m.shape[0]
-    rng = np.random.default_rng(rng)
-
-    if linalg.is_permutation_matrix(m):
-        return np.round(m).astype(complex)
-    if n == 2:
-        a = m[1, 0]
-        u = np.array([[math.sqrt(1.0 - a), math.sqrt(a)],
-                      [math.sqrt(a), -math.sqrt(1.0 - a)]], dtype=complex)
-        return u
-
-    lam = _klein_structure(m, tol=linalg.STRUCT_TOL)
-    best = None
-    for start in range(max_starts):
-        if lam is not None:
-            candidate = _solve_klein_phases(lam, rng, start, max_iter)
-        else:
-            candidate = _solve_generic_phases(m, rng, start, max_iter)
-        u = _nearest_unitary(candidate)
-        residual = linalg.max_abs(np.abs(u) ** 2 - m)
-        if best is None or residual < best[0]:
-            best = (residual, u)
-        if residual < tol / 10.0:
-            break
-    residual, u = best
-    if residual >= tol:
-        raise NotUnistochasticError(
-            f"no unitary with the requested Hadamard square within {tol:g} "
-            f"after {max_starts} starts (best residual {residual:.3e})",
-            best_residual=residual)
-    return u
-
-
-def _solve_klein_phases(lam: np.ndarray, rng: np.random.Generator, start: int, max_iter: int) -> np.ndarray:
-    roots = np.sqrt(lam)
-
-    def coefficients(phases: np.ndarray) -> np.ndarray:
-        c = roots.astype(complex)
-        c[1:] = c[1:] * np.exp(1j * phases)
-        return c
-
-    def residuals(phases: np.ndarray) -> np.ndarray:
-        c = coefficients(phases)
-        hat = _KLEIN_CHARACTERS @ c
-        return np.abs(hat) ** 2 - 1.0
-
-    x0 = np.zeros(3) if start == 0 else rng.uniform(0.0, 2.0 * np.pi, size=3)
-    return coefficients(_least_squares(residuals, x0, max_iter))[_XOR[4]]  # sum_g c_g X_g
-
-
-def _solve_generic_phases(m: np.ndarray, rng: np.random.Generator, start: int, max_iter: int) -> np.ndarray:
-    n = m.shape[0]
-    roots = np.sqrt(m)
-    free = [(i, j) for i in range(1, n) for j in range(1, n)]
-
-    def build(x: np.ndarray) -> np.ndarray:
-        theta = np.zeros((n, n))
-        for idx, (i, j) in enumerate(free):
-            theta[i, j] = x[idx]
-        return roots * np.exp(1j * theta)
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        u = build(x)
-        gram = u @ u.conj().T - np.eye(n)
-        out = []
-        for i in range(n):
-            for j in range(i, n):
-                out.append(gram[i, j].real)
-                if j > i:
-                    out.append(gram[i, j].imag)
-        return np.array(out)
-
-    x0 = np.zeros(len(free)) if start == 0 else rng.uniform(0.0, 2.0 * np.pi, size=len(free))
-    return build(_least_squares(residuals, x0, max_iter))
-
-
-def _least_squares(residuals, x0: np.ndarray, max_iter: int) -> np.ndarray:
-    """Levenberg-Marquardt minimizer of residuals from x0, at pinned tolerances.
-
-    scipy.optimize is imported here, not at module load, so that the
-    likelihood, fit and simulate paths run on numpy alone.
-    """
-    from scipy.optimize import least_squares
-
-    return least_squares(residuals, x0, method="lm", max_nfev=max_iter,
-                         xtol=1e-15, ftol=1e-15, gtol=1e-15).x
-
-
-def _nearest_unitary(candidate: np.ndarray) -> np.ndarray:
-    w, _, vh = np.linalg.svd(candidate)
-    return w @ vh
 
 
 def prune_matrix(params: ModelParams) -> np.ndarray:

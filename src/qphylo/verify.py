@@ -102,8 +102,7 @@ def suite_fourier_equivalence(rng: np.random.Generator, samples: int = 50) -> Su
     return SuiteResult("diagonalizer Fourier equivalence", worst, 1e-12)
 
 
-def suite_dilation_vs_channel(rng: np.random.Generator, draws: int = 50,
-                              densities: int = 20, perturb_markov: bool = False) -> SuiteResult:
+def suite_dilation_vs_channel(rng: np.random.Generator, draws: int = 50, densities: int = 20) -> SuiteResult:
     worst = 0.0
     for family in ("JC", "K2", "K3"):
         for _ in range(draws):
@@ -112,10 +111,7 @@ def suite_dilation_vs_channel(rng: np.random.Generator, draws: int = 50,
             ch = group_channel(params)
             for _ in range(densities):
                 rho = random_density(rng, 4)
-                expected = apply_channel(ch, rho)
-                if perturb_markov:
-                    expected = expected + 1e-3 * linalg.projector(0, 4)
-                worst = max(worst, linalg.max_abs(dil.apply(rho) - expected))
+                worst = max(worst, linalg.max_abs(dil.apply(rho) - apply_channel(ch, rho)))
     for _ in range(draws):
         a = rng.uniform(0.0, 1.0)
         dil = binary_dilation(a)
@@ -305,15 +301,14 @@ def suite_dense_pruning(rng: np.random.Generator, leaves=(3,)) -> SuiteResult:
     return SuiteResult("dense pruning vs quantum engine", worst, 1e-10)
 
 
-def run_suites(level: str = "default", seed: int = 20240901, perturb_markov: bool = False) -> list:
+def run_suites(level: str = "default", seed: int = 20240901) -> list:
     """Run every suite; ``deep`` raises the pruning suite to 8-leaf instances
     and adds 4-leaf trees to the two gate-level suites."""
     rng = np.random.default_rng(seed)
     deep = level == "deep"
     results = [
         suite_fourier_equivalence(rng, samples=50),
-        suite_dilation_vs_channel(rng, draws=50 if deep else 20, densities=20 if deep else 5,
-                                  perturb_markov=perturb_markov),
+        suite_dilation_vs_channel(rng, draws=50 if deep else 20, densities=20 if deep else 5),
         suite_flip_generators(),
         suite_dilation_unitarity(rng, draws=20 if deep else 10),
         suite_coin_weights(rng, draws=20 if deep else 10),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qphylo import cli
+from qphylo import cli, verify
 
 BALANCED = "((A:0.1,B:0.1):0.05,(C:0.2,D:0.2):0.05);"
 ZERO_CHERRY = "(A:0.0,B:0.0);"
@@ -292,11 +292,14 @@ class TestVerify:
         assert out.count("PASS") >= 6
         assert "all suites passed" in out
 
-    def test_perturbed_markov_fails_named_suite(self, capsys):
-        assert run(["verify", "--perturb-markov"]) == cli.EXIT_VERIFY
+    def test_perturbed_markov_fails_named_suite(self, capsys, monkeypatch):
+        real = verify.apply_channel
+        monkeypatch.setattr(verify, "apply_channel", lambda ch, rho: real(ch, rho) + 1e-3)
+        assert run(["verify"]) == cli.EXIT_VERIFY
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "dilation vs channel" in out
+        assert "FAIL  dilation vs channel:" in out
 
 
 # Runs in a fresh interpreter, so no earlier import in this session can load

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,7 @@ from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _EdgeOps, _adjoint_state, 
                            _kraus_propagate, _pinch_weights, _quantum_node, _trace_second_slot,
                            alignment_loglik, simulate_tree)
 from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
-from qphylo.models import (FAMILIES, ModelParams, markov, prune_matrix, prune_operators,
-                           unitary_from_markov)
+from qphylo.models import FAMILIES, ModelParams, markov, prune_matrix, prune_operators
 from qphylo.optimize import OptimizationProblem, maximize_loglik, tree_with_shared_params
 from qphylo.treeio import BINARY, DNA, Alignment, emit_newick, parse_newick
 from qphylo.verify import random_instance, random_params
@@ -98,6 +98,18 @@ def classical_pair(lb, lc, mb, mc):
     return _classical_node(lb[None], lc[None], _EdgeOps(w=mb.T), _EdgeOps(w=mc.T))[0]
 
 
+def jc_unitary(a):
+    """A single unitary with |U|^2 = markov(JC(a)), for a <= 1/4.
+
+    U = sqrt(1-3a) 1 + sqrt(a) e^{i theta} (X_1 + X_2 + X_3), where the three
+    flips sum to J - 1 (J all ones). Since (J - 1)^2 = 3 + 2 (J - 1), U U^+ = 1
+    exactly when cos(theta) = -sqrt(a / (1-3a)).
+    """
+    theta = math.acos(-math.sqrt(a / (1.0 - 3.0 * a)))
+    flips = np.ones((4, 4)) - np.eye(4)
+    return math.sqrt(1.0 - 3.0 * a) * np.eye(4) + math.sqrt(a) * np.exp(1j * theta) * flips
+
+
 def quantum_pair(lb, lc, ub, uc):
     """One pruning-circuit node step at P = 1, one unitary per edge."""
     return _quantum_node(lb[None], lc[None], _EdgeOps.from_kraus([ub]), _EdgeOps.from_kraus([uc]))[0]
@@ -124,8 +136,7 @@ class TestQuantumPrune:
         assert np.abs(out - lb * lc).max() < 1e-13
 
     def test_frozen_jc_example(self):
-        m = markov(ModelParams.jc(0.1))
-        u = unitary_from_markov(m)
+        u = jc_unitary(0.1)
         out = quantum_pair(A, C, u, u)
         assert np.abs(out - [0.07, 0.07, 0.01, 0.01]).max() < 1e-10
 
@@ -163,8 +174,7 @@ class TestDualPrune:
 
     def test_frozen_jc_cherry_recovers_circuit_result(self):
         # A point-mass root reads off one entry of the parent operator nu * E_B(L_C).
-        u = unitary_from_markov(markov(ModelParams.jc(0.1)))
-        edge = _EdgeOps.from_kraus([u])
+        edge = _EdgeOps.from_kraus([jc_unitary(0.1)])
         out = [_dual_root(A[None], C[None], edge, edge, root)[0][0] for root in np.eye(4)]
         assert np.abs(np.array(out) - [0.07, 0.07, 0.01, 0.01]).max() < 1e-10
 

@@ -116,10 +116,6 @@ class TestPredicates:
         h = u + u.conj().T
         assert linalg.is_hermitian(h)
 
-    def test_permutation_matrix(self):
-        assert linalg.is_permutation_matrix(np.eye(3)[[1, 2, 0]])
-        assert not linalg.is_permutation_matrix(np.full((2, 2), 0.5))
-
 
 class TestProbabilityTensor:
     def test_validates_mass_and_sign(self):
