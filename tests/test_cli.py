@@ -301,6 +301,12 @@ class TestVerify:
         assert "dilation vs channel" in out
         assert "FAIL  dilation vs channel:" in out
 
+    def test_takes_no_fault_injection_flag(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["verify", "--perturb-markov"])
+        assert err.value.code == cli.EXIT_PARSE
+        assert "--perturb-markov" in capsys.readouterr().err
+
 
 # Runs in a fresh interpreter, so no earlier import in this session can load
 # scipy first; prints the scipy modules loaded after the numpy-only commands,

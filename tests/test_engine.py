@@ -115,6 +115,16 @@ def quantum_pair(lb, lc, ub, uc):
     return _quantum_node(lb[None], lc[None], _EdgeOps.from_kraus([ub]), _EdgeOps.from_kraus([uc]))[0]
 
 
+JC_WEIGHTS = (0.0, 0.05, 0.1, 0.25)
+
+
+@pytest.mark.parametrize("a", JC_WEIGHTS)
+def test_jc_unitary_is_unitary_with_jc_hadamard_square(a):
+    u = jc_unitary(a)
+    assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-15
+    assert np.abs(np.abs(u) ** 2 - markov(ModelParams.jc(a))).max() < 1e-15
+
+
 class TestClassicalPrune:
     def test_zero_length_edges_pass_through(self):
         assert np.array_equal(classical_pair(A, A, np.eye(4), np.eye(4)), A)
@@ -139,6 +149,13 @@ class TestQuantumPrune:
         u = jc_unitary(0.1)
         out = quantum_pair(A, C, u, u)
         assert np.abs(out - [0.07, 0.07, 0.01, 0.01]).max() < 1e-10
+
+    def test_matches_classical_on_jc_edges(self, rng):
+        for a in JC_WEIGHTS:
+            u, m = jc_unitary(a), markov(ModelParams.jc(a))
+            for _ in range(20):
+                lb, lc = rng.random(4), rng.random(4)
+                assert np.abs(quantum_pair(lb, lc, u, u) - classical_pair(lb, lc, m, m)).max() < 1e-13
 
     def test_matches_classical_on_random_unistochastic_edges(self, rng):
         worst = 0.0
@@ -177,6 +194,15 @@ class TestDualPrune:
         edge = _EdgeOps.from_kraus([jc_unitary(0.1)])
         out = [_dual_root(A[None], C[None], edge, edge, root)[0][0] for root in np.eye(4)]
         assert np.abs(np.array(out) - [0.07, 0.07, 0.01, 0.01]).max() < 1e-10
+
+    def test_jc_cherry_averages_classical_node_over_root(self, rng):
+        for a in JC_WEIGHTS:
+            edge, m = _EdgeOps.from_kraus([jc_unitary(a)]), markov(ModelParams.jc(a))
+            for _ in range(20):
+                lb, lc = rng.random(4), rng.random(4)
+                pi = rng.dirichlet(np.ones(4))
+                value = _dual_root(lb[None], lc[None], edge, edge, pi)[0][0]
+                assert abs(value - pi @ classical_pair(lb, lc, m, m)) < 1e-13
 
     def test_pinch_weights_normalize_for_doubly_stochastic_edges(self, rng):
         for _ in range(100):

@@ -34,6 +34,26 @@ def test_default_level_suites_pass():
     assert suite_dense_pruning(rng).passed
 
 
+def _offset_channel(monkeypatch, offset):
+    real = verify.apply_channel
+    monkeypatch.setattr(verify, "apply_channel", lambda ch, rho: real(ch, rho) + offset)
+
+
+def test_dilation_suite_reports_the_offset_of_a_perturbed_channel(monkeypatch):
+    _offset_channel(monkeypatch, 1e-3)
+    result = verify.suite_dilation_vs_channel(np.random.default_rng(SEED), draws=5, densities=3)
+    assert not result.passed
+    assert abs(result.max_deviation - 1e-3) < 1e-12
+
+
+def test_perturbed_channel_draws_the_same_random_numbers(monkeypatch):
+    shipped, perturbed = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    verify.suite_dilation_vs_channel(shipped, draws=5, densities=3)
+    _offset_channel(monkeypatch, 1e-3)
+    verify.suite_dilation_vs_channel(perturbed, draws=5, densities=3)
+    assert shipped.bit_generator.state == perturbed.bit_generator.state
+
+
 def test_mixed_four_leaf_circuit_keeps_null_and_coherences_empty():
     tree = mixed_four_leaf_tree(np.random.default_rng(SEED))
     assert {node.params.family for node in tree.nodes[1:]} >= {"JC", "F"}
