@@ -13,9 +13,8 @@ from .engine import ENGINES, SiteLikelihoodReport, alignment_loglik, simulate_tr
 from .errors import (FastaParseError, ModelError, NewickParseError, OptimizerError, QPhyloError,
                      ShapeMismatchError, TaxaMismatchError, ZeroLikelihoodError)
 from .linalg import ProbabilityTensor, adjoint_action, kron, partial_trace
-from .models import (Dilation, ModelParams, WeightTable, binary_channel, binary_dilation,
-                     binary_from_branch_length, group_channel, jc_from_branch_length, markov,
-                     qw_dilation, weights)
+from .models import (Dilation, ModelParams, binary_dilation, binary_from_branch_length,
+                     flip_weights, group_channel, jc_from_branch_length, markov, qw_dilation)
 from .optimize import (OptimizationProblem, OptimizationResult, maximize_loglik,
                        tree_with_edge_params, tree_with_shared_params)
 from .qwalk import (WalkConfig, closed_form_two_taxon, coin_distribution, evolve_taxa_qw,

@@ -169,14 +169,3 @@ class ProbabilityTensor:
     @property
     def alphabet(self) -> int:
         return self.values.shape[0]
-
-    def mass(self) -> float:
-        return float(self.values.sum())
-
-    def marginal(self, slot: int) -> "ProbabilityTensor":
-        """Sum out one 1-based slot."""
-        if not 1 <= slot <= self.taxa:
-            raise ShapeMismatchError(f"slot {slot} out of range for {self.taxa} taxa")
-        if self.taxa == 1:
-            raise ShapeMismatchError("cannot marginalize the last remaining slot")
-        return ProbabilityTensor(self.values.sum(axis=slot - 1))

@@ -10,7 +10,7 @@ declared once, in ``FAMILY``.
 Basis order for the 4-state families: characters (A, C, G, T) map to indices
 (0, 1, 2, 3) read as 2-bit strings m = 2k + l, so the unitary X^k (x) X^l
 permutes index m to m XOR (2k + l) and the group matrices have entries
-M[m, n] = lambda[m XOR n].
+M[m, n] = w[m XOR n] with w the flip weights.
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ _EDGE = 1e-12
 # The bit-flip group on n = 2 and n = 4 states: _XOR[n][i, j] = i XOR j, and
 # row g of _FLIPS[n] is the permutation matrix of |m> -> |m XOR g>, the one
 # entry of column j sitting in row j XOR g. B is the one-bit member.
+# _FLIP_INDEX[n] is the g of each of flips a, b, c: on 4 states a = X (x) 1,
+# b = 1 (x) X and c = X (x) X.
 _XOR = {n: np.bitwise_xor.outer(np.arange(n), np.arange(n)) for n in (2, 4)}
+_FLIP_INDEX = {2: (1,), 4: (2, 1, 3)}
 _FLIPS = {n: (xor == np.arange(n)[:, None, None]).astype(complex) for n, xor in _XOR.items()}
 # sum_g |g><g| (x) X_g on coin (x) walker space: the block-diagonal control
 # of qw_dilation, blocks _FLIPS[4] in order.
@@ -78,11 +81,10 @@ FAMILY = {
     "JC": Family(("a",), 4, flips=(0, 0, 0), from_length=jc_from_branch_length),
     "K2": Family(("a", "b"), 4, flips=(0, 1, 1)),
     "K3": Family(("a", "b", "c"), 4, flips=(0, 1, 2)),
-    "B": Family(("a",), 2, from_length=binary_from_branch_length),
+    "B": Family(("a",), 2, flips=(0,), from_length=binary_from_branch_length),
     "F": Family(("a",), 4, takes_pi=True),
 }
 FAMILIES = tuple(FAMILY)
-GROUP_FAMILIES = tuple(name for name, family in FAMILY.items() if family.flips)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +125,8 @@ class ModelParams:
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ModelError(f"{self.family} weight {name}={value} outside [0, 1]")
         if family.flips:
-            rest = 1.0 - sum(self.flip_weights())
+            given = (self.a, self.b, self.c)
+            rest = 1.0 - sum(given[i] for i in family.flips)
             if rest < -_EDGE:
                 raise ModelError(f"{self.family} weights exceed the simplex: identity weight {rest}")
         if family.takes_pi:
@@ -148,14 +151,6 @@ class ModelParams:
 
     def __hash__(self):
         return hash(self._key())
-
-    def flip_weights(self) -> tuple:
-        """(a, b, c) after family symmetry: K2 has b=c, JC has a=b=c."""
-        flips = FAMILY[self.family].flips
-        if flips is None:
-            raise ModelError(f"{self.family} has no flip-weight table")
-        given = (self.a, self.b, self.c)
-        return tuple(given[i] for i in flips)
 
     @property
     def n_states(self) -> int:
@@ -182,52 +177,28 @@ class ModelParams:
         return cls("F", a, pi=np.asarray(pi, dtype=float))
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Convex weights lam[k, l] of the four bit-flip unitaries, sum 1."""
+def flip_weights(params: ModelParams) -> np.ndarray:
+    """Weights w_g of the flips |m> -> |m XOR g>, identity first.
 
-    lam: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.shape != (2, 2):
-            raise ShapeMismatchError(f"weight table must be 2x2, got {lam.shape}")
-        if lam.min() < -_EDGE:
-            raise ModelError(f"negative weight {lam.min()} in table")
-        if abs(lam.sum() - 1.0) > linalg.STRUCT_TOL:
-            raise ModelError(f"weight table sums to {lam.sum()}, not 1")
-        lam = np.clip(lam, 0.0, None)
-        lam.setflags(write=False)
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Weights in linear order m = 2k + l: (lam00, lam01, lam10, lam11)."""
-        return self.lam.reshape(4)
-
-
-def weights(params: ModelParams) -> WeightTable:
-    """Weight table (lam00, lam10, lam01, lam11) = (1-a-b-c, a, b, c)."""
-    a, b, c = params.flip_weights()
-    lam = np.zeros((2, 2))
-    lam[0, 0] = 1.0 - a - b - c
-    lam[1, 0] = a
-    lam[0, 1] = b
-    lam[1, 1] = c
-    return WeightTable(lam)
-
-
-def _flip_vector(params: ModelParams) -> np.ndarray:
-    """Weights w_g of the flips in table order, identity first: B gives (1-a, a)."""
-    if params.family == "B":
-        return np.array([1.0 - params.a, params.a])
-    return weights(params).vector
+    Flips a, b, c carry the family's weights (K2 has b=c, JC a=b=c; B has
+    flip a alone) and the identity takes the rest, 1 - a - b - c, with
+    rounding below 0 on the simplex boundary clipped to 0.
+    """
+    flips = FAMILY[params.family].flips
+    if flips is None:
+        raise ModelError(f"{params.family} is not a flip family")
+    given = (params.a, params.b, params.c)
+    w = np.zeros(params.n_states)
+    rest = 1.0
+    for i, g in zip(flips, _FLIP_INDEX[w.size]):
+        w[g] = given[i]
+        rest -= given[i]
+    w[0] = rest
+    return np.maximum(w, 0.0, out=w)
 
 
 def _flip_kraus(w: np.ndarray) -> tuple:
     """The operators sqrt(w_g) X_g of the flips with positive weight."""
-    if w.min() < 0.0:
-        raise ModelError(f"flip weights {w.tolist()} outside [0, 1]")
     flips = _FLIPS[w.size]
     return tuple(math.sqrt(x) * flips[g] for g, x in enumerate(w) if x > 0.0)
 
@@ -260,26 +231,17 @@ def markov(params: ModelParams) -> np.ndarray:
     if params.family == "F":
         a = params.a
         return a * np.eye(4) + (1.0 - a) * np.outer(params.pi, np.ones(4))
-    return _flip_vector(params)[_XOR[params.n_states]]
+    return flip_weights(params)[_XOR[params.n_states]]
 
 
 def group_channel(params: ModelParams) -> KrausChannel:
-    """Operator-sum form of a group-based model: {sqrt(lam_kl) X^k (x) X^l}.
+    """Operator-sum form of a flip family: {sqrt(w_g) X_g}.
 
     Operators with zero weight are dropped; diagonalizing the output of this
     channel applied to a diagonal density reproduces markov(params) acting on
     the weight vector.
     """
-    if params.family not in GROUP_FAMILIES:
-        raise ModelError(f"group channel is defined for {GROUP_FAMILIES}, not {params.family}")
-    return KrausChannel(_flip_kraus(weights(params).vector), label=f"{params.family}_channel")
-
-
-def binary_channel(a: float) -> KrausChannel:
-    """Two-state flip channel {sqrt(1-a) 1, sqrt(a) X}."""
-    if not 0.0 <= a <= 1.0:
-        raise ModelError(f"binary flip weight {a} outside [0, 1]")
-    return KrausChannel(_flip_kraus(_flip_vector(ModelParams.binary(a))), label="B_channel")
+    return KrausChannel(_flip_kraus(flip_weights(params)), label=f"{params.family}_channel")
 
 
 def felsenstein_instruments(pi) -> tuple:
@@ -349,10 +311,11 @@ def qw_dilation(params: ModelParams) -> Dilation:
     V = (sum_kl |kl><kl| (x) X^k (x) X^l) (U_coin (x) 1) with a 4-dim coin
     started in |00><00|; the coin unitary's first column carries the square
     roots of the model weights, completed to an orthogonal matrix by a
-    Householder reflection.
+    Householder reflection. B, on 2 states, has binary_dilation instead.
     """
-    lam_vec = weights(params).vector
-    first_col = np.sqrt(lam_vec)
+    if params.n_states != 4:
+        raise ModelError(f"walk dilation needs a 4-state flip family, not {params.family}")
+    first_col = np.sqrt(flip_weights(params))
     u_coin = _householder_with_first_column(first_col).astype(complex)
     v = _CONTROLLED_FLIPS @ linalg.kron(u_coin, linalg.identity(4))
     return Dilation(v, linalg.projector(0, 4), coin_dim=4, label=f"{params.family}_dilation",
@@ -398,7 +361,7 @@ def prune_operators(params: ModelParams) -> tuple:
     their channels; F adds sqrt(a) 1 to the scaled instruments.
     """
     if params.family != "F":
-        return _flip_kraus(_flip_vector(params))
+        return _flip_kraus(flip_weights(params))
     ops = []
     if params.a > 0.0:
         ops.append(math.sqrt(params.a) * linalg.identity(4))

@@ -31,8 +31,7 @@ class _FamilySpec:
     names: tuple
     lower: np.ndarray
     upper: np.ndarray
-    sum_coeffs: np.ndarray | None  # feasible iff sum_coeffs @ x <= sum_bound
-    sum_bound: float = 1.0
+    sum_coeffs: np.ndarray | None  # feasible iff sum_coeffs @ x <= 1
 
 
 def _family_spec(name: str) -> _FamilySpec:
@@ -65,7 +64,6 @@ class OptimizationProblem:
     family: str
     engine: str = "classical"
     seed: int = 0
-    fixed: dict | None = None  # e.g. {"b": 0.2} to search only the rest
     per_edge: bool = False
 
 
@@ -87,7 +85,6 @@ class OptimizationResult:
     n_eval: int
     converged: bool
     trace: tuple
-    fixed: tuple = ()
 
     def to_document(self) -> dict:
         return {
@@ -95,7 +92,7 @@ class OptimizationResult:
             "engine": self.engine,
             "seed": self.seed,
             "w_star": dict(zip(self.names, self.w_star)),
-            "fixed": dict(self.fixed),
+            "fixed": {},  # no weight is held fixed; kept so the report keys stay stable
             "log_likelihood": self.loglik,
             "n_eval": self.n_eval,
             "converged": self.converged,
@@ -142,13 +139,13 @@ def reflect_feasible(x: np.ndarray, spec: _FamilySpec) -> np.ndarray:
     x = _reflect_box(np.asarray(x, dtype=float), spec.lower, spec.upper)
     if spec.sum_coeffs is not None:
         c = spec.sum_coeffs
-        excess = c @ x - spec.sum_bound
+        excess = c @ x - 1.0
         if excess > 0.0:
             x = x - 2.0 * excess / (c @ c) * c
             x = _reflect_box(x, spec.lower, spec.upper)
-            if c @ x > spec.sum_bound:
+            if c @ x > 1.0:
                 # Pathological double violation: pull straight to the facet.
-                x = x * (spec.sum_bound / (c @ x))
+                x = x * (1.0 / (c @ x))
     return np.clip(x, spec.lower, spec.upper)
 
 
@@ -160,27 +157,7 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
     monotone in the objective. Raises OptimizerError when every vertex of
     the initial simplex has zero likelihood.
     """
-    full_spec = _family_spec(problem.family)
-    fixed = dict(problem.fixed or {})
-    unknown = set(fixed) - set(full_spec.names)
-    if unknown:
-        raise ModelError(f"cannot fix unknown parameters {sorted(unknown)} of family {problem.family}")
-    free_idx = [i for i, name in enumerate(full_spec.names) if name not in fixed]
-    if not free_idx:
-        raise OptimizerError("no free parameters left to optimize")
-    if full_spec.sum_coeffs is None:
-        sum_coeffs, sum_bound = None, 1.0
-    else:
-        sum_coeffs = full_spec.sum_coeffs[free_idx]
-        sum_bound = 1.0 - sum(full_spec.sum_coeffs[i] * fixed[name]
-                              for i, name in enumerate(full_spec.names) if name in fixed)
-    spec = _FamilySpec(
-        names=tuple(full_spec.names[i] for i in free_idx),
-        lower=full_spec.lower[free_idx],
-        upper=full_spec.upper[free_idx],
-        sum_coeffs=sum_coeffs,
-        sum_bound=sum_bound,
-    )
+    spec = _family_spec(problem.family)
     family = FAMILY[problem.family]
     n_states = family.n_states
     if n_states != problem.alignment.alphabet.n_states:
@@ -195,11 +172,6 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
     n_blocks = count_edges(problem.tree) if problem.per_edge else 1
     dim = n_blocks * block_dim
 
-    def expand(x: np.ndarray) -> np.ndarray:
-        full = np.array([fixed.get(name, 0.0) for name in full_spec.names])
-        full[free_idx] = x
-        return full
-
     def reflect(x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x, dtype=float)
         for b in range(n_blocks):
@@ -208,7 +180,7 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
         return out
 
     def edge_params(x: np.ndarray) -> list:
-        return [ModelParams(problem.family, *expand(x[b * block_dim:(b + 1) * block_dim]), pi=pi)
+        return [ModelParams(problem.family, *x[b * block_dim:(b + 1) * block_dim], pi=pi)
                 for b in range(n_blocks)]
 
     n_eval = 0
@@ -293,5 +265,4 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
         n_eval=n_eval,
         converged=converged,
         trace=tuple(trace),
-        fixed=tuple(sorted(fixed.items())),
     )

@@ -539,7 +539,6 @@ class SplitGate:
 class EvolveGate:
     slot: int
     params: ModelParams
-    edge: str = ""
 
 
 @dataclass(frozen=True)
@@ -570,22 +569,19 @@ def compile_circuit(tree: PhyloTree) -> CircuitSchedule:
 
     Pre-order: each edge evolves at its node's slot, then an internal node's
     slot splits into (slot, slot+1); the left child keeps the slot and the
-    right child takes the slot just past the left block. An edge is labelled
-    by its node's name, or else by the first leaf below it. An s-leaf tree
+    right child takes the slot just past the left block. An s-leaf tree
     yields s-1 splits and 2s-2 evolutions.
     """
     nodes, kids = tree.nodes, tree.kids
     width = [1] * len(nodes)
-    first_leaf = [node.name for node in nodes]
     for s in reversed(range(len(nodes))):
         if kids[s]:
             width[s] = sum(width[k] for k in kids[s])
-            first_leaf[s] = first_leaf[kids[s][0]]
     slot = [1] * len(nodes)
     gates = []
     for s, node in enumerate(nodes):
         if s:
-            gates.append(EvolveGate(slot[s], node.params, edge=node.name or first_leaf[s]))
+            gates.append(EvolveGate(slot[s], node.params))
         if kids[s]:
             gates.append(SplitGate(slot[s]))
             left, right = kids[s]

@@ -20,8 +20,8 @@ from . import linalg
 from .channels import (apply_channel, collective_diagonalizer, control_not, diagonalizer,
                        diagonalizer_fourier)
 from .engine import _embed_stack, alignment_loglik, simulate_tree
-from .models import (FAMILIES, ModelParams, binary_channel, binary_dilation, bitflip_generator,
-                     bitflip_unitary, group_channel, prune_operators, qw_dilation, weights)
+from .models import (FAMILIES, ModelParams, binary_dilation, bitflip_generator, bitflip_unitary,
+                     flip_weights, group_channel, prune_operators, qw_dilation)
 from .treeio import Alignment, BINARY, DNA, PhyloTree, SplitGate, TreeNode, compile_circuit
 
 
@@ -115,7 +115,7 @@ def suite_dilation_vs_channel(rng: np.random.Generator, draws: int = 50, densiti
     for _ in range(draws):
         a = rng.uniform(0.0, 1.0)
         dil = binary_dilation(a)
-        ch = binary_channel(dil.metadata["flip_weight"])
+        ch = group_channel(ModelParams.binary(dil.metadata["flip_weight"]))
         for _ in range(densities):
             rho = random_density(rng, 2)
             worst = max(worst, linalg.max_abs(dil.apply(rho) - apply_channel(ch, rho)))
@@ -153,7 +153,7 @@ def suite_coin_weights(rng: np.random.Generator, draws: int = 20) -> SuiteResult
         for _ in range(draws):
             params = random_params(rng, family)
             coin_sq = np.abs(np.asarray(qw_dilation(params).metadata["coin_column"])) ** 2
-            worst = max(worst, linalg.max_abs(coin_sq - weights(params).vector))
+            worst = max(worst, linalg.max_abs(coin_sq - flip_weights(params)))
     return SuiteResult("coin-column weights", worst, 1e-12)
 
 

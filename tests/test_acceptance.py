@@ -14,7 +14,7 @@ from qphylo import cli, linalg
 from qphylo.channels import DiagonalDensity, control_not, split
 from qphylo.engine import alignment_loglik, simulate_tree
 from qphylo.linalg import ProbabilityTensor
-from qphylo.models import ModelParams, bitflip_unitary, markov, weights
+from qphylo.models import ModelParams, bitflip_unitary, flip_weights, markov
 from qphylo.qwalk import WalkConfig, closed_form_two_taxon, coin_distribution, evolve_taxa_qw
 from qphylo.treeio import DNA, Alignment, TreeNode, PhyloTree, parse_newick
 from qphylo.verify import (random_params, random_unitary, suite_dilation_unitarity,
@@ -60,12 +60,12 @@ def test_criterion_2_markov_weight_sum_identity():
             m = markov(params)
             worst_column = max(worst_column, np.abs(m.sum(axis=0) - 1.0).max())
             if family in ("JC", "K2", "K3"):
-                lam = weights(params).lam
+                w = flip_weights(params)
                 total = np.zeros((4, 4))
                 for k in (0, 1):
                     for l in (0, 1):
                         u = bitflip_unitary(k, l)
-                        total += lam[k, l] * (u * u.conj()).real
+                        total += w[2 * k + l] * (u * u.conj()).real
                 worst_identity = max(worst_identity, np.abs(m - total).max())
             if family != "F":
                 worst_double = max(worst_double, np.abs(m.sum(axis=1) - 1.0).max())

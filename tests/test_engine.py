@@ -75,7 +75,7 @@ class TestSimulateTree:
 
     def test_mass_is_one_for_eight_leaves(self, rng):
         tree, _ = random_instance(rng, 8, "K3")
-        assert abs(simulate_tree(tree).mass() - 1.0) < 1e-12
+        assert abs(simulate_tree(tree).values.sum() - 1.0) < 1e-12
 
     def test_oversized_tensor_refused_before_allocating(self):
         assert 4 ** 20 * 8 > MAX_TENSOR_BYTES
@@ -112,7 +112,8 @@ def jc_unitary(a):
 
 def quantum_pair(lb, lc, ub, uc):
     """One pruning-circuit node step at P = 1, one unitary per edge."""
-    return _quantum_node(lb[None], lc[None], _EdgeOps.from_kraus([ub]), _EdgeOps.from_kraus([uc]))[0]
+    work = np.zeros((3, 1, (len(lb) + 1) ** 2), dtype=complex)
+    return _quantum_node(lb[None], lc[None], _EdgeOps.from_kraus([ub]), _EdgeOps.from_kraus([uc]), work)[0]
 
 
 JC_WEIGHTS = (0.0, 0.05, 0.1, 0.25)
@@ -247,7 +248,7 @@ class TestSparseGates:
         for n in (3, 5):
             rho_b = np.stack([random_density(rng, n) for _ in range(4)])
             rho_c = np.stack([random_density(rng, n) for _ in range(4)])
-            gathered = _collective_pinch(rho_b, rho_c)
+            gathered = _collective_pinch(rho_b, rho_c, np.zeros((4, n * n), dtype=complex))
             for b, c, diag in zip(rho_b, rho_c, gathered):
                 dense = apply_channel(collective_diagonalizer(n), linalg.kron(b, c))
                 assert np.abs(dense - np.diag(diag)).max() < 1e-15

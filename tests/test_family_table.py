@@ -1,9 +1,10 @@
 """What each model family takes, pinned family by family.
 
 The optimizer's search region, the ModelParams signature errors, the Newick
-reader's annotation errors and the annotation round trip are compared with
-literal values, so a change to how the families are declared cannot move
-any of them. The README's family table is checked against ``FAMILY``.
+reader's annotation errors, the annotation round trip and the flip weights
+are compared with literal values or the construction they replaced, so a
+change to how the families are declared cannot move any of them. The
+README's family table is checked against ``FAMILY``.
 """
 
 import re
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qphylo.errors import ModelError, NewickParseError
-from qphylo.models import FAMILIES, FAMILY, ModelParams
+from qphylo.models import FAMILIES, FAMILY, ModelParams, flip_weights
 from qphylo.optimize import _family_spec
 from qphylo.treeio import emit_newick, parse_newick
 
@@ -78,7 +81,6 @@ def test_search_region_is_bytewise_unchanged(family):
     else:
         assert spec.sum_coeffs.dtype == sum_coeffs.dtype
         assert spec.sum_coeffs.tobytes() == sum_coeffs.tobytes()
-    assert spec.sum_bound == 1.0
 
 
 def test_unknown_family_has_no_search_region():
@@ -137,3 +139,44 @@ def test_readme_family_table_matches_the_family_table():
         assert tuple(params.split(", ")) == family.weights + ("pi",) * family.takes_pi
         assert bool(or_t) == (family.from_length is not None)
         assert int(states) == family.n_states
+
+
+FLIP_FAMILIES = ("JC", "K2", "K3", "B")
+
+
+def table_flip_weights(params: ModelParams) -> np.ndarray:
+    """The reference construction of the flip weights: B as (1 - a, a), the
+    4-state families as the 2x2 table lam[k, l] of the flip X^k (x) X^l,
+    flattened and clipped at 0."""
+    if params.family == "B":
+        return np.array([1.0 - params.a, params.a])
+    given = (params.a, params.b, params.c)
+    a, b, c = (given[i] for i in FAMILY[params.family].flips)
+    lam = np.zeros((2, 2))
+    lam[0, 0] = 1.0 - a - b - c
+    lam[1, 0] = a
+    lam[0, 1] = b
+    lam[1, 1] = c
+    return np.clip(lam, 0.0, None).reshape(4)
+
+
+@st.composite
+def flip_params(draw):
+    """Any point of a flip family's region, up to the weights' rounding."""
+    family = draw(st.sampled_from(FLIP_FAMILIES))
+    room, given = 1.0, []
+    for drives in np.bincount(FAMILY[family].flips):
+        x = draw(st.floats(0.0, max(room / drives, 0.0)))
+        given.append(x)
+        room -= drives * x
+    return ModelParams(family, *given)
+
+
+@settings(max_examples=300)
+@given(flip_params())
+@example(ModelParams.k3(0.5, 0.5, 1e-13))
+@example(ModelParams.jc(1.0 / 3.0))
+@example(ModelParams.binary(0.0))
+@example(ModelParams.binary(1.0))
+def test_flip_weights_match_the_weight_table(params):
+    assert flip_weights(params).tobytes() == table_flip_weights(params).tobytes()

@@ -8,10 +8,9 @@ from qphylo import linalg
 from qphylo.channels import apply_channel
 from qphylo.errors import ModelError
 from qphylo.models import (_CONTROLLED_FLIPS, _FLIPS, ModelParams, _householder_with_first_column,
-                           binary_channel, binary_dilation,
-                           binary_from_branch_length, bitflip_generator, bitflip_unitary,
-                           group_channel, jc_from_branch_length,
-                           markov, prune_matrix, prune_operators, qw_dilation, weights)
+                           binary_dilation, binary_from_branch_length, bitflip_generator,
+                           bitflip_unitary, flip_weights, group_channel, jc_from_branch_length,
+                           markov, prune_matrix, prune_operators, qw_dilation)
 
 from conftest import random_density
 
@@ -74,24 +73,29 @@ class TestModelParams:
 
     def test_identity_weight_keeps_rounding_slack(self):
         params = ModelParams.k3(0.5, 0.5, 1e-13)
-        assert 1.0 - sum(params.flip_weights()) < 0.0
-        assert weights(params).vector.min() == 0.0
+        assert 1.0 - sum((params.a, params.b, params.c)) < 0.0
+        assert flip_weights(params).min() == 0.0
 
 
 class TestWeights:
     def test_identity_limit(self):
-        assert np.array_equal(weights(ModelParams.jc(0.0)).vector, [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(flip_weights(ModelParams.jc(0.0)), [1.0, 0.0, 0.0, 0.0])
 
     def test_three_parameter_assignment(self):
-        lam = weights(ModelParams.k3(0.1, 0.2, 0.3)).lam
-        assert lam[0, 0] == pytest.approx(0.4)
-        assert lam[1, 0] == 0.1
-        assert lam[0, 1] == 0.2
-        assert lam[1, 1] == 0.3
+        # XOR order: identity, 1 (x) X (b), X (x) 1 (a), X (x) X (c).
+        w = flip_weights(ModelParams.k3(0.1, 0.2, 0.3))
+        assert w[0] == pytest.approx(0.4)
+        assert w[2] == 0.1
+        assert w[1] == 0.2
+        assert w[3] == 0.3
 
     def test_two_parameter_ties_single_flips(self):
-        lam = weights(ModelParams.k2(0.1, 0.2)).lam
-        assert lam[0, 1] == lam[1, 1] == 0.2
+        w = flip_weights(ModelParams.k2(0.1, 0.2))
+        assert w[1] == w[3] == 0.2
+
+    def test_felsenstein_has_no_flip_weights(self):
+        with pytest.raises(ModelError, match="F is not a flip family"):
+            flip_weights(ALL_FAMILY_DRAWS[4])
 
 
 def kron_flip(k, l):
@@ -102,12 +106,12 @@ def kron_flip(k, l):
 
 def markov_weight_sum_oracle(params):
     """Entry-wise convex sum of Hadamard squares of the flip unitaries."""
-    lam = weights(params).lam
+    w = flip_weights(params)
     total = np.zeros((4, 4))
     for k in (0, 1):
         for l in (0, 1):
             u = kron_flip(k, l)
-            total += lam[k, l] * (u * u.conj()).real
+            total += w[2 * k + l] * (u * u.conj()).real
     return total
 
 
@@ -171,27 +175,34 @@ class TestGroupChannel:
         assert np.abs(np.diag(out).real - markov(params)[:, 0]).max() < 1e-15
 
     def test_completeness_exact(self):
-        for params in ALL_FAMILY_DRAWS[:3]:
+        for params in ALL_FAMILY_DRAWS[:4]:
             assert group_channel(params).completeness_defect() < 1e-15
 
 
 class TestBinaryChannel:
     def test_limits(self):
-        assert len(binary_channel(0.0).operators) == 1
-        flip = binary_channel(1.0)
+        assert len(group_channel(ModelParams.binary(0.0)).operators) == 1
+        flip = group_channel(ModelParams.binary(1.0))
         out = apply_channel(flip, np.diag([0.3, 0.7]).astype(complex))
         assert np.abs(np.diag(out).real - [0.7, 0.3]).max() == 0.0
 
     def test_point_mass(self):
-        out = apply_channel(binary_channel(0.3), np.diag([1.0, 0.0]).astype(complex))
+        channel = group_channel(ModelParams.binary(0.3))
+        out = apply_channel(channel, np.diag([1.0, 0.0]).astype(complex))
         assert np.abs(np.diag(out).real - [0.7, 0.3]).max() < 1e-15
 
     def test_range_check(self):
         with pytest.raises(ModelError):
-            binary_channel(1.2)
+            group_channel(ModelParams.binary(1.2))
 
 
 class TestQwDilation:
+    def test_refuses_families_without_a_walk_dilation(self):
+        with pytest.raises(ModelError, match="walk dilation needs a 4-state flip family, not B"):
+            qw_dilation(ALL_FAMILY_DRAWS[3])
+        with pytest.raises(ModelError, match="F is not a flip family"):
+            qw_dilation(ALL_FAMILY_DRAWS[4])
+
     def test_identity_limit(self, rng):
         dil = qw_dilation(ModelParams.jc(0.0))
         rho = random_density(rng, 4)
@@ -203,13 +214,13 @@ class TestQwDilation:
         u_coin = dil.unitary @ np.kron(np.eye(4), np.eye(4))  # full V
         # First coin column is accessible through the metadata contract.
         col = np.asarray(dil.metadata["coin_column"])
-        assert np.abs(col ** 2 - weights(params).vector).max() < 1e-15
+        assert np.abs(col ** 2 - flip_weights(params)).max() < 1e-15
 
     def test_unitary_bytes_match_block_diag_form(self, rng):
         for _ in range(10):
             a, b, c = rng.dirichlet(np.ones(4))[:3]
             for params in (ModelParams.jc(a / 3.0), ModelParams.k2(a, b / 2.0), ModelParams.k3(a, b, c)):
-                u_coin = _householder_with_first_column(np.sqrt(weights(params).vector)).astype(complex)
+                u_coin = _householder_with_first_column(np.sqrt(flip_weights(params))).astype(complex)
                 old = block_diag(*_FLIPS[4]) @ linalg.kron(u_coin, linalg.identity(4))
                 assert qw_dilation(params).unitary.tobytes() == old.tobytes()
         assert not _CONTROLLED_FLIPS.flags.writeable
@@ -244,7 +255,7 @@ class TestBinaryDilation:
         dil = binary_dilation(0.3)
         assert dil.metadata["flip_weight"] == pytest.approx(0.7)
         assert dil.metadata["matches"] == "1-a"
-        ch = binary_channel(dil.metadata["flip_weight"])
+        ch = group_channel(ModelParams.binary(dil.metadata["flip_weight"]))
         for _ in range(10):
             rho = random_density(rng, 2)
             assert np.abs(dil.apply(rho) - apply_channel(ch, rho)).max() < 1e-12
@@ -337,7 +348,7 @@ class TestPruneOperators:
 
     def test_channel_operators_are_prune_operators(self):
         for params in FLIP_FAMILY_DRAWS:
-            channel = binary_channel(params.a) if params.family == "B" else group_channel(params)
+            channel = group_channel(params)
             ops = prune_operators(params)
             assert len(channel.operators) == len(ops)
             assert all(np.array_equal(c, op) for c, op in zip(channel.operators, ops))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qphylo.engine import alignment_loglik, simulate_tree
-from qphylo.errors import ModelError, OptimizerError
+from qphylo.errors import ModelError
 from qphylo.models import ModelParams
 from qphylo.optimize import (OptimizationProblem, _family_spec, maximize_loglik,
                              reflect_feasible, tree_with_edge_params, tree_with_shared_params)
@@ -77,15 +77,6 @@ class TestMaximizeLoglik:
         assert 0.08 <= result.w_star[0] <= 0.12
         assert result.converged
 
-    def test_k2_with_fixed_second_weight(self):
-        truth = ModelParams.k2(0.12, 0.2)
-        aln = simulated_alignment(BALANCED, truth, 2000, seed=5)
-        result = maximize_loglik(OptimizationProblem(
-            tree=BALANCED, alignment=aln, family="K2", seed=0, fixed={"b": 0.2}))
-        assert result.names == ("a",)
-        assert abs(result.w_star[0] - 0.12) <= 0.03
-        assert dict(result.fixed) == {"b": 0.2}
-
     def test_classical_and_quantum_objectives_agree(self):
         aln = simulated_alignment(BALANCED, ModelParams.jc(0.1), 400, seed=23)
         runs = {}
@@ -98,12 +89,6 @@ class TestMaximizeLoglik:
         aln = Alignment(taxa=("A", "B"), data=np.zeros((2, 3), dtype=int), alphabet=BINARY)
         with pytest.raises(ModelError):
             maximize_loglik(OptimizationProblem(tree=CHERRY, alignment=aln, family="K3", seed=0))
-
-    def test_no_free_parameters_is_degenerate(self):
-        aln = Alignment(taxa=("A", "B"), data=np.zeros((2, 3), dtype=int), alphabet=DNA)
-        with pytest.raises(OptimizerError):
-            maximize_loglik(OptimizationProblem(tree=CHERRY, alignment=aln, family="JC",
-                                                seed=0, fixed={"a": 0.1}))
 
     def test_binary_family_fit(self):
         truth = ModelParams.binary(0.15)

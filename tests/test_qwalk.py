@@ -131,7 +131,7 @@ class TestEvolveTaxa:
         values = rng.dirichlet(np.ones(27)).reshape(3, 3, 3)
         cfgs = [WalkConfig.with_label(random_unitary(rng, 2), "+", walker_dim=3) for _ in range(3)]
         out = evolve_taxa_qw(ProbabilityTensor(values), cfgs)
-        assert abs(out.mass() - 1.0) < 1e-12
+        assert abs(out.values.sum() - 1.0) < 1e-12
 
     def test_config_count_mismatch(self, rng):
         t = ProbabilityTensor(rng.dirichlet(np.ones(16)).reshape(4, 4))
