@@ -2,14 +2,14 @@
 
 Every engine reduces all unique site patterns of an alignment at once. The
 tree's pre-order node table is read in reverse, children before parents,
-and each node carries a (P, k) array:
-for each of the P patterns, the likelihood vector (or the diagonal of the
-likelihood operator) over the k non-null characters.
+and each node carries a (k, P) array, one column per site pattern: the
+likelihood vector (or the diagonal of the likelihood operator) over the k
+non-null characters. Every kernel therefore runs along the P patterns.
 
 - The classical engine runs the textbook pruning recursion: one matmul per
   child edge and one elementwise product per node.
 - The quantum engine runs the pruning circuit: per-edge operator-sum
-  propagation of the two child likelihood operators into full (P, n, n)
+  propagation of the two child likelihood operators into full (n, n, P)
   operators (n = k + 1 counts the null character), the collective pinch
   onto the |kk> subspace, the inverse control-shift (which parks the
   duplicate character on the null ancilla), and a partial trace. The pinch
@@ -165,36 +165,36 @@ def _edge_ops(edge_params: tuple, classical: bool) -> tuple:
     return tuple(built[params] for params in edge_params)
 
 
-# --- Batched kernels: arrays carry one row per site pattern --------------------
+# --- Batched kernels: arrays carry one column per site pattern -----------------
 
 
 def _diagonal(ops: np.ndarray) -> np.ndarray:
-    """The |k><k| entries of a (P, n, n) operator stack, shape (P, n)."""
-    p, n, _ = ops.shape
-    return ops.reshape(p, n * n)[:, ::n + 1]
+    """The |k><k| entries of an (n, n, P) operator stack, shape (n, P)."""
+    n, _, p = ops.shape
+    return ops.reshape(n * n, p)[::n + 1]
 
 
 def _kraus_propagate(diag: np.ndarray, transfer: np.ndarray, out=None) -> np.ndarray:
-    """Batched operator sum sum_k A_k diag(0, d_p) A_k^dagger, shape (P, n, n).
+    """Batched operator sum sum_k A_k diag(0, d_p) A_k^dagger, shape (n, n, P).
 
-    ``diag`` is (P, n-1): each row the diagonal of one input operator over
-    the non-null characters. ``out``, if given, is a (P, n*n) complex array
+    ``diag`` is (n-1, P): each column the diagonal of one input operator over
+    the non-null characters. ``out``, if given, is an (n*n, P) complex array
     to write into.
     """
     n = transfer.shape[1] + 1
-    return np.matmul(diag, transfer.T, out=out).reshape(len(diag), n, n)
+    return np.matmul(transfer, diag, out=out).reshape(n, n, diag.shape[1])
 
 
 def _collective_pinch(rho_b: np.ndarray, rho_c: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Diagonal of the collective pinch of rho_b (x) rho_c, written into ``out``, (P, n*n).
+    """Diagonal of the collective pinch of rho_b (x) rho_c, written into ``out``, (n*n, P).
 
     The pinch keeps only the |kk><kk| entries of the joint operator, and the
     joint entry there is the product of the factors' |k><k| entries: the
     gate is a gather, and every other entry of the result is zero. Only the
-    |kk> entries of ``out`` are written, so it must be zero elsewhere.
+    |kk> rows of ``out`` are written, so it must be zero elsewhere.
     """
-    n = rho_b.shape[1]
-    out[:, ::n + 1] = _diagonal(rho_b) * _diagonal(rho_c)
+    n = rho_b.shape[0]
+    np.multiply(_diagonal(rho_b), _diagonal(rho_c), out=out[::n + 1])
     return out
 
 
@@ -213,52 +213,52 @@ def _inverse_control_shift(diag: np.ndarray) -> np.ndarray:
     U^dagger sends |i, j> to |i, j - i mod n>, a permutation, so the
     conjugation permutes the diagonal entries.
     """
-    return diag[:, _unshift_source(math.isqrt(diag.shape[1]))]
+    return diag[_unshift_source(math.isqrt(diag.shape[0]))]
 
 
 def _trace_second_slot(diag: np.ndarray) -> np.ndarray:
-    """Partial trace over slot 2 of a diagonal two-slot operator, shape (P, n)."""
-    p, nn = diag.shape
+    """Partial trace over slot 2 of a diagonal two-slot operator, shape (n, P)."""
+    nn, p = diag.shape
     n = math.isqrt(nn)
-    return diag.reshape(p, n, n).sum(axis=2)
+    return diag.reshape(n, n, p).sum(axis=1)
 
 
 def _classical_node(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps) -> np.ndarray:
-    """Parent vectors (W_B L_B) o (W_C L_C), one row per pattern."""
-    return (lb @ eb.w.T) * (lc @ ec.w.T)
+    """Parent vectors (W_B L_B) o (W_C L_C), one column per pattern."""
+    return (eb.w @ lb) * (ec.w @ lc)
 
 
 def _quantum_node(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps,
                   work: np.ndarray) -> np.ndarray:
-    """The pruning circuit on two children's likelihood operators, one row per pattern.
+    """The pruning circuit on two children's likelihood operators, one column per pattern.
 
-    ``work`` is a zeroed (3, P, n*n) complex array that every node of one
+    ``work`` is a zeroed (3, n*n, P) complex array that every node of one
     call reuses for the two propagated operators and their pinch.
     """
     rho_b = _kraus_propagate(lb, eb.transfer, out=work[0])
     rho_c = _kraus_propagate(lc, ec.transfer, out=work[1])
     joint = _collective_pinch(rho_b, rho_c, out=work[2])
-    return _trace_second_slot(_inverse_control_shift(joint))[:, 1:].real
+    return _trace_second_slot(_inverse_control_shift(joint))[1:].real
 
 
 def _pinch_weights(lb: np.ndarray, eb: _EdgeOps):
     """Forward step of the left child: (q, nu) with q = diag(E_B(L_B)) / nu, nu = Tr L_B.
 
-    q has shape (P, n) with q[:, 0] = 0; rows with nu = 0 get q = 0.
+    q has shape (n, P) with q[0] = 0; columns with nu = 0 get q = 0.
     """
-    nu = lb.sum(axis=1)
+    nu = lb.sum(axis=0)
     forward = _diagonal(_kraus_propagate(lb, eb.transfer)).real
-    q = np.divide(forward, nu[:, None], out=np.zeros_like(forward), where=nu[:, None] > 0.0)
+    q = np.divide(forward, nu, out=np.zeros_like(forward), where=nu > 0.0)
     return q, nu
 
 
 def _adjoint_state(q: np.ndarray, pi: np.ndarray, ec: _EdgeOps) -> np.ndarray:
-    """sum_k A_k^dagger sigma A_k for the pinched stationary density sigma, (P, n, n).
+    """sum_k A_k^dagger sigma A_k for the pinched stationary density sigma, (n, n, P).
 
     sigma = sum_k q_k P_k diag(0, pi) P_k is diagonal; the adjoint map is the
     operator sum of the adjoint Kraus family.
     """
-    return _kraus_propagate(q[:, 1:] * pi, ec.adjoint)
+    return _kraus_propagate(q[1:] * pi[:, None], ec.adjoint)
 
 
 def _dual_root(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps, pi: np.ndarray):
@@ -269,7 +269,7 @@ def _dual_root(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps, pi: n
     """
     q, nu = _pinch_weights(lb, eb)
     back = _adjoint_state(q, pi, ec)
-    return nu * np.einsum("pi,pii->p", lc, back[:, 1:, 1:]).real, nu
+    return nu * np.einsum("ip,iip->p", lc, back[1:, 1:]).real, nu
 
 
 # --- Whole-alignment evaluation -------------------------------------------------
@@ -303,7 +303,7 @@ def _reduce_below_root(kids: tuple, values: list, edges: list, node_step):
     """Reduce every internal node below the root, rescaling as it goes.
 
     ``kids`` is the tree's pre-order table, read in reverse. ``values`` holds
-    the leaves' (P, k) arrays and is filled in place. Returns the root
+    the leaves' (k, P) arrays and is filled in place. Returns the root
     children as ((array, log-scaler), (array, log-scaler)), where each array
     times exp(log-scaler) is the unscaled operator.
     """
@@ -313,9 +313,9 @@ def _reduce_below_root(kids: tuple, values: list, edges: list, node_step):
             continue
         left, right = kids[slot]
         out = node_step(values[left], values[right], edges[left], edges[right])
-        scale = out.max(axis=1)
+        scale = out.max(axis=0)
         scale = np.where(scale > 0.0, scale, 1.0)
-        values[slot] = out / scale[:, None]
+        values[slot] = out / scale
         logs[slot] = logs[left] + logs[right] + np.log(scale)
         values[left] = values[right] = None
     left, right = kids[0]
@@ -345,9 +345,9 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
 
     patterns, _, inverse = aln.site_patterns()
     row_of = {name: row for row, name in enumerate(aln.taxa)}
-    indicator = np.eye(tree.n_states)
-    values = [None if node.children else indicator[patterns[:, row_of[node.name]]]
-              for node in tree.nodes]
+    # Every taxon's (k, P) indicator columns in one comparison; each leaf is a contiguous view.
+    leaves = (patterns.T[:, None, :] == np.arange(tree.n_states)[:, None]).astype(float)
+    values = [None if node.children else leaves[row_of[node.name]] for node in tree.nodes]
     edges = [None, *_edge_ops(tuple(node.params for node in tree.nodes[1:]), engine == "classical")]
     if engine == "classical":
         node_step = _classical_node
@@ -355,7 +355,7 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
         # Three pattern-sized operator stacks per call, not per node: freeing
         # them at every node let glibc trim the heap and fault the pages back
         # in at the next, up to 1.8x the time of a 300-pattern quantum call.
-        work = np.zeros((3, len(patterns), (tree.n_states + 1) ** 2), dtype=complex)
+        work = np.zeros((3, (tree.n_states + 1) ** 2, len(patterns)), dtype=complex)
         node_step = functools.partial(_quantum_node, work=work)
 
     (lb, log_b), (lc, log_c) = _reduce_below_root(tree.kids, values, edges, node_step)
@@ -365,7 +365,7 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
         root_values, nu = _dual_root(lb, lc, eb, ec, tree.pi)
         nu = (nu * np.exp(log_b))[inverse]
     else:
-        root_values = node_step(lb, lc, eb, ec) @ tree.pi
+        root_values = tree.pi @ node_step(lb, lc, eb, ec)
     zero = root_values[inverse] <= 0.0
     if zero.any():
         raise ZeroLikelihoodError(int(np.argmax(zero)) + 1)

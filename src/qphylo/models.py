@@ -97,8 +97,8 @@ class ModelParams:
     of the two-state model. F(a, pi): identity weight a and stationary
     distribution pi.
 
-    Equality and hashing go by value, pi by its bytes, so parameters can key
-    a cache of edge operators.
+    Equality and hashing go by value, pi by its bytes, through a key built
+    once at construction, so parameters can key a cache of edge operators.
     """
 
     family: str
@@ -106,6 +106,7 @@ class ModelParams:
     b: float | None = None
     c: float | None = None
     pi: np.ndarray | None = None
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         family = FAMILY.get(self.family)
@@ -140,17 +141,16 @@ class ModelParams:
             pi = pi.copy()
             pi.setflags(write=False)
             object.__setattr__(self, "pi", pi)
-
-    def _key(self) -> tuple:
-        return (self.family, self.a, self.b, self.c, None if self.pi is None else self.pi.tobytes())
+        object.__setattr__(self, "_key", (self.family, self.a, self.b, self.c,
+                                          None if self.pi is None else self.pi.tobytes()))
 
     def __eq__(self, other):
         if not isinstance(other, ModelParams):
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     @property
     def n_states(self) -> int:

@@ -95,7 +95,7 @@ class TestSimulateTree:
 
 def classical_pair(lb, lc, mb, mc):
     """One classical node step at P = 1, W = M^T per edge."""
-    return _classical_node(lb[None], lc[None], _EdgeOps(w=mb.T), _EdgeOps(w=mc.T))[0]
+    return _classical_node(lb[:, None], lc[:, None], _EdgeOps(w=mb.T), _EdgeOps(w=mc.T))[:, 0]
 
 
 def jc_unitary(a):
@@ -112,8 +112,9 @@ def jc_unitary(a):
 
 def quantum_pair(lb, lc, ub, uc):
     """One pruning-circuit node step at P = 1, one unitary per edge."""
-    work = np.zeros((3, 1, (len(lb) + 1) ** 2), dtype=complex)
-    return _quantum_node(lb[None], lc[None], _EdgeOps.from_kraus([ub]), _EdgeOps.from_kraus([uc]), work)[0]
+    work = np.zeros((3, (len(lb) + 1) ** 2, 1), dtype=complex)
+    return _quantum_node(lb[:, None], lc[:, None], _EdgeOps.from_kraus([ub]), _EdgeOps.from_kraus([uc]),
+                         work)[:, 0]
 
 
 JC_WEIGHTS = (0.0, 0.05, 0.1, 0.25)
@@ -184,16 +185,16 @@ class TestDualPrune:
         lc = rng.random(4)
         pi = rng.dirichlet(np.ones(4))
         eye = _EdgeOps.from_kraus([np.eye(4)])
-        q, nu = _pinch_weights(A[None], eye)
+        q, nu = _pinch_weights(A[:, None], eye)
         assert nu[0] == 1.0
-        assert np.abs(q[0] - [0.0, 1.0, 0.0, 0.0, 0.0]).max() < 1e-14
-        values, _ = _dual_root(A[None], lc[None], eye, eye, pi)
+        assert np.abs(q[:, 0] - [0.0, 1.0, 0.0, 0.0, 0.0]).max() < 1e-14
+        values, _ = _dual_root(A[:, None], lc[:, None], eye, eye, pi)
         assert abs(values[0] - lc[0] * pi[0]) < 1e-14
 
     def test_frozen_jc_cherry_recovers_circuit_result(self):
         # A point-mass root reads off one entry of the parent operator nu * E_B(L_C).
         edge = _EdgeOps.from_kraus([jc_unitary(0.1)])
-        out = [_dual_root(A[None], C[None], edge, edge, root)[0][0] for root in np.eye(4)]
+        out = [_dual_root(A[:, None], C[:, None], edge, edge, root)[0][0] for root in np.eye(4)]
         assert np.abs(np.array(out) - [0.07, 0.07, 0.01, 0.01]).max() < 1e-10
 
     def test_jc_cherry_averages_classical_node_over_root(self, rng):
@@ -202,7 +203,7 @@ class TestDualPrune:
             for _ in range(20):
                 lb, lc = rng.random(4), rng.random(4)
                 pi = rng.dirichlet(np.ones(4))
-                value = _dual_root(lb[None], lc[None], edge, edge, pi)[0][0]
+                value = _dual_root(lb[:, None], lc[:, None], edge, edge, pi)[0][0]
                 assert abs(value - pi @ classical_pair(lb, lc, m, m)) < 1e-13
 
     def test_pinch_weights_normalize_for_doubly_stochastic_edges(self, rng):
@@ -220,9 +221,9 @@ class TestDualPrune:
             ub = random_unitary(rng, 4)
             q = np.diag(ub @ np.diag(lb).astype(complex) @ ub.conj().T).real / nu
             rho = random_density(rng, 4)
-            pinch, _ = _pinch_weights(lb[None], _EdgeOps.from_kraus([ub]))
-            evolved = _diagonal(_kraus_propagate(lc[None], _EdgeOps.from_kraus([uc]).transfer)).real
-            forward = (pinch * evolved)[0, 1:]
+            pinch, _ = _pinch_weights(lb[:, None], _EdgeOps.from_kraus([ub]))
+            evolved = _diagonal(_kraus_propagate(lc[:, None], _EdgeOps.from_kraus([uc]).transfer)).real
+            forward = (pinch * evolved)[1:, 0]
             lhs = float(forward @ np.diag(rho).real)
             adjoint = uc.conj().T @ np.diag(q * np.diag(rho)) @ uc
             rhs = np.trace(np.diag(lc).astype(complex) @ adjoint).real
@@ -239,17 +240,17 @@ class TestSparseGates:
                 channel = KrausChannel(tuple(ops.stack), trace_preserving=False)
                 k = ops.stack.shape[1] - 1
                 diags = rng.random((3, k))
-                batched = _kraus_propagate(diags, ops.transfer)
-                for d, rho in zip(diags, batched):
+                batched = _kraus_propagate(diags.T, ops.transfer)
+                for d, rho in zip(diags, batched.transpose(2, 0, 1)):
                     dense = apply_channel(channel, np.diag(np.concatenate([[0.0], d])))
                     assert np.abs(rho - dense).max() < 1e-14
 
     def test_pinch_gather_matches_collective_diagonalizer(self, rng):
         for n in (3, 5):
-            rho_b = np.stack([random_density(rng, n) for _ in range(4)])
-            rho_c = np.stack([random_density(rng, n) for _ in range(4)])
-            gathered = _collective_pinch(rho_b, rho_c, np.zeros((4, n * n), dtype=complex))
-            for b, c, diag in zip(rho_b, rho_c, gathered):
+            rho_b = np.stack([random_density(rng, n) for _ in range(4)], axis=-1)
+            rho_c = np.stack([random_density(rng, n) for _ in range(4)], axis=-1)
+            gathered = _collective_pinch(rho_b, rho_c, np.zeros((n * n, 4), dtype=complex))
+            for b, c, diag in zip(rho_b.transpose(2, 0, 1), rho_c.transpose(2, 0, 1), gathered.T):
                 dense = apply_channel(collective_diagonalizer(n), linalg.kron(b, c))
                 assert np.abs(dense - np.diag(diag)).max() < 1e-15
 
@@ -257,18 +258,34 @@ class TestSparseGates:
         for n in (2, 3, 5):
             ucn_dag = control_not(n).conj().T
             diags = rng.random((4, n * n)) + 1j * rng.random((4, n * n))
-            permuted = _inverse_control_shift(diags)
-            for d, out in zip(diags, permuted):
+            permuted = _inverse_control_shift(diags.T)
+            for d, out in zip(diags, permuted.T):
                 dense = ucn_dag @ np.diag(d) @ ucn_dag.conj().T
                 assert np.abs(dense - np.diag(out)).max() == 0.0
 
     def test_reshape_trace_matches_partial_trace(self, rng):
         for n in (2, 3, 5):
             diags = rng.random((4, n * n)) + 1j * rng.random((4, n * n))
-            traced = _trace_second_slot(diags)
-            for d, out in zip(diags, traced):
+            traced = _trace_second_slot(diags.T)
+            for d, out in zip(diags, traced.T):
                 dense = linalg.partial_trace(np.diag(d), [n, n], traced=2)
                 assert np.abs(dense - np.diag(out)).max() < 1e-15
+
+    def test_reshape_trace_is_bitwise_the_same_at_every_placement(self, rng):
+        # Summing a contiguous length-n axis let the memory placement pick the
+        # summation order; summing n rows of P patterns adds them in one order.
+        n, p = 5, 300
+        values = rng.random((n * n, p)) + 1j * rng.random((n * n, p))
+        rows = values.reshape(n, n, p)
+        in_order = rows[:, 0]
+        for j in range(1, n):
+            in_order = in_order + rows[:, j]
+        assert _trace_second_slot(values[np.arange(n * n)]).tobytes() == in_order.tobytes()
+        buffer = np.empty(n * n * p + 8, dtype=complex)
+        for offset in range(9):
+            placed = buffer[offset:offset + n * n * p].reshape(n * n, p)
+            placed[...] = values
+            assert _trace_second_slot(placed).tobytes() == in_order.tobytes()
 
 
 class TestDualRoot:
@@ -278,13 +295,13 @@ class TestDualRoot:
             lb, lc = rng.random((3, 4)), rng.random((3, 4))
             pi = rng.dirichlet(np.ones(4))
             eb, ec = _EdgeOps.from_kraus([ub]), _EdgeOps.from_kraus([uc])
-            q, nu = _pinch_weights(lb, eb)
+            q, nu = _pinch_weights(lb.T, eb)
             back = _adjoint_state(q, pi, ec)
-            values, nus = _dual_root(lb, lc, eb, ec, pi)
+            values, nus = _dual_root(lb.T, lc.T, eb, ec, pi)
             for i in range(3):
-                dense = uc.conj().T @ np.diag(q[i, 1:] * pi) @ uc
-                assert np.abs(back[i, 1:, 1:] - dense).max() < 1e-14
-                assert np.abs(back[i, 0, :]).max() == 0.0 and np.abs(back[i, :, 0]).max() == 0.0
+                dense = uc.conj().T @ np.diag(q[1:, i] * pi) @ uc
+                assert np.abs(back[1:, 1:, i] - dense).max() < 1e-14
+                assert np.abs(back[0, :, i]).max() == 0.0 and np.abs(back[:, 0, i]).max() == 0.0
                 expected = nu[i] * np.trace(np.diag(lc[i]) @ dense).real
                 assert abs(values[i] - expected) < 1e-14
                 assert nus[i] == lb[i].sum()
@@ -295,7 +312,7 @@ class TestDualRoot:
             k = pb.n_states
             lb, lc = rng.random((5, k)), rng.random((5, k))
             pi = rng.dirichlet(np.ones(k))
-            values, _ = _dual_root(lb, lc, _EdgeOps.for_params(pb, "dual"),
+            values, _ = _dual_root(lb.T, lc.T, _EdgeOps.for_params(pb, "dual"),
                                    _EdgeOps.for_params(pc, "dual"), pi)
             classical = ((lb @ prune_matrix(pb).T) * (lc @ prune_matrix(pc).T)) @ pi
             assert np.abs(values - classical).max() < 1e-14

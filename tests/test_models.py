@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -70,6 +71,15 @@ class TestModelParams:
         assert table[as_array] == "edge"
         assert table[ModelParams.jc(0.1)] == "shared"
         assert len({as_list, as_array, ModelParams.felsenstein(0.5, (0.4, 0.3, 0.2, 0.1))}) == 2
+
+    @pytest.mark.parametrize("params", ALL_FAMILY_DRAWS, ids=lambda params: params.family)
+    def test_separate_builds_and_pickle_round_trips_compare_and_hash_equal(self, params):
+        pi = None if params.pi is None else tuple(params.pi)
+        again = ModelParams(params.family, params.a, b=params.b, c=params.c, pi=pi)
+        for other in (again, pickle.loads(pickle.dumps(params))):
+            assert other == params and params == other and hash(other) == hash(params)
+            assert {params: "edge"}[other] == "edge"
+        assert again != ModelParams(params.family, params.a / 2, b=params.b, c=params.c, pi=pi)
 
     def test_identity_weight_keeps_rounding_slack(self):
         params = ModelParams.k3(0.5, 0.5, 1e-13)
