@@ -131,7 +131,9 @@ def validate_probability_vector(p, tol: float = STRUCT_TOL) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ShapeMismatchError("probability vector must be 1-d")
-    if p.min() < -1e-14:
+    if not np.isfinite(p).all():
+        raise ValueError(f"non-finite probability entry in {p}")
+    if p.min() < 0.0:
         raise ValueError(f"negative probability entry {p.min()}")
     if abs(p.sum() - 1.0) > tol:
         raise ValueError(f"probability vector sums to {p.sum()}, not 1")

@@ -134,11 +134,12 @@ class ModelParams:
             pi = np.asarray(self.pi, dtype=float)
             if pi.shape != (4,):
                 raise ModelError(f"F needs a length-4 stationary distribution, got shape {pi.shape}")
+            try:
+                pi = linalg.validate_probability_vector(pi).copy()
+            except ValueError as exc:
+                raise ModelError(f"F stationary distribution: {exc}") from None
             if pi.min() <= 0.0:
                 raise ModelError(f"F stationary distribution must be strictly positive, got {pi}")
-            if abs(pi.sum() - 1.0) > linalg.STRUCT_TOL:
-                raise ModelError(f"F stationary distribution sums to {pi.sum()}, not 1")
-            pi = pi.copy()
             pi.setflags(write=False)
             object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "_key", (self.family, self.a, self.b, self.c,
@@ -265,7 +266,6 @@ class Dilation:
     coin_state: np.ndarray
     coin_dim: int
     label: str = ""
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = linalg.as_matrix(self.unitary)
@@ -315,32 +315,24 @@ def qw_dilation(params: ModelParams) -> Dilation:
     """
     if params.n_states != 4:
         raise ModelError(f"walk dilation needs a 4-state flip family, not {params.family}")
-    first_col = np.sqrt(flip_weights(params))
-    u_coin = _householder_with_first_column(first_col).astype(complex)
+    u_coin = _householder_with_first_column(np.sqrt(flip_weights(params))).astype(complex)
     v = _CONTROLLED_FLIPS @ linalg.kron(u_coin, linalg.identity(4))
-    return Dilation(v, linalg.projector(0, 4), coin_dim=4, label=f"{params.family}_dilation",
-                    metadata={"coin_column": first_col.tolist()})
+    return Dilation(v, linalg.projector(0, 4), coin_dim=4, label=f"{params.family}_dilation")
 
 
-def binary_dilation(a: float) -> Dilation:
+def binary_dilation(params: ModelParams) -> Dilation:
     """Coin-flip dilation of the two-state model.
 
-    V = sqrt(a) 1(x)1 + sqrt(1-a) (ZX)(x)X with coin state |1><1|; unitary
-    because ZX is antisymmetric so the cross terms cancel. The traced action
-    is a rho + (1-a) X rho X, i.e. flip weight 1-a for input weight a; the
-    realized weight is verified against both candidates at construction and
-    recorded in the metadata rather than silently relabeled.
+    V = sqrt(w_0) 1(x)1 + sqrt(w_1) (ZX)(x)X with w the flip weights and coin
+    state |1><1|; unitary because ZX is antisymmetric so the cross terms
+    cancel. The traced action is w_0 rho + w_1 X rho X, group_channel(params).
     """
-    if not 0.0 <= a <= 1.0:
-        raise ModelError(f"binary flip weight {a} outside [0, 1]")
+    if params.n_states != 2:
+        raise ModelError(f"coin-flip dilation needs the 2-state flip family, not {params.family}")
+    w0, w1 = np.sqrt(flip_weights(params))
     eye2 = linalg.identity(2)
-    v = math.sqrt(a) * linalg.kron(eye2, eye2) + math.sqrt(1.0 - a) * linalg.kron(linalg.PAULI_Y_ZX, linalg.PAULI_X)
-    dil = Dilation(v, linalg.projector(1, 2), coin_dim=2, label="B_dilation")
-    probe = np.diag([1.0, 0.0]).astype(complex)
-    flipped = float(dil.apply(probe)[1, 1].real)
-    matches = min(("a", a), ("1-a", 1.0 - a), key=lambda item: abs(item[1] - flipped))
-    dil.metadata.update(input_weight=a, flip_weight=matches[1], matches=matches[0])
-    return dil
+    v = w0 * linalg.kron(eye2, eye2) + w1 * linalg.kron(linalg.PAULI_Y_ZX, linalg.PAULI_X)
+    return Dilation(v, linalg.projector(1, 2), coin_dim=2, label="B_dilation")
 
 
 def prune_matrix(params: ModelParams) -> np.ndarray:

@@ -188,6 +188,37 @@ class TestModelWeightBounds:
         assert "invalid model parameters" in capsys.readouterr().err
 
 
+class TestStationaryDistributionChecks:
+    """A given pi must be finite and have no negative entry, at an edge or at the root."""
+
+    CASES = {
+        "edge_nan": ("(A[&model=F,a=0.5,pi={nan,0.3,0.3,0.4}],B[&model=JC,a=0.1]);",
+                     cli.EXIT_PARSE, "F stationary distribution: non-finite probability entry"),
+        "root_nan": ("(A[&model=JC,a=0.1],B[&model=JC,a=0.1])[&pi={nan,0.3,0.3,0.4}];",
+                     cli.EXIT_MODEL, "root distribution: non-finite probability entry"),
+        "root_negative": ("(A[&model=JC,a=0.0],B[&model=JC,a=0.0])"
+                          "[&pi={-0.00000000000001,0.3,0.3,0.40000000000001}];",
+                          cli.EXIT_MODEL, "root distribution: negative probability entry -1e-14"),
+    }
+
+    @pytest.mark.parametrize("command", ["simulate", "likelihood"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_with_its_exit_code(self, tmp_path, capsys, case, command):
+        text, code, message = self.CASES[case]
+        tree = tmp_path / "tree.nwk"
+        tree.write_text(text)
+        fasta = tmp_path / "aln.fasta"
+        fasta.write_text(">A\nAC\n>B\nAG\n")
+        if command == "simulate":
+            argv = ["simulate", "--tree", tree, "--sites", 5, "--seed", 1, "--out", tmp_path / "x"]
+        else:
+            argv = ["likelihood", "--tree", tree, "--alignment", fasta, "--engine", "all"]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert ("(at offset 1)" in err) == (code == cli.EXIT_PARSE)
+
+
 class TestFileAccessExitCodes:
     @pytest.mark.parametrize("broken", ["tree", "alignment"])
     @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
@@ -309,8 +340,7 @@ class TestVerify:
 
 
 # Runs in a fresh interpreter, so no earlier import in this session can load
-# scipy first; prints the scipy modules loaded after the numpy-only commands,
-# then those of scipy.optimize after verify.
+# scipy first; prints the scipy modules loaded after every command has run.
 _FOOTPRINT_SCRIPT = textwrap.dedent('''
     import json, sys
     import qphylo
@@ -322,22 +352,20 @@ _FOOTPRINT_SCRIPT = textwrap.dedent('''
                  "--out", out + ".lik.json"]) == 0
     assert main(["optimize", "--tree", tree, "--alignment", fasta, "--family", "JC",
                  "--seed", "1", "--out", out + ".fit.json"]) == 0
-    numpy_only = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     assert main(["verify"]) == 0
-    after_verify = sorted(m for m in sys.modules if m == "scipy.optimize" or m.startswith("scipy.optimize."))
-    print(json.dumps({"numpy_only": numpy_only, "after_verify": after_verify}))
+    print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 ''')
 
 
 class TestImportFootprint:
-    def test_commands_other_than_verify_never_load_scipy(self, tmp_path, tree_file):
+    def test_no_command_loads_scipy(self, tmp_path, tree_file):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tree_file), str(tmp_path / "run")],
                               env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         loaded = json.loads(done.stdout.strip().splitlines()[-1])
-        assert loaded == {"numpy_only": [], "after_verify": []}
+        assert loaded == []
 
 
 # Inputs for the argv property: "@name" stands for a file or directory under

@@ -220,11 +220,9 @@ class TestQwDilation:
 
     def test_coin_column_squares_to_weights(self):
         params = ModelParams.k3(0.1, 0.2, 0.3)
-        dil = qw_dilation(params)
-        u_coin = dil.unitary @ np.kron(np.eye(4), np.eye(4))  # full V
-        # First coin column is accessible through the metadata contract.
-        col = np.asarray(dil.metadata["coin_column"])
-        assert np.abs(col ** 2 - flip_weights(params)).max() < 1e-15
+        # V (|00> (x) |0>) = sum_g u_g |g> (x) |g>: the coin column sits at rows 5g.
+        col = qw_dilation(params).unitary[::5, 0]
+        assert np.abs(np.abs(col) ** 2 - flip_weights(params)).max() < 1e-15
 
     def test_unitary_bytes_match_block_diag_form(self, rng):
         for _ in range(10):
@@ -245,30 +243,35 @@ class TestQwDilation:
 
 
 class TestBinaryDilation:
+    # The names read the identity weight w_0 = 1 - a.
     def test_unit_weight_is_identity(self, rng):
-        dil = binary_dilation(1.0)
+        dil = binary_dilation(ModelParams.binary(0.0))
         assert np.abs(dil.unitary - np.eye(4)).max() == 0.0
         rho = random_density(rng, 2)
         assert np.abs(dil.apply(rho) - rho).max() < 1e-14
 
     def test_zero_weight_is_pure_flip(self, rng):
-        dil = binary_dilation(0.0)
+        dil = binary_dilation(ModelParams.binary(1.0))
         rho = random_density(rng, 2)
         flipped = linalg.adjoint_action(linalg.PAULI_X, rho)
         assert np.abs(dil.apply(rho) - flipped).max() < 1e-14
 
     def test_unitarity(self):
-        v = binary_dilation(0.3).unitary
+        v = binary_dilation(ModelParams.binary(0.3)).unitary
         assert linalg.max_abs(v @ v.conj().T - np.eye(4)) < 1e-14
 
-    def test_metadata_records_realized_flip_weight(self, rng):
-        dil = binary_dilation(0.3)
-        assert dil.metadata["flip_weight"] == pytest.approx(0.7)
-        assert dil.metadata["matches"] == "1-a"
-        ch = group_channel(ModelParams.binary(dil.metadata["flip_weight"]))
+    def test_traced_action_matches_channel(self, rng):
+        params = ModelParams.binary(0.3)
+        dil = binary_dilation(params)
+        ch = group_channel(params)
         for _ in range(10):
             rho = random_density(rng, 2)
             assert np.abs(dil.apply(rho) - apply_channel(ch, rho)).max() < 1e-12
+
+    def test_refuses_four_state_families(self):
+        for params in ALL_FAMILY_DRAWS[:3] + ALL_FAMILY_DRAWS[4:]:
+            with pytest.raises(ModelError, match="coin-flip dilation needs the 2-state flip family"):
+                binary_dilation(params)
 
 
 class TestBitflipUnitary:

@@ -79,7 +79,7 @@ def _adjoint_prune_operators(params):
 
 
 @pytest.mark.parametrize("name, swap", [
-    ("binary_dilation", lambda a: models.binary_dilation(1.0 - a)),
+    ("binary_dilation", lambda p: models.binary_dilation(models.ModelParams.binary(1.0 - p.a))),
     ("control_not", lambda n: linalg.identity(n * n)),
     ("prune_operators", _adjoint_prune_operators),
 ], ids=["binary_dilation", "control_not", "prune_operators"])
