@@ -23,6 +23,14 @@ non-null characters. Every kernel therefore runs along the P patterns.
   the adjoint of the right edge channel then carries backwards; the trace
   factor nu of the left child is recorded.
 
+The quantum and dual engines compute in the field of their Kraus operators.
+Every family qphylo parses has real ones (the flips are permutation
+matrices, and F's instruments are real), so its stacks, transfer forms and
+work arrays are float64. A family with a complex operator, such as a
+unitary with a phase, runs the same kernels in complex128 and keeps the real
+part of each result. ``verify``'s dense references stay complex, so its
+dense-pruning suite checks the real engine against complex gates.
+
 Each node below the root is divided by its per-pattern maximum, and the
 logs of the divisors accumulate per pattern, as in standard pruning codes
 (Felsenstein 1981; BEAGLE), so that deep trees do not underflow to a false
@@ -85,11 +93,16 @@ def _embed_stack(ops) -> np.ndarray:
     """Stack operators over the non-null block, extended by a zero null row and column.
 
     Likelihood operators carry no weight on the null character, so the
-    corner never reaches a result.
+    corner never reaches a result. The stack is float64 when every
+    operator's imaginary part is exactly zero, as for every family qphylo
+    parses, and complex128 otherwise, so the transfer forms built from it
+    and the kernels that read them run in the operators' own field.
     """
-    ops = [linalg.as_matrix(op) for op in ops]
-    m = ops[0].shape[0]
-    out = np.zeros((len(ops), m + 1, m + 1), dtype=complex)
+    ops = np.array([linalg.as_matrix(op) for op in ops])
+    if not ops.imag.any():
+        ops = ops.real
+    m = ops.shape[1]
+    out = np.zeros((len(ops), m + 1, m + 1), dtype=ops.dtype)
     out[:, 1:, 1:] = ops
     return out
 
@@ -99,7 +112,8 @@ def _transfer(stack: np.ndarray) -> np.ndarray:
 
     Entry ((a, b), i) is sum_k A_k[a, i] conj(A_k[b, i]); only the non-null
     inputs i >= 1 are kept, since likelihood operators carry no null weight.
-    Shape (n*n, n-1); it never grows with the number of patterns.
+    Shape (n*n, n-1); it never grows with the number of patterns. It has the
+    stack's dtype: conj of a real stack is the stack itself.
     """
     n = stack.shape[1]
     block = stack[:, :, 1:]
@@ -111,9 +125,11 @@ class _EdgeOps:
     """Per-edge data that one engine reads for every pattern.
 
     The classical engine reads only ``w``; the quantum and dual engines
-    read only the Kraus family, so each engine builds only its own. Every
-    array is read-only, because ``_edge_ops`` hands the same entry to every
-    caller.
+    read only the Kraus family, so each engine builds only its own. The
+    Kraus arrays share the stack's dtype: float64 for a real family, as
+    every built-in one is, complex128 otherwise (see ``_embed_stack``).
+    Every array is read-only, because ``_edge_ops`` hands the same entry to
+    every caller.
     """
 
     w: np.ndarray | None = None         # likelihood propagation matrix M^T
@@ -178,8 +194,9 @@ def _kraus_propagate(diag: np.ndarray, transfer: np.ndarray, out=None) -> np.nda
     """Batched operator sum sum_k A_k diag(0, d_p) A_k^dagger, shape (n, n, P).
 
     ``diag`` is (n-1, P): each column the diagonal of one input operator over
-    the non-null characters. ``out``, if given, is an (n*n, P) complex array
-    to write into.
+    the non-null characters. The result has the result type of ``transfer``
+    and ``diag``: real for a real Kraus family. ``out``, if given, is an
+    (n*n, P) array of that type to write into.
     """
     n = transfer.shape[1] + 1
     return np.matmul(transfer, diag, out=out).reshape(n, n, diag.shape[1])
@@ -232,8 +249,9 @@ def _quantum_node(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps,
                   work: np.ndarray) -> np.ndarray:
     """The pruning circuit on two children's likelihood operators, one column per pattern.
 
-    ``work`` is a zeroed (3, n*n, P) complex array that every node of one
-    call reuses for the two propagated operators and their pinch.
+    ``work`` is a zeroed (3, n*n, P) array, of the transfer forms' result
+    type, that every node of one call reuses for the two propagated
+    operators and their pinch. ``.real`` is a view for a real work array.
     """
     rho_b = _kraus_propagate(lb, eb.transfer, out=work[0])
     rho_c = _kraus_propagate(lc, ec.transfer, out=work[1])
@@ -355,7 +373,12 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
         # Three pattern-sized operator stacks per call, not per node: freeing
         # them at every node let glibc trim the heap and fault the pages back
         # in at the next, up to 1.8x the time of a 300-pattern quantum call.
-        work = np.zeros((3, (tree.n_states + 1) ** 2, len(patterns)), dtype=complex)
+        # On DNA with 300 patterns that is 3 x 25 x 300 float64 (176 KiB) for
+        # real Kraus families. One complex edge makes the array complex128
+        # (352 KiB): a complex product written into a real buffer would lose
+        # its imaginary part.
+        dtype = np.result_type(*{edge.transfer.dtype for edge in edges[1:]})
+        work = np.zeros((3, (tree.n_states + 1) ** 2, len(patterns)), dtype=dtype)
         node_step = functools.partial(_quantum_node, work=work)
 
     (lb, log_b), (lc, log_c) = _reduce_below_root(tree.kids, values, edges, node_step)
@@ -364,6 +387,12 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
     if engine == "dual":
         root_values, nu = _dual_root(lb, lc, eb, ec, tree.pi)
         nu = (nu * np.exp(log_b))[inverse]
+    elif engine == "quantum":
+        # The pi-weighted rows summed in character order, not a matrix
+        # product: numpy hands a contiguous real array to BLAS, which may fuse
+        # multiply and add, and the strided real part of a complex array to
+        # its own loop, so the two fields would round differently.
+        root_values = (tree.pi[:, None] * node_step(lb, lc, eb, ec)).sum(axis=0)
     else:
         root_values = tree.pi @ node_step(lb, lc, eb, ec)
     zero = root_values[inverse] <= 0.0

@@ -179,8 +179,11 @@ def _null_fixed(ops) -> np.ndarray:
     """Operators on the non-null characters, embedded in the (k+1)-dim slot.
 
     The first also carries |0><0|, so the family holds the null level fixed.
+    The family stays complex even where the engine's real form would do, so
+    the dense references check the engines' real kernels against complex
+    gates.
     """
-    out = _embed_stack(ops)
+    out = _embed_stack(ops).astype(complex)
     out[0, 0, 0] = 1.0
     return out
 

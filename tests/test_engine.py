@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from qphylo.channels import KrausChannel, apply_channel, collective_diagonalizer
 from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _EdgeOps, _adjoint_state, _classical_node,
                            _collective_pinch, _diagonal, _dual_root, _inverse_control_shift,
                            _kraus_propagate, _pinch_weights, _quantum_node, _trace_second_slot,
-                           alignment_loglik, simulate_tree)
+                           _transfer, alignment_loglik, simulate_tree)
 from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
 from qphylo.models import FAMILIES, ModelParams, markov, prune_matrix, prune_operators
 from qphylo.optimize import OptimizationProblem, maximize_loglik, tree_with_shared_params
@@ -377,11 +379,14 @@ class TestEdgeCache:
         assert info.misses > info.maxsize
         assert info.currsize <= info.maxsize
 
-    def test_cached_arrays_are_read_only(self, builds):
+    def test_cached_arrays_are_read_only(self, rng, builds):
         params = ModelParams.felsenstein(0.3, (0.1, 0.2, 0.3, 0.4))
         (classical,) = engine._edge_ops((params,), True)
         (kraus,) = engine._edge_ops((params,), False)
-        for array in (classical.w, kraus.stack, kraus.transfer, kraus.adjoint):
+        unitary = _EdgeOps.from_kraus([random_unitary(rng, 4)])
+        assert kraus.stack.dtype == np.float64 and unitary.stack.dtype == np.complex128
+        for array in (classical.w, kraus.stack, kraus.transfer, kraus.adjoint,
+                      unitary.stack, unitary.transfer, unitary.adjoint):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
 
@@ -393,6 +398,103 @@ class TestEdgeCache:
         warm = [json.dumps(alignment_loglik(tree, aln, engine=e).to_document())
                 for e in reversed(ENGINES)]
         assert cold == warm[::-1]
+
+
+def complex_edge_ops(ops: _EdgeOps) -> _EdgeOps:
+    """The same edge rebuilt from its stack cast to complex128."""
+    stack = ops.stack.astype(complex)
+    return _EdgeOps(stack=stack, transfer=_transfer(stack))
+
+
+PI = (0.1, 0.2, 0.3, 0.4)
+# Draws where Kraus operators drop out: a zero flip weight, or F without its identity or instruments.
+BOUNDARY_PARAMS = (ModelParams.jc(0.0), ModelParams.binary(0.0), ModelParams.binary(1.0),
+                   ModelParams.felsenstein(0.0, PI), ModelParams.felsenstein(1.0, PI))
+
+
+class TestRealField:
+    """Real Kraus families run in float64, pinned bit for bit to their complex form."""
+
+    @pytest.mark.parametrize("params", [
+        *(random_params(np.random.default_rng(seed), family)
+          for seed in range(3) for family in FAMILIES),
+        *BOUNDARY_PARAMS,
+    ], ids=lambda params: f"{params.family}-a={params.a:.3g}")
+    def test_real_forms_are_the_real_parts_of_the_complex_forms(self, params):
+        real = _EdgeOps.for_params(params, "quantum")
+        assert np.array_equal(real.stack[:, 1:, 1:], np.array(prune_operators(params)))
+        full = complex_edge_ops(real)
+        for name in ("stack", "transfer", "adjoint"):
+            value, reference = getattr(real, name), getattr(full, name)
+            assert value.dtype == np.float64 and reference.dtype == np.complex128
+            assert value.tobytes() == reference.real.tobytes()
+            assert not reference.imag.any()
+
+    @pytest.mark.parametrize("unitary", [jc_unitary(0.05), jc_unitary(0.1),
+                                         random_unitary(np.random.default_rng(3), 4)])
+    def test_complex_operators_stay_complex(self, unitary):
+        ops = _EdgeOps.from_kraus([unitary])
+        for array in (ops.stack, ops.transfer, ops.adjoint):
+            assert array.dtype == np.complex128
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.sampled_from(FAMILIES))
+    def test_whole_tree_reports_match_the_complex_run_bytewise(self, seed, n_leaves, family):
+        rng = np.random.default_rng(seed)
+        tree, aln = random_instance(rng, n_leaves, family, n_sites=6)
+        tree = dataclasses.replace(tree, root_pi=rng.dirichlet(np.ones(tree.n_states)))
+        real = [json.dumps(alignment_loglik(tree, aln, engine=e).to_document())
+                for e in ("quantum", "dual")]
+        cached = engine._edge_ops
+        rebuilt = []
+
+        def complex_edges(edge_params, classical):
+            edges = tuple(map(complex_edge_ops, cached(edge_params, classical)))
+            rebuilt.extend(edges)
+            return edges
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_edge_ops", complex_edges)
+            full = [json.dumps(alignment_loglik(tree, aln, engine=e).to_document())
+                    for e in ("quantum", "dual")]
+        assert {edge.transfer.dtype for edge in rebuilt} == {np.dtype(complex)}
+        assert real == full
+
+    @pytest.mark.parametrize("slot", range(1, 7))
+    def test_complex_edge_runs_the_complex_branch(self, monkeypatch, slot):
+        # |jc_unitary(a)|^2 = markov(JC(a)), so one edge's complex-phase unitary
+        # must leave every site's likelihood where the real JC family puts it.
+        tree = parse_newick("((A[&model=JC,a=0.1],B[&model=JC,a=0.2])[&model=JC,a=0.05],"
+                            "(C[&model=JC,a=0.15],D[&model=JC,a=0.08])[&model=JC,a=0.12]);")
+        aln = Alignment(taxa=("A", "B", "C", "D"),
+                        data=np.random.default_rng(slot).integers(0, 4, (4, 40)), alphabet=DNA)
+        classical = alignment_loglik(tree, aln).log
+        cached = engine._edge_ops
+
+        def one_complex_edge(edge_params, is_classical):
+            edges = list(cached(edge_params, is_classical))
+            if not is_classical:
+                edges[slot - 1] = _EdgeOps.from_kraus([jc_unitary(tree.nodes[slot].params.a)])
+            return tuple(edges)
+
+        real_node = engine._quantum_node
+        work_dtypes = []
+
+        def recording_node(*args, work):
+            work_dtypes.append(work.dtype)
+            return real_node(*args, work=work)
+
+        monkeypatch.setattr(engine, "_quantum_node", recording_node)
+        for name in ("quantum", "dual"):
+            alignment_loglik(tree, aln, engine=name)
+        assert set(work_dtypes) == {np.dtype(np.float64)}
+        work_dtypes.clear()
+        monkeypatch.setattr(engine, "_edge_ops", one_complex_edge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            for name in ("quantum", "dual"):
+                logs = alignment_loglik(tree, aln, engine=name).log
+                assert np.abs(logs - classical).max() < 1e-12
+        assert set(work_dtypes) == {np.dtype(np.complex128)}
 
 
 class TestAlignmentLoglik:

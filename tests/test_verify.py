@@ -70,6 +70,16 @@ def test_dense_pruning_reads_sites_by_taxon_name():
     assert np.array_equal(dense_pruning(tree, aln), dense_pruning(tree, flipped))
 
 
+def test_dense_references_keep_complex_operators():
+    # The engines run real families in float64; the gate-level references
+    # stay complex, so the dense suites compare the two fields.
+    rng = np.random.default_rng(SEED)
+    for family in models.FAMILIES:
+        params = random_params(rng, family)
+        assert verify._null_fixed(models.prune_operators(params)).dtype == np.complex128
+        assert verify._edge_gate(params).dtype == np.complex128
+
+
 def _identity_pinch(n):
     return KrausChannel((linalg.identity(n * n),))
 
