@@ -20,28 +20,27 @@ from .linalg import ProbabilityTensor
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive map given by a finite list of square operators.
+    """A completely positive map given by a (K, d, d) stack of square operators.
 
-    Channels constructed in this module are trace preserving (the operators
-    resolve identity to better than 1e-12) unless ``trace_preserving`` is
-    False, which flags a deliberate pinching like the collective
-    diagonalizer.
+    The stack is stored as one read-only complex128 array. Channels
+    constructed in this module are trace preserving (the operators resolve
+    identity to better than 1e-12) unless ``trace_preserving`` is False,
+    which flags a deliberate pinching like the collective diagonalizer.
     """
 
-    operators: tuple
+    operators: np.ndarray
     label: str = ""
     trace_preserving: bool = True
 
     def __post_init__(self):
-        ops = tuple(linalg.as_matrix(k) for k in self.operators)
-        if not ops:
-            raise ShapeMismatchError("channel needs at least one operator")
-        dim = ops[0].shape[0]
-        for k in ops:
-            if k.shape != (dim, dim):
-                raise ShapeMismatchError(f"all Kraus operators must be {dim}x{dim}, got {k.shape}")
-        for k in ops:
-            k.setflags(write=False)
+        try:
+            ops = np.array(self.operators, dtype=complex)
+        except ValueError as exc:  # operators of different shapes do not stack
+            raise ShapeMismatchError(f"Kraus operators do not stack: {exc}") from None
+        if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
+            raise ShapeMismatchError(f"a channel needs a nonempty stack of square operators, "
+                                     f"got shape {ops.shape}")
+        ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
         if self.trace_preserving:
             dev = self.completeness_defect()
@@ -50,10 +49,10 @@ class KrausChannel:
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
 
     def completeness_defect(self) -> float:
-        acc = sum(k.conj().T @ k for k in self.operators)
+        acc = (self.operators.conj().transpose(0, 2, 1) @ self.operators).sum(axis=0)
         return linalg.max_abs(acc - linalg.identity(self.dim))
 
 
@@ -101,15 +100,20 @@ def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
     rho = linalg.as_matrix(rho)
     if rho.shape != (ch.dim, ch.dim):
         raise ShapeMismatchError(f"state is {rho.shape}, channel acts on dim {ch.dim}")
-    out = np.zeros_like(rho)
-    for k in ch.operators:
-        out += k @ rho @ k.conj().T
-    return out
+    ops = ch.operators
+    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def _require_dim(n: int):
     if n < 2:
         raise ShapeMismatchError(f"need dimension >= 2, got {n}")
+
+
+def _projectors(levels: np.ndarray, dim: int) -> np.ndarray:
+    """The stack of basis projectors |l><l| on a dim-dimensional space, one per level."""
+    ops = np.zeros((len(levels), dim, dim), dtype=complex)
+    ops[np.arange(len(levels)), levels, levels] = 1.0
+    return ops
 
 
 def diagonalizer(n: int) -> KrausChannel:
@@ -119,7 +123,7 @@ def diagonalizer(n: int) -> KrausChannel:
     identity, so the channel is exactly trace preserving and idempotent.
     """
     _require_dim(n)
-    return KrausChannel(tuple(linalg.projector(k, n) for k in range(n)), label=f"diagonalizer({n})")
+    return KrausChannel(_projectors(np.arange(n), n), label=f"diagonalizer({n})")
 
 
 def diagonalizer_fourier(n: int) -> KrausChannel:
@@ -131,11 +135,10 @@ def diagonalizer_fourier(n: int) -> KrausChannel:
     """
     _require_dim(n)
     omega = np.exp(2j * np.pi / n)
-    ops = []
-    for k in range(n):
-        u = np.diag(omega ** (k * np.arange(n)))
-        ops.append(np.sqrt(1.0 / n) * u)
-    return KrausChannel(tuple(ops), label=f"diagonalizer_fourier({n})")
+    levels = np.arange(n)
+    ops = np.zeros((n, n, n), dtype=complex)
+    ops[:, levels, levels] = np.sqrt(1.0 / n) * omega ** np.outer(levels, levels)
+    return KrausChannel(ops, label=f"diagonalizer_fourier({n})")
 
 
 def collective_diagonalizer(n: int) -> KrausChannel:
@@ -146,8 +149,8 @@ def collective_diagonalizer(n: int) -> KrausChannel:
     completeness invariant is deliberately waived via the flag.
     """
     _require_dim(n)
-    ops = tuple(linalg.kron(linalg.projector(k, n), linalg.projector(k, n)) for k in range(n))
-    return KrausChannel(ops, label=f"collective_diagonalizer({n})", trace_preserving=False)
+    return KrausChannel(_projectors((n + 1) * np.arange(n), n * n),
+                        label=f"collective_diagonalizer({n})", trace_preserving=False)
 
 
 def control_not(n: int) -> np.ndarray:

@@ -24,12 +24,13 @@ non-null characters. Every kernel therefore runs along the P patterns.
   factor nu of the left child is recorded.
 
 The quantum and dual engines compute in the field of their Kraus operators.
-Every family qphylo parses has real ones (the flips are permutation
-matrices, and F's instruments are real), so its stacks, transfer forms and
-work arrays are float64. A family with a complex operator, such as a
-unitary with a phase, runs the same kernels in complex128 and keeps the real
-part of each result. ``verify``'s dense references stay complex, so its
-dense-pruning suite checks the real engine against complex gates.
+``models`` builds every family qphylo parses as a real stack (the flips are
+permutation matrices, and F's instruments are real), so its stacks,
+transfer forms and work arrays are float64. A family with a complex
+operator, such as a unitary with a phase, runs the same kernels in
+complex128 and keeps the real part of each result. ``verify``'s dense
+references stay complex, so its dense-pruning suite checks the real engine
+against complex gates.
 
 Each node below the root is divided by its per-pattern maximum, and the
 logs of the divisors accumulate per pattern, as in standard pruning codes
@@ -52,7 +53,7 @@ from . import linalg
 from .channels import split_at
 from .errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
 from .linalg import ProbabilityTensor
-from .models import ModelParams, markov, prune_matrix, prune_operators
+from .models import markov, prune_matrix, prune_operators
 from .treeio import Alignment, PhyloTree, SplitGate, compile_circuit, emit_newick
 
 ENGINES = ("classical", "quantum", "dual")
@@ -89,21 +90,16 @@ def simulate_tree(tree: PhyloTree) -> ProbabilityTensor:
 # --- Per-edge data -----------------------------------------------------------
 
 
-def _embed_stack(ops) -> np.ndarray:
-    """Stack operators over the non-null block, extended by a zero null row and column.
+def _embed_stack(stack: np.ndarray) -> np.ndarray:
+    """A (K, m, m) Kraus stack extended by a zero null row and column, in its own dtype.
 
     Likelihood operators carry no weight on the null character, so the
-    corner never reaches a result. The stack is float64 when every
-    operator's imaginary part is exactly zero, as for every family qphylo
-    parses, and complex128 otherwise, so the transfer forms built from it
+    corner never reaches a result. The transfer forms built from the stack
     and the kernels that read them run in the operators' own field.
     """
-    ops = np.array([linalg.as_matrix(op) for op in ops])
-    if not ops.imag.any():
-        ops = ops.real
-    m = ops.shape[1]
-    out = np.zeros((len(ops), m + 1, m + 1), dtype=ops.dtype)
-    out[:, 1:, 1:] = ops
+    k, m, _ = stack.shape
+    out = np.zeros((k, m + 1, m + 1), dtype=stack.dtype)
+    out[:, 1:, 1:] = stack
     return out
 
 
@@ -122,24 +118,19 @@ def _transfer(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _EdgeOps:
-    """Per-edge data that one engine reads for every pattern.
+    """The forms of one edge's Kraus family that the quantum and dual engines read.
 
-    The classical engine reads only ``w``; the quantum and dual engines
-    read only the Kraus family, so each engine builds only its own. The
-    Kraus arrays share the stack's dtype: float64 for a real family, as
-    every built-in one is, complex128 otherwise (see ``_embed_stack``).
-    Every array is read-only, because ``_edge_ops`` hands the same entry to
-    every caller.
+    Every array has the dtype of the family: float64 for a real family, as
+    every built-in one is, complex128 otherwise. Every array is read-only,
+    because ``_edge_ops`` hands the same entry to every caller.
     """
 
-    w: np.ndarray | None = None         # likelihood propagation matrix M^T
-    stack: np.ndarray | None = None     # embedded Kraus family
-    transfer: np.ndarray | None = None  # _transfer(stack)
+    stack: np.ndarray     # embedded Kraus family
+    transfer: np.ndarray  # _transfer(stack)
 
     def __post_init__(self):
-        for value in (self.w, self.stack, self.transfer):
-            if value is not None:
-                value.setflags(write=False)
+        self.stack.setflags(write=False)
+        self.transfer.setflags(write=False)
 
     @functools.cached_property
     def adjoint(self) -> np.ndarray:
@@ -153,31 +144,33 @@ class _EdgeOps:
         return adjoint
 
     @classmethod
-    def for_params(cls, params: ModelParams, engine: str) -> "_EdgeOps":
-        if engine == "classical":
-            return cls(w=prune_matrix(params))
-        return cls.from_kraus(prune_operators(params))
-
-    @classmethod
-    def from_kraus(cls, ops) -> "_EdgeOps":
+    def from_kraus(cls, ops: np.ndarray) -> "_EdgeOps":
+        """The forms of a (K, m, m) Kraus stack, in the stack's own field."""
         stack = _embed_stack(ops)
-        return cls(stack=stack, transfer=_transfer(stack))
+        return cls(stack, _transfer(stack))
 
 
 @functools.lru_cache(maxsize=4)
 def _edge_ops(edge_params: tuple, classical: bool) -> tuple:
     """The operators of a tree's edges, in pre-order, for the classical or the Kraus engines.
 
-    Each distinct parameter value is built once, so a shared-parameter tree
-    builds one entry. The key is the edges' parameter values, so the same
-    tree evaluated again (on another alignment, by the dual engine after the
-    quantum one, or parsed again from the same text) builds nothing; the
-    quantum and dual engines share the Kraus entry. Four entries hold both
-    kinds for two trees, whatever their size, and each is the edge list
-    that one call would build anyway.
+    A classical entry is the edge's read-only W = M^T, a Kraus entry its
+    ``_EdgeOps``. Each distinct parameter value is built once, so a
+    shared-parameter tree builds one entry. The key is the edges' parameter
+    values, so the same tree evaluated again (on another alignment, by the
+    dual engine after the quantum one, or parsed again from the same text)
+    builds nothing; the quantum and dual engines share the Kraus entry. Four
+    entries hold both kinds for two trees, whatever their size, and each is
+    the edge list that one call would build anyway.
     """
-    engine = "classical" if classical else "quantum"
-    built = {params: _EdgeOps.for_params(params, engine) for params in dict.fromkeys(edge_params)}
+    built = {}
+    for params in dict.fromkeys(edge_params):
+        if classical:
+            entry = prune_matrix(params)
+            entry.setflags(write=False)
+        else:
+            entry = _EdgeOps.from_kraus(prune_operators(params))
+        built[params] = entry
     return tuple(built[params] for params in edge_params)
 
 
@@ -240,9 +233,9 @@ def _trace_second_slot(diag: np.ndarray) -> np.ndarray:
     return diag.reshape(n, n, p).sum(axis=1)
 
 
-def _classical_node(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps) -> np.ndarray:
+def _classical_node(lb: np.ndarray, lc: np.ndarray, wb: np.ndarray, wc: np.ndarray) -> np.ndarray:
     """Parent vectors (W_B L_B) o (W_C L_C), one column per pattern."""
-    return (eb.w @ lb) * (ec.w @ lc)
+    return (wb @ lb) * (wc @ lc)
 
 
 def _quantum_node(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps,

@@ -37,7 +37,7 @@ _EDGE = 1e-12
 # b = 1 (x) X and c = X (x) X.
 _XOR = {n: np.bitwise_xor.outer(np.arange(n), np.arange(n)) for n in (2, 4)}
 _FLIP_INDEX = {2: (1,), 4: (2, 1, 3)}
-_FLIPS = {n: (xor == np.arange(n)[:, None, None]).astype(complex) for n, xor in _XOR.items()}
+_FLIPS = {n: (xor == np.arange(n)[:, None, None]).astype(float) for n, xor in _XOR.items()}
 # sum_g |g><g| (x) X_g on coin (x) walker space: the block-diagonal control
 # of qw_dilation, blocks _FLIPS[4] in order.
 _CONTROLLED_FLIPS = np.einsum("gh,gij->gihj", np.eye(4), _FLIPS[4]).reshape(16, 16)
@@ -198,15 +198,15 @@ def flip_weights(params: ModelParams) -> np.ndarray:
     return np.maximum(w, 0.0, out=w)
 
 
-def _flip_kraus(w: np.ndarray) -> tuple:
-    """The operators sqrt(w_g) X_g of the flips with positive weight."""
-    flips = _FLIPS[w.size]
-    return tuple(math.sqrt(x) * flips[g] for g, x in enumerate(w) if x > 0.0)
+def _flip_kraus(w: np.ndarray) -> np.ndarray:
+    """The real stack of operators sqrt(w_g) X_g of the flips with positive weight."""
+    keep = w > 0.0
+    return np.sqrt(w[keep])[:, None, None] * _FLIPS[w.size][keep]
 
 
 def bitflip_unitary(k: int, l: int) -> np.ndarray:
     """X^k (x) X^l on the 4-state space; permutes m to m XOR (2k+l)."""
-    return _FLIPS[4][2 * k + l].copy()
+    return _FLIPS[4][2 * k + l].astype(complex)
 
 
 def bitflip_generator(k: int, l: int) -> np.ndarray:
@@ -245,17 +245,17 @@ def group_channel(params: ModelParams) -> KrausChannel:
     return KrausChannel(_flip_kraus(flip_weights(params)), label=f"{params.family}_channel")
 
 
-def felsenstein_instruments(pi) -> tuple:
-    """The 16 single-entry operators sqrt(pi_j) |i><j|.
+def felsenstein_instruments(pi) -> np.ndarray:
+    """The real (16, 4, 4) stack of single-entry operators sqrt(pi_j) |i><j|.
 
     In the observable orientation their operator sum has diagonal action
     L -> 1 <pi, L>; together with sqrt(a) 1 they propagate likelihoods for
     the F model.
     """
     i, j = np.divmod(np.arange(16), 4)
-    ops = np.zeros((16, 4, 4), dtype=complex)
+    ops = np.zeros((16, 4, 4))
     ops[np.arange(16), i, j] = np.sqrt(np.asarray(pi, dtype=float))[j]
-    return tuple(ops)
+    return ops
 
 
 @dataclass(frozen=True)
@@ -344,20 +344,20 @@ def prune_matrix(params: ModelParams) -> np.ndarray:
     return markov(params).T.copy()
 
 
-def prune_operators(params: ModelParams) -> tuple:
-    """Kraus operators whose squared moduli column-wise sum to prune_matrix.
+def prune_operators(params: ModelParams) -> np.ndarray:
+    """Real (K, m, m) Kraus stack whose squared moduli column-wise sum to prune_matrix.
 
     For any diagonal likelihood operator L, the diagonal of sum_k A_k L A_k^+
     equals prune_matrix(params) @ diag(L); this is the per-edge propagator of
     the quantum pruning circuit. The flip families give the operators of
-    their channels; F adds sqrt(a) 1 to the scaled instruments.
+    their channels; F puts sqrt(a) 1 before the scaled instruments, and
+    drops either part when its weight is 0.
     """
     if params.family != "F":
         return _flip_kraus(flip_weights(params))
-    ops = []
+    parts = []
     if params.a > 0.0:
-        ops.append(math.sqrt(params.a) * linalg.identity(4))
+        parts.append(math.sqrt(params.a) * np.eye(4)[None])
     if params.a < 1.0:
-        scale = math.sqrt(1.0 - params.a)
-        ops.extend(scale * f for f in felsenstein_instruments(params.pi))
-    return tuple(ops)
+        parts.append(math.sqrt(1.0 - params.a) * felsenstein_instruments(params.pi))
+    return np.concatenate(parts)

@@ -472,10 +472,6 @@ class Alignment:
         object.__setattr__(self, "taxa", tuple(self.taxa))
 
     @property
-    def n_taxa(self) -> int:
-        return len(self.taxa)
-
-    @property
     def n_sites(self) -> int:
         return self.data.shape[1]
 

@@ -46,12 +46,6 @@ def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def random_params(rng: np.random.Generator, family: str) -> ModelParams:
     if family == "JC":
         return ModelParams.jc(rng.uniform(0.0, 1.0 / 3.0))
@@ -175,8 +169,8 @@ def suite_pruning_equivalence(rng: np.random.Generator, instances: int = 60,
     return SuiteResult("pruning engine equivalence", worst, 1e-8)
 
 
-def _null_fixed(ops) -> np.ndarray:
-    """Operators on the non-null characters, embedded in the (k+1)-dim slot.
+def _null_fixed(ops: np.ndarray) -> np.ndarray:
+    """A (K, k, k) stack on the non-null characters, embedded in the (k+1)-dim slot.
 
     The first also carries |0><0|, so the family holds the null level fixed.
     The family stays complex even where the engine's real form would do, so
@@ -197,7 +191,7 @@ def _edge_gate(params: ModelParams) -> np.ndarray:
     its pruning family.
     """
     if params.family == "F":
-        return _null_fixed([op.conj().T for op in prune_operators(params)])
+        return _null_fixed(prune_operators(params).conj().transpose(0, 2, 1))
     dil = _dilation(params)
     coin = int(np.argmax(np.diag(dil.coin_state).real))
     v = dil.unitary.reshape(dil.coin_dim, dil.walker_dim, dil.coin_dim, dil.walker_dim)

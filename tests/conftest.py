@@ -2,7 +2,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from qphylo.verify import random_density, random_unitary  # noqa: F401  (re-exported to the test modules)
+from qphylo.verify import random_density  # noqa: F401  (re-exported to the test modules)
 
 hypothesis.settings.register_profile("suite", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("suite")
@@ -16,3 +16,9 @@ def rng():
 def random_complex(rng, n, m=None):
     m = n if m is None else m
     return rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+
+
+def random_unitary(rng, n):
+    """A random n x n unitary: the QR factor of a complex Gaussian matrix, phases fixed by R."""
+    q, r = np.linalg.qr(random_complex(rng, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))

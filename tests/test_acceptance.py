@@ -17,9 +17,11 @@ from qphylo.linalg import ProbabilityTensor
 from qphylo.models import ModelParams, bitflip_unitary, flip_weights, markov
 from qphylo.qwalk import WalkConfig, closed_form_two_taxon, coin_distribution, evolve_taxa_qw
 from qphylo.treeio import DNA, Alignment, TreeNode, PhyloTree, parse_newick
-from qphylo.verify import (random_params, random_unitary, suite_dilation_unitarity,
-                           suite_dilation_vs_channel, suite_flip_generators,
-                           suite_fourier_equivalence, suite_pruning_equivalence)
+from qphylo.verify import (random_params, suite_dilation_unitarity, suite_dilation_vs_channel,
+                           suite_flip_generators, suite_fourier_equivalence,
+                           suite_pruning_equivalence)
+
+from conftest import random_unitary
 
 RNG_SEED = 20240809
 

@@ -17,12 +17,36 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)  # |+><+|
 
 class TestKrausChannel:
     def test_rejects_incomplete_operators(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not trace preserving"):
             KrausChannel((0.5 * np.eye(2),), label="broken")
 
     def test_rejects_mixed_dimensions(self):
-        with pytest.raises(ShapeMismatchError):
-            KrausChannel((np.eye(2), np.eye(3)))
+        # Mixed sizes, a non-square operator, no operator, a 1-d one, and a ragged pair.
+        for operators in ((np.eye(2), np.eye(3)), (np.ones((2, 3)),), (), (np.ones(3),),
+                          (np.ones(2), np.eye(2))):
+            with pytest.raises(ShapeMismatchError):
+                KrausChannel(operators)
+
+    def test_operators_are_one_read_only_complex_stack(self):
+        ch = KrausChannel((np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.real(PAULI_X)))
+        assert ch.operators.shape == (2, 2, 2) and ch.operators.dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            ch.operators[0, 0, 0] = 1.0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 6), st.booleans())
+    def test_stack_forms_equal_the_per_operator_loops(self, seed, dim, count, is_complex):
+        rng = np.random.default_rng(seed)
+        ops = rng.normal(size=(count, dim, dim))
+        if is_complex:
+            ops = ops + 1j * rng.normal(size=(count, dim, dim))
+        ch = KrausChannel(ops, trace_preserving=False)
+        rho = random_complex(rng, dim)
+        out = np.zeros((dim, dim), dtype=complex)
+        for k in ch.operators:
+            out += k @ rho @ k.conj().T
+        assert np.array_equal(apply_channel(ch, rho), out)
+        completeness = sum(k.conj().T @ k for k in ch.operators)
+        assert ch.completeness_defect() == linalg.max_abs(completeness - linalg.identity(dim))
 
     def test_identity_channel(self, rng):
         rho = random_density(rng, 2)

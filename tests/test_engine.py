@@ -97,7 +97,7 @@ class TestSimulateTree:
 
 def classical_pair(lb, lc, mb, mc):
     """One classical node step at P = 1, W = M^T per edge."""
-    return _classical_node(lb[:, None], lc[:, None], _EdgeOps(w=mb.T), _EdgeOps(w=mc.T))[:, 0]
+    return _classical_node(lb[:, None], lc[:, None], mb.T, mc.T)[:, 0]
 
 
 def jc_unitary(a):
@@ -115,8 +115,8 @@ def jc_unitary(a):
 def quantum_pair(lb, lc, ub, uc):
     """One pruning-circuit node step at P = 1, one unitary per edge."""
     work = np.zeros((3, (len(lb) + 1) ** 2, 1), dtype=complex)
-    return _quantum_node(lb[:, None], lc[:, None], _EdgeOps.from_kraus([ub]), _EdgeOps.from_kraus([uc]),
-                         work)[:, 0]
+    return _quantum_node(lb[:, None], lc[:, None], _EdgeOps.from_kraus(ub[None]),
+                         _EdgeOps.from_kraus(uc[None]), work)[:, 0]
 
 
 JC_WEIGHTS = (0.0, 0.05, 0.1, 0.25)
@@ -186,7 +186,7 @@ class TestDualPrune:
     def test_identity_edges_pinch_onto_left_support(self, rng):
         lc = rng.random(4)
         pi = rng.dirichlet(np.ones(4))
-        eye = _EdgeOps.from_kraus([np.eye(4)])
+        eye = _EdgeOps.from_kraus(np.eye(4)[None])
         q, nu = _pinch_weights(A[:, None], eye)
         assert nu[0] == 1.0
         assert np.abs(q[:, 0] - [0.0, 1.0, 0.0, 0.0, 0.0]).max() < 1e-14
@@ -195,13 +195,13 @@ class TestDualPrune:
 
     def test_frozen_jc_cherry_recovers_circuit_result(self):
         # A point-mass root reads off one entry of the parent operator nu * E_B(L_C).
-        edge = _EdgeOps.from_kraus([jc_unitary(0.1)])
+        edge = _EdgeOps.from_kraus(jc_unitary(0.1)[None])
         out = [_dual_root(A[:, None], C[:, None], edge, edge, root)[0][0] for root in np.eye(4)]
         assert np.abs(np.array(out) - [0.07, 0.07, 0.01, 0.01]).max() < 1e-10
 
     def test_jc_cherry_averages_classical_node_over_root(self, rng):
         for a in JC_WEIGHTS:
-            edge, m = _EdgeOps.from_kraus([jc_unitary(a)]), markov(ModelParams.jc(a))
+            edge, m = _EdgeOps.from_kraus(jc_unitary(a)[None]), markov(ModelParams.jc(a))
             for _ in range(20):
                 lb, lc = rng.random(4), rng.random(4)
                 pi = rng.dirichlet(np.ones(4))
@@ -223,8 +223,8 @@ class TestDualPrune:
             ub = random_unitary(rng, 4)
             q = np.diag(ub @ np.diag(lb).astype(complex) @ ub.conj().T).real / nu
             rho = random_density(rng, 4)
-            pinch, _ = _pinch_weights(lb[:, None], _EdgeOps.from_kraus([ub]))
-            evolved = _diagonal(_kraus_propagate(lc[:, None], _EdgeOps.from_kraus([uc]).transfer)).real
+            pinch, _ = _pinch_weights(lb[:, None], _EdgeOps.from_kraus(ub[None]))
+            evolved = _diagonal(_kraus_propagate(lc[:, None], _EdgeOps.from_kraus(uc[None]).transfer)).real
             forward = (pinch * evolved)[1:, 0]
             lhs = float(forward @ np.diag(rho).real)
             adjoint = uc.conj().T @ np.diag(q * np.diag(rho)) @ uc
@@ -238,8 +238,8 @@ class TestSparseGates:
     def test_kraus_propagation_matches_apply_channel(self, rng):
         for family in ("JC", "K2", "K3", "B", "F"):
             for _ in range(5):
-                ops = _EdgeOps.for_params(random_params(rng, family), "quantum")
-                channel = KrausChannel(tuple(ops.stack), trace_preserving=False)
+                ops = _EdgeOps.from_kraus(prune_operators(random_params(rng, family)))
+                channel = KrausChannel(ops.stack, trace_preserving=False)
                 k = ops.stack.shape[1] - 1
                 diags = rng.random((3, k))
                 batched = _kraus_propagate(diags.T, ops.transfer)
@@ -296,7 +296,7 @@ class TestDualRoot:
             ub, uc = random_unitary(rng, 4), random_unitary(rng, 4)
             lb, lc = rng.random((3, 4)), rng.random((3, 4))
             pi = rng.dirichlet(np.ones(4))
-            eb, ec = _EdgeOps.from_kraus([ub]), _EdgeOps.from_kraus([uc])
+            eb, ec = _EdgeOps.from_kraus(ub[None]), _EdgeOps.from_kraus(uc[None])
             q, nu = _pinch_weights(lb.T, eb)
             back = _adjoint_state(q, pi, ec)
             values, nus = _dual_root(lb.T, lc.T, eb, ec, pi)
@@ -314,18 +314,22 @@ class TestDualRoot:
             k = pb.n_states
             lb, lc = rng.random((5, k)), rng.random((5, k))
             pi = rng.dirichlet(np.ones(k))
-            values, _ = _dual_root(lb.T, lc.T, _EdgeOps.for_params(pb, "dual"),
-                                   _EdgeOps.for_params(pc, "dual"), pi)
+            values, _ = _dual_root(lb.T, lc.T, _EdgeOps.from_kraus(prune_operators(pb)),
+                                   _EdgeOps.from_kraus(prune_operators(pc)), pi)
             classical = ((lb @ prune_matrix(pb).T) * (lc @ prune_matrix(pc).T)) @ pi
             assert np.abs(values - classical).max() < 1e-14
 
-    def test_edge_ops_build_only_what_the_engine_reads(self):
-        params = ModelParams.k3(0.1, 0.2, 0.05)
-        classical = _EdgeOps.for_params(params, "classical")
-        assert classical.stack is None and classical.transfer is None
-        quantum = _EdgeOps.for_params(params, "quantum")
-        assert quantum.w is None
-        assert quantum.stack.shape == (len(prune_operators(params)), 5, 5)
+    def test_edge_ops_build_only_what_the_engine_reads(self, rng, builds):
+        tree, aln = random_instance(rng, 4, "K3", n_sites=3)
+        alignment_loglik(tree, aln, engine="classical")
+        assert builds == {"prune_operators": 0, "prune_matrix": 6}
+        alignment_loglik(tree, aln, engine="quantum")
+        assert builds == {"prune_operators": 6, "prune_matrix": 6}
+        params = tree.nodes[1].params
+        (w,) = engine._edge_ops((params,), True)
+        (kraus,) = engine._edge_ops((params,), False)
+        assert np.array_equal(w, prune_matrix(params))
+        assert kraus.stack.shape == (len(prune_operators(params)), 5, 5)
 
 
 @pytest.fixture
@@ -383,9 +387,9 @@ class TestEdgeCache:
         params = ModelParams.felsenstein(0.3, (0.1, 0.2, 0.3, 0.4))
         (classical,) = engine._edge_ops((params,), True)
         (kraus,) = engine._edge_ops((params,), False)
-        unitary = _EdgeOps.from_kraus([random_unitary(rng, 4)])
+        unitary = _EdgeOps.from_kraus(random_unitary(rng, 4)[None])
         assert kraus.stack.dtype == np.float64 and unitary.stack.dtype == np.complex128
-        for array in (classical.w, kraus.stack, kraus.transfer, kraus.adjoint,
+        for array in (classical, kraus.stack, kraus.transfer, kraus.adjoint,
                       unitary.stack, unitary.transfer, unitary.adjoint):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
@@ -410,10 +414,31 @@ PI = (0.1, 0.2, 0.3, 0.4)
 # Draws where Kraus operators drop out: a zero flip weight, or F without its identity or instruments.
 BOUNDARY_PARAMS = (ModelParams.jc(0.0), ModelParams.binary(0.0), ModelParams.binary(1.0),
                    ModelParams.felsenstein(0.0, PI), ModelParams.felsenstein(1.0, PI))
+# A cold Kraus build of these trees must take the field models gives it, coercing nothing.
+FIELD_TREES = (
+    "((A[&model=JC,a=0.1],B[&model=K2,a=0.1,b=0.05])[&model=K3,a=0.1,b=0.05,c=0.02],"
+    "(C[&model=F,a=0.5,pi={0.1,0.2,0.3,0.4}],D[&model=F,a=0,pi={0.1,0.2,0.3,0.4}])"
+    "[&model=F,a=1,pi={0.1,0.2,0.3,0.4}]);",
+    "((A[&model=B,a=0.1],B[&model=B,a=0])[&model=B,a=1],C[&model=B,a=0.3]);",
+)
 
 
 class TestRealField:
     """Real Kraus families run in float64, pinned bit for bit to their complex form."""
+
+    @pytest.mark.parametrize("text", FIELD_TREES, ids=["mixed", "binary"])
+    def test_cold_kraus_build_coerces_nothing(self, monkeypatch, text):
+        def refuse(m):
+            raise AssertionError("the Kraus build called linalg.as_matrix")
+
+        edge_params = tuple(node.params for node in parse_newick(text).nodes[1:])
+        monkeypatch.setattr(linalg, "as_matrix", refuse)
+        engine._edge_ops.cache_clear()
+        try:
+            edges = engine._edge_ops(edge_params, False)
+        finally:
+            engine._edge_ops.cache_clear()
+        assert {edge.stack.dtype for edge in edges} == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("params", [
         *(random_params(np.random.default_rng(seed), family)
@@ -421,8 +446,11 @@ class TestRealField:
         *BOUNDARY_PARAMS,
     ], ids=lambda params: f"{params.family}-a={params.a:.3g}")
     def test_real_forms_are_the_real_parts_of_the_complex_forms(self, params):
-        real = _EdgeOps.for_params(params, "quantum")
-        assert np.array_equal(real.stack[:, 1:, 1:], np.array(prune_operators(params)))
+        ops = prune_operators(params)
+        m = params.n_states
+        assert isinstance(ops, np.ndarray) and ops.dtype == np.float64 and ops.shape[1:] == (m, m)
+        real = _EdgeOps.from_kraus(ops)
+        assert np.array_equal(real.stack[:, 1:, 1:], ops)
         full = complex_edge_ops(real)
         for name in ("stack", "transfer", "adjoint"):
             value, reference = getattr(real, name), getattr(full, name)
@@ -433,7 +461,7 @@ class TestRealField:
     @pytest.mark.parametrize("unitary", [jc_unitary(0.05), jc_unitary(0.1),
                                          random_unitary(np.random.default_rng(3), 4)])
     def test_complex_operators_stay_complex(self, unitary):
-        ops = _EdgeOps.from_kraus([unitary])
+        ops = _EdgeOps.from_kraus(unitary[None])
         for array in (ops.stack, ops.transfer, ops.adjoint):
             assert array.dtype == np.complex128
 
@@ -473,7 +501,7 @@ class TestRealField:
         def one_complex_edge(edge_params, is_classical):
             edges = list(cached(edge_params, is_classical))
             if not is_classical:
-                edges[slot - 1] = _EdgeOps.from_kraus([jc_unitary(tree.nodes[slot].params.a)])
+                edges[slot - 1] = _EdgeOps.from_kraus(jc_unitary(tree.nodes[slot].params.a)[None])
             return tuple(edges)
 
         real_node = engine._quantum_node

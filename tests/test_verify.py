@@ -85,7 +85,7 @@ def _identity_pinch(n):
 
 
 def _adjoint_prune_operators(params):
-    return tuple(op.conj().T for op in models.prune_operators(params))
+    return models.prune_operators(params).conj().transpose(0, 2, 1)
 
 
 @pytest.mark.parametrize("name, swap", [
