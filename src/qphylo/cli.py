@@ -51,6 +51,38 @@ def _write_json(path: Path, doc: dict) -> None:
         f.write("\n")
 
 
+def _json_array(array: np.ndarray, level: int):
+    """``json.dumps(array.tolist(), indent=2)`` nested ``level`` deep, one innermost row per piece.
+
+    Floats are written with ``float.__repr__``, as json writes finite floats.
+    """
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + "]"
+    if array.ndim == 1:
+        yield "[" + inner + ("," + inner).join(map(float.__repr__, array.tolist())) + close
+        return
+    for i, sub in enumerate(array):
+        yield ("," if i else "[") + inner
+        yield from _json_array(sub, level + 1)
+    yield close
+
+
+def _write_json_with_array(path: Path, doc: dict, key: str, array: np.ndarray) -> None:
+    """The bytes ``_write_json`` writes for ``{**doc, key: array.tolist()}``, without that list.
+
+    The other keys come from ``json.dumps``; the array, a top-level value, is
+    streamed one innermost row at a time, so no nested-list copy is built.
+    ``"<key>": null`` cannot occur inside a JSON string, whose quotes are
+    escaped, so it marks where the array goes.
+    """
+    marker = f'"{key}": null'
+    head, _, tail = json.dumps({**doc, key: None}, indent=2, sort_keys=True).partition(marker)
+    with path.open("w", encoding="utf-8") as f:
+        f.write(head + f'"{key}": ')
+        f.writelines(_json_array(array, 1))
+        f.write(tail + "\n")
+
+
 def _read_input(path: str) -> str:
     """Text of an input file; one that cannot be read as UTF-8 text is a parse error."""
     try:
@@ -91,13 +123,12 @@ def cmd_simulate(args) -> int:
     fasta_path = out.with_name(out.name + ".fasta")
     doc_path = out.with_name(out.name + ".patterns.json")
     fasta_path.write_text("\n".join(fasta_lines) + "\n", encoding="utf-8")
-    _write_json(doc_path, {
+    _write_json_with_array(doc_path, {
         "alphabet": tree.alphabet.name,
         "leaves": list(tree.leaf_names),
         "seed": args.seed,
         "sites": args.sites,
-        "pattern_probabilities": tensor.values.tolist(),
-    })
+    }, "pattern_probabilities", tensor.values)
     print(f"simulated {args.sites} sites for {tree.n_leaves} taxa")
     print(f"wrote {fasta_path} and {doc_path}")
     return EXIT_OK

@@ -32,10 +32,18 @@ complex128 and keeps the real part of each result. ``verify``'s dense
 references stay complex, so its dense-pruning suite checks the real engine
 against complex gates.
 
-Each node below the root is divided by its per-pattern maximum, and the
-logs of the divisors accumulate per pattern, as in standard pruning codes
-(Felsenstein 1981; BEAGLE), so that deep trees do not underflow to a false
-zero likelihood.
+Deep trees must not underflow to a false zero likelihood, so a node below
+the root is rescaled when some pattern's maximum falls below 2^-256, as
+RAxML does (Stamatakis 2006): each pattern's column is multiplied by the
+power of two that brings its maximum into [1/2, 1), and the integer
+exponents accumulate per pattern. A power of two scales exactly, so the
+result does not depend on which nodes were rescaled. A node that is not
+rescaled has children whose maxima are at least 2^-256, so its raw product
+keeps 2^-510 of headroom above the smallest normal float64 for its two edge
+factors; dividing every node by its maximum would keep 2^-1022, at four
+more array operations per node. A 32-leaf tree whose edges change state
+with probability 0.05 is never rescaled on 300 random sites; a balanced
+1024-leaf tree is.
 
 All three agree because each edge step, restricted to diagonal operators,
 factors through the same likelihood-propagation matrix W = M^T.
@@ -57,6 +65,10 @@ from .models import markov, prune_matrix, prune_operators
 from .treeio import Alignment, PhyloTree, SplitGate, compile_circuit, emit_newick
 
 ENGINES = ("classical", "quantum", "dual")
+
+# _reduce_below_root rescales a node only when some pattern's maximum is below this.
+_SCALE_FLOOR = 2.0 ** -256
+_LN2 = math.log(2.0)
 
 # simulate_tree refuses, before allocating, an exact pattern tensor larger than
 # this; 12 DNA leaves (128 MiB) run and 14 (2 GiB) are refused.
@@ -311,26 +323,33 @@ class SiteLikelihoodReport:
 
 
 def _reduce_below_root(kids: tuple, values: list, edges: list, node_step):
-    """Reduce every internal node below the root, rescaling as it goes.
+    """Reduce every internal node below the root, rescaling near underflow.
 
     ``kids`` is the tree's pre-order table, read in reverse. ``values`` holds
-    the leaves' (k, P) arrays and is filled in place. Returns the root
-    children as ((array, log-scaler), (array, log-scaler)), where each array
-    times exp(log-scaler) is the unscaled operator.
+    the leaves' (k, P) arrays and is filled in place. A node is rescaled only
+    when some pattern's maximum is below ``_SCALE_FLOOR``: each column is then
+    multiplied by 2^-e, e the binary exponent of its maximum, which is exact.
+    Returns the root children as ((array, exponent), (array, exponent)), where
+    each array times 2^exponent is the unscaled operator; an exponent is the
+    int 0 when no node of that subtree was rescaled, else a per-pattern array.
     """
-    logs = [0.0] * len(values)
+    exponents = [0] * len(values)
     for slot in reversed(range(1, len(values))):
         if not kids[slot]:
             continue
         left, right = kids[slot]
         out = node_step(values[left], values[right], edges[left], edges[right])
+        exponent = exponents[left] + exponents[right]
         scale = out.max(axis=0)
-        scale = np.where(scale > 0.0, scale, 1.0)
-        values[slot] = out / scale
-        logs[slot] = logs[left] + logs[right] + np.log(scale)
+        if scale.min() < _SCALE_FLOOR:
+            shift = np.frexp(scale)[1]
+            out = np.ldexp(out, -shift)
+            exponent = exponent + shift
+        values[slot] = out
+        exponents[slot] = exponent
         values[left] = values[right] = None
     left, right = kids[0]
-    return (values[left], logs[left]), (values[right], logs[right])
+    return (values[left], exponents[left]), (values[right], exponents[right])
 
 
 def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical") -> SiteLikelihoodReport:
@@ -374,12 +393,12 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
         work = np.zeros((3, (tree.n_states + 1) ** 2, len(patterns)), dtype=dtype)
         node_step = functools.partial(_quantum_node, work=work)
 
-    (lb, log_b), (lc, log_c) = _reduce_below_root(tree.kids, values, edges, node_step)
+    (lb, e_b), (lc, e_c) = _reduce_below_root(tree.kids, values, edges, node_step)
     eb, ec = (edges[slot] for slot in tree.kids[0])
     nu = None
     if engine == "dual":
         root_values, nu = _dual_root(lb, lc, eb, ec, tree.pi)
-        nu = (nu * np.exp(log_b))[inverse]
+        nu = np.ldexp(nu, e_b)[inverse]
     elif engine == "quantum":
         # The pi-weighted rows summed in character order, not a matrix
         # product: numpy hands a contiguous real array to BLAS, which may fuse
@@ -391,7 +410,7 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
     zero = root_values[inverse] <= 0.0
     if zero.any():
         raise ZeroLikelihoodError(int(np.argmax(zero)) + 1)
-    logs = (np.log(root_values) + log_b + log_c)[inverse]
+    logs = (np.log(root_values) + (e_b + e_c) * _LN2)[inverse]
     return SiteLikelihoodReport(
         engine=engine,
         likelihood=np.exp(logs),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 from pathlib import Path
@@ -12,6 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qphylo import cli, verify
+from qphylo.engine import simulate_tree
+from qphylo.models import FAMILIES
 
 BALANCED = "((A:0.1,B:0.1):0.05,(C:0.2,D:0.2):0.05);"
 ZERO_CHERRY = "(A:0.0,B:0.0);"
@@ -98,6 +101,21 @@ class TestSimulate:
         z = np.abs(freq - probs) / np.where(sigma > 0, sigma, 1.0)
         assert z.max() < 3.0
 
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from(FAMILIES),
+           st.lists(st.text(), max_size=3))
+    @example(seed=0, n_leaves=2, family="JC", names=['"pattern_probabilities": null'])
+    def test_streamed_patterns_match_write_json_bytewise(self, seed, n_leaves, family, names):
+        # Extra leaf texts, such as '"pattern_probabilities": null', must not move the array.
+        tree, _ = verify.random_instance(np.random.default_rng(seed), n_leaves, family)
+        tensor = simulate_tree(tree).values
+        doc = {"alphabet": tree.alphabet.name, "leaves": [*tree.leaf_names, *names],
+               "seed": seed, "sites": n_leaves}
+        with tempfile.TemporaryDirectory() as tmp:
+            streamed, reference = Path(tmp, "streamed.json"), Path(tmp, "reference.json")
+            cli._write_json_with_array(streamed, doc, "pattern_probabilities", tensor)
+            cli._write_json(reference, {**doc, "pattern_probabilities": tensor.tolist()})
+            assert streamed.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("sites", [-1, 0, "x"])
     def test_sites_below_one_rejected_by_argparse(self, tmp_path, tree_file, capsys, sites):

@@ -630,6 +630,101 @@ class TestAlignmentLoglik:
         assert set(doc["per_site"][0]) == {"site", "likelihood", "log"}
 
 
+def balanced_newick(names: list, edges) -> str:
+    """A balanced tree over leaf names; every edge takes the next annotation of ``edges``."""
+    edges = iter(edges)
+
+    def build(group, edge=""):
+        if len(group) == 1:
+            return group[0] + edge
+        half = (len(group) + 1) // 2
+        return f"({build(group[:half], next(edges))},{build(group[half:], next(edges))}){edge}"
+
+    return build(list(names)) + ";"
+
+
+# Edge annotations near the substitution probability 0.05 of the bench's `wide` trees.
+WIDE_EDGES = ("[&model=JC,a=0.016667]", "[&model=K2,a=0.03,b=0.01]",
+              "[&model=K3,a=0.02,b=0.015,c=0.015]", "[&model=F,a=0.93,pi={0.1,0.2,0.3,0.4}]")
+
+
+@pytest.fixture
+def frexp_calls(monkeypatch):
+    """The arrays np.frexp is called on while the test runs: the engine's rescale events."""
+    calls = []
+
+    def spy(x, *args, _frexp=np.frexp, **kwargs):
+        calls.append(x)
+        return _frexp(x, *args, **kwargs)
+
+    monkeypatch.setattr(engine.np, "frexp", spy)
+    return calls
+
+
+class TestRescaling:
+    """Nodes are rescaled by exact powers of two, and only near underflow."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.sampled_from(("JC", "K2", "K3", "F")),
+           st.booleans())
+    def test_rescaling_every_node_changes_nothing(self, seed, n_leaves, family, one_complex):
+        rng = np.random.default_rng(seed)
+        tree, aln = random_instance(rng, n_leaves, family, n_sites=8)
+        complex_slot = int(rng.integers(len(tree.nodes) - 1))
+        cached = engine._edge_ops
+
+        def edges(edge_params, classical):
+            ops = list(cached(edge_params, classical))
+            if one_complex and not classical:
+                ops[complex_slot] = complex_edge_ops(ops[complex_slot])
+            return tuple(ops)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_edge_ops", edges)
+            default = [alignment_loglik(tree, aln, engine=e) for e in ENGINES]
+            patch.setattr(engine, "_SCALE_FLOOR", 1.0)
+            rescaled = [alignment_loglik(tree, aln, engine=e) for e in ENGINES]
+        for one, other in zip(default, rescaled):
+            np.testing.assert_allclose(other.log, one.log, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(rescaled[2].nu, default[2].nu, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_rescaled_sites_match_the_exact_tensor(self, frexp_calls, name):
+        # One substitution costs a factor of about 1e-50, so site probabilities
+        # reach about exp(-460) and a node whose leaves differ underflows the floor.
+        names = [f"t{i}" for i in range(6)]
+        tree = parse_newick(balanced_newick(names, itertools.repeat("[&model=JC,a=1e-50]")))
+        data = np.random.default_rng(17).integers(0, 4, size=(6, 400))
+        aln = Alignment(taxa=tree.leaf_names, data=data, alphabet=DNA)
+        exact = np.log(simulate_tree(tree).values[tuple(data)])
+        assert exact.min() < -400.0
+        report = alignment_loglik(tree, aln, engine=name)
+        np.testing.assert_allclose(report.log, exact, rtol=1e-12, atol=0.0)
+        assert frexp_calls
+
+    def test_wide_tree_is_never_rescaled(self, frexp_calls):
+        rng = np.random.default_rng(32)
+        names = [f"t{i}" for i in range(32)]
+        edges = (WIDE_EDGES[j] for j in rng.integers(0, 4, size=62))
+        tree = parse_newick(balanced_newick(names, edges))
+        data = rng.integers(0, 4, size=(32, 300))
+        aln = Alignment(taxa=tree.leaf_names, data=data, alphabet=DNA)
+        assert len(aln.site_patterns()[0]) == 300
+        for name in ENGINES:
+            alignment_loglik(tree, aln, engine=name)
+        assert not frexp_calls
+
+    def test_deep_tree_is_rescaled(self, frexp_calls):
+        # The tree and sites of test_deep_tree_does_not_underflow_to_zero.
+        names = [f"t{i}" for i in range(1024)]
+        tree = parse_newick(balanced_newick(names, itertools.repeat(":0.5")))
+        data = np.random.default_rng(5).integers(0, 4, size=(1024, 5))
+        aln = Alignment(taxa=tuple(names), data=data, alphabet=DNA)
+        for name in ENGINES:
+            frexp_calls.clear()
+            alignment_loglik(tree, aln, engine=name)
+            assert frexp_calls
+
+
 class TestLikelihoodSimulationDuality:
     def test_pattern_probabilities_match_tensor(self, rng):
         tree, _ = random_instance(rng, 3, "K3")
