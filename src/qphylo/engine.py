@@ -25,12 +25,11 @@ non-null characters. Every kernel therefore runs along the P patterns.
 
 The quantum and dual engines compute in the field of their Kraus operators.
 ``models`` builds every family qphylo parses as a real stack (the flips are
-permutation matrices, and F's instruments are real), so its stacks,
-transfer forms and work arrays are float64. A family with a complex
-operator, such as a unitary with a phase, runs the same kernels in
-complex128 and keeps the real part of each result. ``verify``'s dense
-references stay complex, so its dense-pruning suite checks the real engine
-against complex gates.
+permutation matrices, and F's instruments are real), so its transfer forms
+and work arrays are float64. A family with a complex operator, such as a
+unitary with a phase, runs the same kernels in complex128 and keeps the
+real part of each result. ``verify``'s dense references stay complex, so
+its dense-pruning suite checks the real engine against complex gates.
 
 Deep trees must not underflow to a false zero likelihood, so a node below
 the root is rescaled when some pattern's maximum falls below 2^-256, as
@@ -128,61 +127,41 @@ def _transfer(stack: np.ndarray) -> np.ndarray:
     return np.einsum("kai,kbi->abi", block, block.conj()).reshape(n * n, n - 1)
 
 
-@dataclass(frozen=True)
-class _EdgeOps:
-    """The forms of one edge's Kraus family that the quantum and dual engines read.
+def _build(params, kind: str) -> np.ndarray:
+    """One edge's ``_edge_ops`` entry of ``kind``.
 
-    Every array has the dtype of the family: float64 for a real family, as
-    every built-in one is, complex128 otherwise. Every array is read-only,
-    because ``_edge_ops`` hands the same entry to every caller.
+    "classical" is W = M^T; "kraus" is the ``_transfer`` form of the edge's
+    Kraus family, which the quantum and dual engines propagate through; and
+    "adjoint" is that of the adjoint family, which only the dual root's right
+    edge reads. ``prune_matrix`` and ``prune_operators`` are looked up in this
+    module's globals on every call, so a caller that rebinds them (a tracer,
+    a test) sees every build.
     """
-
-    stack: np.ndarray     # embedded Kraus family
-    transfer: np.ndarray  # _transfer(stack)
-
-    def __post_init__(self):
-        self.stack.setflags(write=False)
-        self.transfer.setflags(write=False)
-
-    @functools.cached_property
-    def adjoint(self) -> np.ndarray:
-        """_transfer of the adjoint Kraus family, built when the dual root first reads it.
-
-        Only the dual root's right edge reads it, so edges that only the
-        quantum engine reads never pay for it.
-        """
-        adjoint = _transfer(self.stack.conj().transpose(0, 2, 1))
-        adjoint.setflags(write=False)
-        return adjoint
-
-    @classmethod
-    def from_kraus(cls, ops: np.ndarray) -> "_EdgeOps":
-        """The forms of a (K, m, m) Kraus stack, in the stack's own field."""
-        stack = _embed_stack(ops)
-        return cls(stack, _transfer(stack))
+    if kind == "classical":
+        return prune_matrix(params)
+    stack = _embed_stack(prune_operators(params))
+    if kind == "adjoint":
+        stack = stack.conj().transpose(0, 2, 1)
+    return _transfer(stack)
 
 
-@functools.lru_cache(maxsize=4)
-def _edge_ops(edge_params: tuple, classical: bool) -> tuple:
-    """The operators of a tree's edges, in pre-order, for the classical or the Kraus engines.
+@functools.lru_cache(maxsize=6)
+def _edge_ops(edge_params: tuple, kind: str) -> tuple:
+    """The read-only ``_build`` entries of ``kind`` for a tree's edges, in pre-order.
 
-    A classical entry is the edge's read-only W = M^T, a Kraus entry its
-    ``_EdgeOps``. Each distinct parameter value is built once, so a
-    shared-parameter tree builds one entry. The key is the edges' parameter
-    values, so the same tree evaluated again (on another alignment, by the
-    dual engine after the quantum one, or parsed again from the same text)
-    builds nothing; the quantum and dual engines share the Kraus entry. Four
-    entries hold both kinds for two trees, whatever their size, and each is
-    the edge list that one call would build anyway.
+    Each distinct parameter value is built once, so a shared-parameter tree
+    builds one entry. The key is the parameter values and the kind's name,
+    never a build function, so rebinding ``prune_matrix`` or
+    ``prune_operators`` leaves the cache warm. The same tree evaluated
+    again, on another alignment or parsed again from the same text, builds
+    nothing. The quantum and dual engines share the "kraus" entry, and the
+    dual engine adds only its root's "adjoint" entry. Six entries hold the
+    three kinds for two trees, whatever their size.
     """
     built = {}
     for params in dict.fromkeys(edge_params):
-        if classical:
-            entry = prune_matrix(params)
-            entry.setflags(write=False)
-        else:
-            entry = _EdgeOps.from_kraus(prune_operators(params))
-        built[params] = entry
+        built[params] = _build(params, kind)
+        built[params].setflags(write=False)
     return tuple(built[params] for params in edge_params)
 
 
@@ -250,48 +229,52 @@ def _classical_node(lb: np.ndarray, lc: np.ndarray, wb: np.ndarray, wc: np.ndarr
     return (wb @ lb) * (wc @ lc)
 
 
-def _quantum_node(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps,
+def _quantum_node(lb: np.ndarray, lc: np.ndarray, tb: np.ndarray, tc: np.ndarray,
                   work: np.ndarray) -> np.ndarray:
     """The pruning circuit on two children's likelihood operators, one column per pattern.
 
-    ``work`` is a zeroed (3, n*n, P) array, of the transfer forms' result
-    type, that every node of one call reuses for the two propagated
-    operators and their pinch. ``.real`` is a view for a real work array.
+    ``tb`` and ``tc`` are the child edges' transfer forms. ``work`` is a
+    zeroed (3, n*n, P) array, of their result type, that every node of one
+    call reuses for the two propagated operators and their pinch. ``.real``
+    is a view for a real work array.
     """
-    rho_b = _kraus_propagate(lb, eb.transfer, out=work[0])
-    rho_c = _kraus_propagate(lc, ec.transfer, out=work[1])
+    rho_b = _kraus_propagate(lb, tb, out=work[0])
+    rho_c = _kraus_propagate(lc, tc, out=work[1])
     joint = _collective_pinch(rho_b, rho_c, out=work[2])
     return _trace_second_slot(_inverse_control_shift(joint))[1:].real
 
 
-def _pinch_weights(lb: np.ndarray, eb: _EdgeOps):
+def _pinch_weights(lb: np.ndarray, tb: np.ndarray):
     """Forward step of the left child: (q, nu) with q = diag(E_B(L_B)) / nu, nu = Tr L_B.
 
-    q has shape (n, P) with q[0] = 0; columns with nu = 0 get q = 0.
+    ``tb`` is the left edge's transfer form. q has shape (n, P) with
+    q[0] = 0; columns with nu = 0 get q = 0.
     """
     nu = lb.sum(axis=0)
-    forward = _diagonal(_kraus_propagate(lb, eb.transfer)).real
+    forward = _diagonal(_kraus_propagate(lb, tb)).real
     q = np.divide(forward, nu, out=np.zeros_like(forward), where=nu > 0.0)
     return q, nu
 
 
-def _adjoint_state(q: np.ndarray, pi: np.ndarray, ec: _EdgeOps) -> np.ndarray:
+def _adjoint_state(q: np.ndarray, pi: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
     """sum_k A_k^dagger sigma A_k for the pinched stationary density sigma, (n, n, P).
 
     sigma = sum_k q_k P_k diag(0, pi) P_k is diagonal; the adjoint map is the
-    operator sum of the adjoint Kraus family.
+    operator sum of the adjoint Kraus family, whose transfer form is ``adjoint``.
     """
-    return _kraus_propagate(q[1:] * pi[:, None], ec.adjoint)
+    return _kraus_propagate(q[1:] * pi[:, None], adjoint)
 
 
-def _dual_root(lb: np.ndarray, lc: np.ndarray, eb: _EdgeOps, ec: _EdgeOps, pi: np.ndarray):
+def _dual_root(lb: np.ndarray, lc: np.ndarray, tb: np.ndarray, adjoint: np.ndarray,
+               pi: np.ndarray):
     """Root cherry in the state picture: (site value, nu) per pattern.
 
     The value is nu Tr(L_C A^dagger(sigma)), sigma the stationary density
-    pinched by the left child's forward weights q.
+    pinched by the left child's forward weights q. ``tb`` is the left edge's
+    transfer form and ``adjoint`` that of the right edge's adjoint family.
     """
-    q, nu = _pinch_weights(lb, eb)
-    back = _adjoint_state(q, pi, ec)
+    q, nu = _pinch_weights(lb, tb)
+    back = _adjoint_state(q, pi, adjoint)
     return nu * np.einsum("ip,iip->p", lc, back[1:, 1:]).real, nu
 
 
@@ -341,7 +324,7 @@ def _reduce_below_root(kids: tuple, values: list, edges: list, node_step):
         out = node_step(values[left], values[right], edges[left], edges[right])
         exponent = exponents[left] + exponents[right]
         scale = out.max(axis=0)
-        if scale.min() < _SCALE_FLOOR:
+        if scale.min(initial=1.0) < _SCALE_FLOOR:  # initial: an alignment may have no sites
             shift = np.frexp(scale)[1]
             out = np.ldexp(out, -shift)
             exponent = exponent + shift
@@ -378,7 +361,8 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
     # Every taxon's (k, P) indicator columns in one comparison; each leaf is a contiguous view.
     leaves = (patterns.T[:, None, :] == np.arange(tree.n_states)[:, None]).astype(float)
     values = [None if node.children else leaves[row_of[node.name]] for node in tree.nodes]
-    edges = [None, *_edge_ops(tuple(node.params for node in tree.nodes[1:]), engine == "classical")]
+    kind = "classical" if engine == "classical" else "kraus"
+    edges = [None, *_edge_ops(tuple(node.params for node in tree.nodes[1:]), kind)]
     if engine == "classical":
         node_step = _classical_node
     else:
@@ -389,15 +373,17 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
         # real Kraus families. One complex edge makes the array complex128
         # (352 KiB): a complex product written into a real buffer would lose
         # its imaginary part.
-        dtype = np.result_type(*{edge.transfer.dtype for edge in edges[1:]})
+        dtype = np.result_type(*{edge.dtype for edge in edges[1:]})
         work = np.zeros((3, (tree.n_states + 1) ** 2, len(patterns)), dtype=dtype)
         node_step = functools.partial(_quantum_node, work=work)
 
     (lb, e_b), (lc, e_c) = _reduce_below_root(tree.kids, values, edges, node_step)
-    eb, ec = (edges[slot] for slot in tree.kids[0])
+    left, right = tree.kids[0]
+    eb, ec = edges[left], edges[right]
     nu = None
     if engine == "dual":
-        root_values, nu = _dual_root(lb, lc, eb, ec, tree.pi)
+        (adjoint,) = _edge_ops((tree.nodes[right].params,), "adjoint")
+        root_values, nu = _dual_root(lb, lc, eb, adjoint, tree.pi)
         nu = np.ldexp(nu, e_b)[inverse]
     elif engine == "quantum":
         # The pi-weighted rows summed in character order, not a matrix

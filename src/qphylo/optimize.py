@@ -103,10 +103,6 @@ class OptimizationResult:
         }
 
 
-def count_edges(tree: PhyloTree) -> int:
-    return 2 * tree.n_leaves - 2
-
-
 def tree_with_edge_params(tree: PhyloTree, params_by_edge, root_pi=None) -> PhyloTree:
     """Copy of the topology with edges parameterized in pre-order.
 
@@ -169,7 +165,7 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
         uniform = root_pi is None or root_pi.size != n_states
         pi = np.full(n_states, 1.0 / n_states) if uniform else root_pi
     block_dim = len(spec.names)
-    n_blocks = count_edges(problem.tree) if problem.per_edge else 1
+    n_blocks = len(problem.tree.nodes) - 1 if problem.per_edge else 1
     dim = n_blocks * block_dim
 
     def reflect(x: np.ndarray) -> np.ndarray:
@@ -188,11 +184,7 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
     def objective(x: np.ndarray) -> float:
         nonlocal n_eval
         n_eval += 1
-        params = edge_params(x)
-        if problem.per_edge:
-            tree = tree_with_edge_params(problem.tree, params, root_pi=root_pi)
-        else:
-            tree = tree_with_shared_params(problem.tree, params[0], root_pi=root_pi)
+        tree = tree_with_edge_params(problem.tree, itertools.cycle(edge_params(x)), root_pi=root_pi)
         try:
             report = alignment_loglik(tree, problem.alignment, engine=problem.engine)
         except ZeroLikelihoodError:

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from qphylo import engine, linalg
 from qphylo.channels import KrausChannel, apply_channel, collective_diagonalizer, control_not
-from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _EdgeOps, _adjoint_state, _classical_node,
-                           _collective_pinch, _diagonal, _dual_root, _inverse_control_shift,
-                           _kraus_propagate, _pinch_weights, _quantum_node, _trace_second_slot,
-                           _transfer, alignment_loglik, simulate_tree)
+from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _adjoint_state, _classical_node,
+                           _collective_pinch, _diagonal, _dual_root, _embed_stack,
+                           _inverse_control_shift, _kraus_propagate, _pinch_weights, _quantum_node,
+                           _trace_second_slot, alignment_loglik, simulate_tree)
 from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
 from qphylo.models import FAMILIES, ModelParams, markov, prune_matrix, prune_operators
 from qphylo.optimize import OptimizationProblem, maximize_loglik, tree_with_shared_params
@@ -28,6 +28,8 @@ CHERRY = parse_newick("(A:0.1,B:0.1);")
 # Leaf likelihood vectors as alignment_loglik builds them: row x indicates character x.
 A, C = np.eye(4)[:2]
 CATERPILLAR_20 = parse_newick("(" * 19 + "t0:0.1" + "".join(f",t{i}:0.1):0.1" for i in range(1, 20)) + ";")
+# The kinds of engine._edge_ops entry: W, and the Kraus and adjoint families' transfer forms.
+KINDS = ("classical", "kraus", "adjoint")
 
 
 def chain_enumeration_oracle(tree):
@@ -112,11 +114,22 @@ def jc_unitary(a):
     return math.sqrt(1.0 - 3.0 * a) * np.eye(4) + math.sqrt(a) * np.exp(1j * theta) * flips
 
 
+def kraus_entry(ops, kind="kraus"):
+    """The ``_edge_ops`` entry of ``kind`` for an edge whose Kraus stack is ``ops``.
+
+    It is built by ``engine._build`` itself, with ``prune_operators`` rebound
+    to return ``ops``.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "prune_operators", lambda params: ops)
+        return engine._build(None, kind)
+
+
 def quantum_pair(lb, lc, ub, uc):
     """One pruning-circuit node step at P = 1, one unitary per edge."""
     work = np.zeros((3, (len(lb) + 1) ** 2, 1), dtype=complex)
-    return _quantum_node(lb[:, None], lc[:, None], _EdgeOps.from_kraus(ub[None]),
-                         _EdgeOps.from_kraus(uc[None]), work)[:, 0]
+    return _quantum_node(lb[:, None], lc[:, None], kraus_entry(ub[None]), kraus_entry(uc[None]),
+                         work)[:, 0]
 
 
 JC_WEIGHTS = (0.0, 0.05, 0.1, 0.25)
@@ -186,26 +199,28 @@ class TestDualPrune:
     def test_identity_edges_pinch_onto_left_support(self, rng):
         lc = rng.random(4)
         pi = rng.dirichlet(np.ones(4))
-        eye = _EdgeOps.from_kraus(np.eye(4)[None])
+        eye, eye_adjoint = kraus_entry(np.eye(4)[None]), kraus_entry(np.eye(4)[None], "adjoint")
         q, nu = _pinch_weights(A[:, None], eye)
         assert nu[0] == 1.0
         assert np.abs(q[:, 0] - [0.0, 1.0, 0.0, 0.0, 0.0]).max() < 1e-14
-        values, _ = _dual_root(A[:, None], lc[:, None], eye, eye, pi)
+        values, _ = _dual_root(A[:, None], lc[:, None], eye, eye_adjoint, pi)
         assert abs(values[0] - lc[0] * pi[0]) < 1e-14
 
     def test_frozen_jc_cherry_recovers_circuit_result(self):
         # A point-mass root reads off one entry of the parent operator nu * E_B(L_C).
-        edge = _EdgeOps.from_kraus(jc_unitary(0.1)[None])
-        out = [_dual_root(A[:, None], C[:, None], edge, edge, root)[0][0] for root in np.eye(4)]
+        u = jc_unitary(0.1)[None]
+        edge, adjoint = kraus_entry(u), kraus_entry(u, "adjoint")
+        out = [_dual_root(A[:, None], C[:, None], edge, adjoint, root)[0][0] for root in np.eye(4)]
         assert np.abs(np.array(out) - [0.07, 0.07, 0.01, 0.01]).max() < 1e-10
 
     def test_jc_cherry_averages_classical_node_over_root(self, rng):
         for a in JC_WEIGHTS:
-            edge, m = _EdgeOps.from_kraus(jc_unitary(a)[None]), markov(ModelParams.jc(a))
+            u, m = jc_unitary(a)[None], markov(ModelParams.jc(a))
+            edge, adjoint = kraus_entry(u), kraus_entry(u, "adjoint")
             for _ in range(20):
                 lb, lc = rng.random(4), rng.random(4)
                 pi = rng.dirichlet(np.ones(4))
-                value = _dual_root(lb[:, None], lc[:, None], edge, edge, pi)[0][0]
+                value = _dual_root(lb[:, None], lc[:, None], edge, adjoint, pi)[0][0]
                 assert abs(value - pi @ classical_pair(lb, lc, m, m)) < 1e-13
 
     def test_pinch_weights_normalize_for_doubly_stochastic_edges(self, rng):
@@ -223,8 +238,8 @@ class TestDualPrune:
             ub = random_unitary(rng, 4)
             q = np.diag(ub @ np.diag(lb).astype(complex) @ ub.conj().T).real / nu
             rho = random_density(rng, 4)
-            pinch, _ = _pinch_weights(lb[:, None], _EdgeOps.from_kraus(ub[None]))
-            evolved = _diagonal(_kraus_propagate(lc[:, None], _EdgeOps.from_kraus(uc[None]).transfer)).real
+            pinch, _ = _pinch_weights(lb[:, None], kraus_entry(ub[None]))
+            evolved = _diagonal(_kraus_propagate(lc[:, None], kraus_entry(uc[None]))).real
             forward = (pinch * evolved)[1:, 0]
             lhs = float(forward @ np.diag(rho).real)
             adjoint = uc.conj().T @ np.diag(q * np.diag(rho)) @ uc
@@ -238,11 +253,11 @@ class TestSparseGates:
     def test_kraus_propagation_matches_apply_channel(self, rng):
         for family in ("JC", "K2", "K3", "B", "F"):
             for _ in range(5):
-                ops = _EdgeOps.from_kraus(prune_operators(random_params(rng, family)))
-                channel = KrausChannel(ops.stack, trace_preserving=False)
-                k = ops.stack.shape[1] - 1
-                diags = rng.random((3, k))
-                batched = _kraus_propagate(diags.T, ops.transfer)
+                params = random_params(rng, family)
+                stack = _embed_stack(prune_operators(params))
+                channel = KrausChannel(stack, trace_preserving=False)
+                diags = rng.random((3, params.n_states))
+                batched = _kraus_propagate(diags.T, engine._build(params, "kraus"))
                 for d, rho in zip(diags, batched.transpose(2, 0, 1)):
                     dense = apply_channel(channel, np.diag(np.concatenate([[0.0], d])))
                     assert np.abs(rho - dense).max() < 1e-14
@@ -296,10 +311,10 @@ class TestDualRoot:
             ub, uc = random_unitary(rng, 4), random_unitary(rng, 4)
             lb, lc = rng.random((3, 4)), rng.random((3, 4))
             pi = rng.dirichlet(np.ones(4))
-            eb, ec = _EdgeOps.from_kraus(ub[None]), _EdgeOps.from_kraus(uc[None])
-            q, nu = _pinch_weights(lb.T, eb)
-            back = _adjoint_state(q, pi, ec)
-            values, nus = _dual_root(lb.T, lc.T, eb, ec, pi)
+            tb, adjoint = kraus_entry(ub[None]), kraus_entry(uc[None], "adjoint")
+            q, nu = _pinch_weights(lb.T, tb)
+            back = _adjoint_state(q, pi, adjoint)
+            values, nus = _dual_root(lb.T, lc.T, tb, adjoint, pi)
             for i in range(3):
                 dense = uc.conj().T @ np.diag(q[1:, i] * pi) @ uc
                 assert np.abs(back[1:, 1:, i] - dense).max() < 1e-14
@@ -314,8 +329,8 @@ class TestDualRoot:
             k = pb.n_states
             lb, lc = rng.random((5, k)), rng.random((5, k))
             pi = rng.dirichlet(np.ones(k))
-            values, _ = _dual_root(lb.T, lc.T, _EdgeOps.from_kraus(prune_operators(pb)),
-                                   _EdgeOps.from_kraus(prune_operators(pc)), pi)
+            values, _ = _dual_root(lb.T, lc.T, engine._build(pb, "kraus"),
+                                   engine._build(pc, "adjoint"), pi)
             classical = ((lb @ prune_matrix(pb).T) * (lc @ prune_matrix(pc).T)) @ pi
             assert np.abs(values - classical).max() < 1e-14
 
@@ -326,10 +341,10 @@ class TestDualRoot:
         alignment_loglik(tree, aln, engine="quantum")
         assert builds == {"prune_operators": 6, "prune_matrix": 6}
         params = tree.nodes[1].params
-        (w,) = engine._edge_ops((params,), True)
-        (kraus,) = engine._edge_ops((params,), False)
+        (w,) = engine._edge_ops((params,), "classical")
+        (kraus,) = engine._edge_ops((params,), "kraus")
         assert np.array_equal(w, prune_matrix(params))
-        assert kraus.stack.shape == (len(prune_operators(params)), 5, 5)
+        assert kraus.shape == (25, 4)
 
 
 @pytest.fixture
@@ -353,10 +368,11 @@ class TestEdgeCache:
         tree, aln = random_instance(rng, n_leaves, "K3", n_sites=4)
         n_edges = 2 * n_leaves - 2
         first = [alignment_loglik(tree, aln, engine=e) for e in ENGINES]
-        assert builds == {"prune_operators": n_edges, "prune_matrix": n_edges}
+        # One Kraus family per edge, and the dual root's adjoint family.
+        assert builds == {"prune_operators": n_edges + 1, "prune_matrix": n_edges}
         again = parse_newick(emit_newick(tree))
         second = [alignment_loglik(again, aln, engine=e) for e in ENGINES]
-        assert builds == {"prune_operators": n_edges, "prune_matrix": n_edges}
+        assert builds == {"prune_operators": n_edges + 1, "prune_matrix": n_edges}
         for a, b in zip(first, second):
             assert a.log.tobytes() == b.log.tobytes()
 
@@ -366,15 +382,29 @@ class TestEdgeCache:
         aln = Alignment(taxa=tree.leaf_names, data=rng.integers(0, 4, (4, 6)), alphabet=DNA)
         for e in ENGINES:
             alignment_loglik(tree, aln, engine=e)
-        assert builds == {"prune_operators": 1, "prune_matrix": 1}
-        assert engine._edge_ops.cache_info().currsize == 2
+        assert builds == {"prune_operators": 2, "prune_matrix": 1}
+        assert engine._edge_ops.cache_info().currsize == 3
 
-    def test_dual_after_quantum_builds_nothing(self, rng, builds):
+    def test_dual_after_quantum_builds_only_its_root_adjoint(self, rng, builds):
         tree, aln = random_instance(rng, 4, "F", n_sites=3)
         alignment_loglik(tree, aln, engine="quantum")
         assert builds == {"prune_operators": 6, "prune_matrix": 0}
         alignment_loglik(tree, aln, engine="dual")
-        assert builds == {"prune_operators": 6, "prune_matrix": 0}
+        assert builds == {"prune_operators": 7, "prune_matrix": 0}
+        alignment_loglik(tree, aln, engine="dual")
+        assert builds == {"prune_operators": 7, "prune_matrix": 0}
+
+    def test_two_trees_under_every_engine_stay_cached(self, rng, builds):
+        # Three kinds for each of two trees: six entries, all kept.
+        instances = [random_instance(rng, 4, "K2", n_sites=3) for _ in range(2)]
+        for tree, aln in instances:
+            for e in ENGINES:
+                alignment_loglik(tree, aln, engine=e)
+        cold = dict(builds)
+        for tree, aln in instances:
+            for e in ENGINES:
+                alignment_loglik(tree, aln, engine=e)
+        assert builds == cold == {"prune_operators": 14, "prune_matrix": 12}
 
     def test_per_edge_fit_stays_within_maxsize(self, rng, builds):
         tree, aln = random_instance(rng, 4, "JC", n_sites=40)
@@ -383,14 +413,16 @@ class TestEdgeCache:
         assert info.misses > info.maxsize
         assert info.currsize <= info.maxsize
 
-    def test_cached_arrays_are_read_only(self, rng, builds):
-        params = ModelParams.felsenstein(0.3, (0.1, 0.2, 0.3, 0.4))
-        (classical,) = engine._edge_ops((params,), True)
-        (kraus,) = engine._edge_ops((params,), False)
-        unitary = _EdgeOps.from_kraus(random_unitary(rng, 4)[None])
-        assert kraus.stack.dtype == np.float64 and unitary.stack.dtype == np.complex128
-        for array in (classical, kraus.stack, kraus.transfer, kraus.adjoint,
-                      unitary.stack, unitary.transfer, unitary.adjoint):
+    def test_cached_arrays_are_read_only(self, rng, builds, monkeypatch):
+        real = ModelParams.felsenstein(0.3, (0.1, 0.2, 0.3, 0.4))
+        entries = [engine._edge_ops((real,), kind) for kind in KINDS]
+        unitary = random_unitary(rng, 4)[None]
+        monkeypatch.setattr(engine, "prune_operators", lambda params: unitary)
+        entries += [engine._edge_ops((ModelParams.jc(0.2),), kind) for kind in KINDS[1:]]
+        dtypes = [np.float64] * 3 + [np.complex128] * 2
+        for (array,), dtype in zip(entries, dtypes):
+            assert type(array) is np.ndarray and array.dtype == dtype
+            assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
 
@@ -404,10 +436,21 @@ class TestEdgeCache:
         assert cold == warm[::-1]
 
 
-def complex_edge_ops(ops: _EdgeOps) -> _EdgeOps:
-    """The same edge rebuilt from its stack cast to complex128."""
-    stack = ops.stack.astype(complex)
-    return _EdgeOps(stack=stack, transfer=_transfer(stack))
+def complex_edge_ops(cached, rebuilt: list, only=None):
+    """An ``_edge_ops`` stand-in that builds Kraus entries from stacks cast to complex128.
+
+    Every Kraus entry is rebuilt, or only those of the parameter value
+    ``only``; each rebuilt entry is appended to ``rebuilt``.
+    """
+    def edges(edge_params, kind):
+        entries = list(cached(edge_params, kind))
+        for i, params in enumerate(edge_params):
+            if kind != "classical" and only in (None, params):
+                entries[i] = kraus_entry(prune_operators(params).astype(complex), kind)
+                rebuilt.append(entries[i])
+        return tuple(entries)
+
+    return edges
 
 
 PI = (0.1, 0.2, 0.3, 0.4)
@@ -435,10 +478,10 @@ class TestRealField:
         monkeypatch.setattr(linalg, "as_matrix", refuse)
         engine._edge_ops.cache_clear()
         try:
-            edges = engine._edge_ops(edge_params, False)
+            edges = [edge for kind in KINDS[1:] for edge in engine._edge_ops(edge_params, kind)]
         finally:
             engine._edge_ops.cache_clear()
-        assert {edge.stack.dtype for edge in edges} == {np.dtype(np.float64)}
+        assert {edge.dtype for edge in edges} == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("params", [
         *(random_params(np.random.default_rng(seed), family)
@@ -449,11 +492,9 @@ class TestRealField:
         ops = prune_operators(params)
         m = params.n_states
         assert isinstance(ops, np.ndarray) and ops.dtype == np.float64 and ops.shape[1:] == (m, m)
-        real = _EdgeOps.from_kraus(ops)
-        assert np.array_equal(real.stack[:, 1:, 1:], ops)
-        full = complex_edge_ops(real)
-        for name in ("stack", "transfer", "adjoint"):
-            value, reference = getattr(real, name), getattr(full, name)
+        assert np.array_equal(_embed_stack(ops)[:, 1:, 1:], ops)
+        for kind in KINDS[1:]:
+            value, reference = engine._build(params, kind), kraus_entry(ops.astype(complex), kind)
             assert value.dtype == np.float64 and reference.dtype == np.complex128
             assert value.tobytes() == reference.real.tobytes()
             assert not reference.imag.any()
@@ -461,9 +502,8 @@ class TestRealField:
     @pytest.mark.parametrize("unitary", [jc_unitary(0.05), jc_unitary(0.1),
                                          random_unitary(np.random.default_rng(3), 4)])
     def test_complex_operators_stay_complex(self, unitary):
-        ops = _EdgeOps.from_kraus(unitary[None])
-        for array in (ops.stack, ops.transfer, ops.adjoint):
-            assert array.dtype == np.complex128
+        for kind in KINDS[1:]:
+            assert kraus_entry(unitary[None], kind).dtype == np.complex128
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.sampled_from(FAMILIES))
     def test_whole_tree_reports_match_the_complex_run_bytewise(self, seed, n_leaves, family):
@@ -472,19 +512,12 @@ class TestRealField:
         tree = dataclasses.replace(tree, root_pi=rng.dirichlet(np.ones(tree.n_states)))
         real = [json.dumps(alignment_loglik(tree, aln, engine=e).to_document())
                 for e in ("quantum", "dual")]
-        cached = engine._edge_ops
         rebuilt = []
-
-        def complex_edges(edge_params, classical):
-            edges = tuple(map(complex_edge_ops, cached(edge_params, classical)))
-            rebuilt.extend(edges)
-            return edges
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_edge_ops", complex_edges)
+            patch.setattr(engine, "_edge_ops", complex_edge_ops(engine._edge_ops, rebuilt))
             full = [json.dumps(alignment_loglik(tree, aln, engine=e).to_document())
                     for e in ("quantum", "dual")]
-        assert {edge.transfer.dtype for edge in rebuilt} == {np.dtype(complex)}
+        assert {edge.dtype for edge in rebuilt} == {np.dtype(complex)}
         assert real == full
 
     @pytest.mark.parametrize("slot", range(1, 7))
@@ -497,11 +530,14 @@ class TestRealField:
                         data=np.random.default_rng(slot).integers(0, 4, (4, 40)), alphabet=DNA)
         classical = alignment_loglik(tree, aln).log
         cached = engine._edge_ops
+        unitary = jc_unitary(tree.nodes[slot].params.a)[None]
 
-        def one_complex_edge(edge_params, is_classical):
-            edges = list(cached(edge_params, is_classical))
-            if not is_classical:
-                edges[slot - 1] = _EdgeOps.from_kraus(jc_unitary(tree.nodes[slot].params.a)[None])
+        def one_complex_edge(edge_params, kind):
+            edges = list(cached(edge_params, kind))
+            if kind == "kraus":
+                edges[slot - 1] = kraus_entry(unitary)
+            elif kind == "adjoint" and slot == tree.kids[0][1]:
+                edges[0] = kraus_entry(unitary, "adjoint")
             return tuple(edges)
 
         real_node = engine._quantum_node
@@ -600,6 +636,18 @@ class TestAlignmentLoglik:
             alignment_loglik(tree, aln, engine=engine)
         assert err.value.site == 2
 
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_alignment_without_sites_has_zero_log_likelihood(self, name):
+        tree, _ = random_instance(np.random.default_rng(7), 5, "K3")
+        aln = Alignment(taxa=tree.leaf_names, data=np.zeros((5, 0), dtype=int), alphabet=DNA)
+        report = alignment_loglik(tree, aln, engine=name)
+        assert report.total_log_likelihood == 0.0
+        assert report.likelihood.shape == report.log.shape == (0,)
+        assert (report.nu is None) == (name != "dual")
+        if name == "dual":
+            assert report.nu.shape == (0,)
+        assert report.to_document()["per_site"] == []
+
     def test_deep_tree_does_not_underflow_to_zero(self):
         # Each site's likelihood is about exp(-1470), far below the float64 range.
         names = [f"t{i}" for i in range(1024)]
@@ -669,14 +717,10 @@ class TestRescaling:
     def test_rescaling_every_node_changes_nothing(self, seed, n_leaves, family, one_complex):
         rng = np.random.default_rng(seed)
         tree, aln = random_instance(rng, n_leaves, family, n_sites=8)
-        complex_slot = int(rng.integers(len(tree.nodes) - 1))
-        cached = engine._edge_ops
-
-        def edges(edge_params, classical):
-            ops = list(cached(edge_params, classical))
-            if one_complex and not classical:
-                ops[complex_slot] = complex_edge_ops(ops[complex_slot])
-            return tuple(ops)
+        complex_params = tree.nodes[int(rng.integers(1, len(tree.nodes)))].params
+        edges = engine._edge_ops
+        if one_complex:
+            edges = complex_edge_ops(edges, [], only=complex_params)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_edge_ops", edges)
