@@ -19,7 +19,7 @@ from .optimize import (OptimizationProblem, OptimizationResult, maximize_loglik,
                        tree_with_edge_params, tree_with_shared_params)
 from .qwalk import (WalkConfig, closed_form_two_taxon, coin_distribution, evolve_taxa_qw,
                     qw_step_map, walk_unitary)
-from .treeio import (Alignment, CircuitSchedule, EvolveGate, PhyloTree, SplitGate,
-                     compile_circuit, emit_newick, parse_fasta, parse_newick)
+from .treeio import (Alignment, EvolveGate, PhyloTree, SplitGate, compile_circuit, emit_newick,
+                     parse_fasta, parse_newick)
 
 __version__ = "0.1.0"

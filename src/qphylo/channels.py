@@ -177,24 +177,20 @@ def split(rho: DiagonalDensity) -> ProbabilityTensor:
     p_ij = p_i * delta_ij over the non-null characters: ``split_at`` on the
     one-taxon tensor. The full-matrix conjugation is exercised by the tests.
     """
-    return split_at(ProbabilityTensor(rho.block), 1)
+    return ProbabilityTensor(split_at(rho.block, 1))
 
 
-def split_at(tensor: ProbabilityTensor, k: int) -> ProbabilityTensor:
-    """Duplicate slot k of an s-taxon tensor into slots k and k+1.
+def split_at(values: np.ndarray, k: int) -> np.ndarray:
+    """Duplicate slot k of an s-taxon pattern array into slots k and k+1.
 
     Equivalent to applying the control-shift on slot k and a fresh null
     ancilla inserted after it; marginalizing slot k+1 of the result recovers
     the input.
     """
-    s = tensor.taxa
+    s = values.ndim
     if not 1 <= k <= s:
         raise ShapeMismatchError(f"slot {k} out of range for {s} taxa")
-    m = tensor.alphabet
-    eye = np.eye(m)
+    m = values.shape[k - 1]
     # out[..., i_k, i_{k+1}, ...] = in[..., i_k, ...] * delta(i_k, i_{k+1})
-    expanded = np.expand_dims(tensor.values, axis=k)
-    shape = [1] * (s + 1)
-    shape[k - 1] = m
-    shape[k] = m
-    return ProbabilityTensor(expanded * eye.reshape(shape))
+    shape = [1] * (k - 1) + [m, m] + [1] * (s - k)
+    return np.expand_dims(values, axis=k) * np.eye(m).reshape(shape)

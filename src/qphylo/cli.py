@@ -101,6 +101,14 @@ def _load_alignment(path: str):
     return parse_fasta(_read_input(path))
 
 
+def _draw(values: np.ndarray, rng: np.random.Generator, sites: int) -> np.ndarray:
+    """Flat indices of ``sites`` draws, as ``Generator.choice(p=...)`` makes them, from one copy."""
+    cdf = values.ravel() / values.sum()
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(sites), side="right")
+
+
 def cmd_simulate(args) -> int:
     tree = _load_tree(args.tree)
     # Per site: the flat draw and one index per leaf (int64), one FASTA character per leaf.
@@ -110,8 +118,7 @@ def cmd_simulate(args) -> int:
                          f"{size} bytes, over the {MAX_TENSOR_BYTES}-byte limit")
     tensor = simulate_tree(tree)
     rng = np.random.default_rng(args.seed)
-    flat = tensor.values.ravel()
-    draws = rng.choice(flat.size, size=args.sites, p=flat / flat.sum())
+    draws = _draw(tensor.values, rng, args.sites)
     patterns = np.unravel_index(draws, tensor.values.shape)
     symbols = tree.alphabet.symbols
     fasta_lines = []

@@ -69,33 +69,32 @@ ENGINES = ("classical", "quantum", "dual")
 _SCALE_FLOOR = 2.0 ** -256
 _LN2 = math.log(2.0)
 
-# simulate_tree refuses, before allocating, an exact pattern tensor larger than
-# this; 12 DNA leaves (128 MiB) run and 14 (2 GiB) are refused.
+# simulate_tree refuses, before allocating, a tensor whose build (twice the
+# tensor) exceeds this: 13 DNA and 26 two-state leaves run, 14 and 27 do not.
 MAX_TENSOR_BYTES = 2**30
 
 
 def simulate_tree(tree: PhyloTree) -> ProbabilityTensor:
     """Exact site-pattern distribution at the leaves.
 
-    Executes the compiled schedule on the root's stationary vector: splits
-    duplicate a lineage slot, evolutions push the slot through the edge's
-    substitution matrix. Output slots follow the tree's left-to-right leaf
-    order. Raises ModelError when the n_states**n_leaves tensor would exceed
-    MAX_TENSOR_BYTES.
+    Runs the compiled gates on the root's stationary vector: splits duplicate
+    a lineage slot, evolutions push the slot through the edge's substitution
+    matrix. Each gate allocates only its output array, so the build peaks at
+    twice the n_states**n_leaves tensor; ModelError when that would exceed
+    MAX_TENSOR_BYTES. Output slots follow the tree's left-to-right leaf order.
     """
     size = tree.n_states ** tree.n_leaves * np.dtype(float).itemsize
-    if size > MAX_TENSOR_BYTES:
+    if 2 * size > MAX_TENSOR_BYTES:
         raise ModelError(f"exact pattern tensor has {tree.n_states}**{tree.n_leaves} entries "
-                         f"({size} bytes), over the {MAX_TENSOR_BYTES}-byte limit")
-    schedule = compile_circuit(tree)
-    tensor = ProbabilityTensor(tree.pi)
-    for gate in schedule.gates:
+                         f"({size} bytes); building it takes twice that, over the "
+                         f"{MAX_TENSOR_BYTES}-byte limit")
+    values = tree.pi
+    for gate in compile_circuit(tree):
         if isinstance(gate, SplitGate):
-            tensor = split_at(tensor, gate.slot)
+            values = split_at(values, gate.slot)
         else:
-            tensor = ProbabilityTensor(linalg.apply_on_axes(markov(gate.params), tensor.values,
-                                                            [gate.slot - 1]))
-    return tensor
+            values = linalg.apply_on_axes(markov(gate.params), values, [gate.slot - 1])
+    return ProbabilityTensor(values)
 
 
 # --- Per-edge data -----------------------------------------------------------

@@ -9,6 +9,7 @@ to 5**8 entries), so everything is dense and no attempt is made at sparsity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,19 +72,25 @@ def adjoint_action(s, rho) -> np.ndarray:
 
 
 def apply_on_axes(op, tensor: np.ndarray, axes, bra_axes=()) -> np.ndarray:
-    """Apply an operator to some axes of a tensor, leaving every other axis alone.
+    """Apply an operator to consecutive axes of a tensor, leaving every other axis alone.
 
     ``op`` acts jointly on the listed axes, the first listed the most
     significant, and its outputs take their places. For an operator stored
     as a tensor with one ket and one bra axis per slot, list the matching
     bra axes in ``bra_axes``: they get ``op.conj()``, giving op T op^dagger.
+    Each is one matrix product on a (before, block, after) view.
     """
     op = np.asarray(op)
     for factor, where in ((op, list(axes)), (op.conj(), list(bra_axes))):
         if where:
-            k, dims = len(where), [tensor.shape[a] for a in where]
-            tensor = np.tensordot(factor.reshape(dims + dims), tensor, axes=(list(range(k, 2 * k)), where))
-            tensor = np.moveaxis(tensor, list(range(k)), where)
+            first, stop = where[0], where[-1] + 1
+            if where != list(range(first, stop)):
+                raise ShapeMismatchError(f"axes {where} are not consecutive")
+            shape = tensor.shape
+            view = tensor.reshape(math.prod(shape[:first]), math.prod(shape[first:stop]), -1)
+            # With a one-column view, factor @ view runs another matmul kernel,
+            # whose sums differ in the last bit; the row form rounds as tensordot.
+            tensor = (view[:, :, 0] @ factor.T if stop == len(shape) else factor @ view).reshape(shape)
     return tensor
 
 
@@ -151,7 +158,7 @@ class ProbabilityTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.ndim < 1:
             raise ShapeMismatchError("tensor needs at least one slot")
         if len(set(v.shape)) != 1:
@@ -160,7 +167,6 @@ class ProbabilityTensor:
             raise ValueError(f"negative pattern probability {v.min()}")
         if abs(v.sum() - 1.0) > STRUCT_TOL:
             raise ValueError(f"pattern mass is {v.sum()}, not 1")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

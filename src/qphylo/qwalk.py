@@ -145,8 +145,5 @@ def closed_form_two_taxon(tensor: ProbabilityTensor, q) -> ProbabilityTensor:
     n = tensor.alphabet
     if q.size != n:
         raise ShapeMismatchError(f"shift distribution has size {q.size}, alphabet is {n}")
-    circ = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            circ[i, j] = q[(i - j) % n]
+    circ = q[np.subtract.outer(np.arange(n), np.arange(n)) % n]
     return ProbabilityTensor(circ @ tensor.values @ circ.T)

@@ -1,4 +1,4 @@
-"""Tree and alignment ingestion, plus compilation to a gate schedule.
+"""Tree and alignment ingestion, plus compilation to the circuit's gate tuple.
 
 Newick trees carry per-edge model parameters in comment blocks, e.g.
 ``(A:0.1[&model=K3,a=0.1,b=0.2,c=0.3],B:0.1);``. A bare branch length means
@@ -537,31 +537,8 @@ class EvolveGate:
     params: ModelParams
 
 
-@dataclass(frozen=True)
-class CircuitSchedule:
-    """Ordered gate list turning one root lineage into the leaf pattern state."""
-
-    gates: tuple
-    leaf_names: tuple
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self.leaf_names)
-
-    def validate(self) -> None:
-        """No gate may touch a slot that does not exist yet."""
-        width = 1
-        for gate in self.gates:
-            if not 1 <= gate.slot <= width:
-                raise ShapeMismatchError(f"{gate} touches slot {gate.slot} at width {width}")
-            if isinstance(gate, SplitGate):
-                width += 1
-        if width != self.n_leaves:
-            raise ShapeMismatchError(f"schedule ends at width {width}, tree has {self.n_leaves} leaves")
-
-
-def compile_circuit(tree: PhyloTree) -> CircuitSchedule:
-    """Schedule: each internal node splits its lineage slot, each edge evolves.
+def compile_circuit(tree: PhyloTree) -> tuple:
+    """The gates turning one root lineage into the leaf pattern state, in order.
 
     Pre-order: each edge evolves at its node's slot, then an internal node's
     slot splits into (slot, slot+1); the left child keeps the slot and the
@@ -582,6 +559,4 @@ def compile_circuit(tree: PhyloTree) -> CircuitSchedule:
             gates.append(SplitGate(slot[s]))
             left, right = kids[s]
             slot[left], slot[right] = slot[s], slot[s] + width[left]
-    schedule = CircuitSchedule(gates=tuple(gates), leaf_names=tree.leaf_names)
-    schedule.validate()
-    return schedule
+    return tuple(gates)

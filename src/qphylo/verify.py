@@ -218,7 +218,7 @@ def gate_circuit_deviations(tree: PhyloTree) -> tuple:
     n = tree.n_states + 1
     rho = np.diag(np.concatenate([[0.0], tree.pi])).astype(complex)
     slots = 1
-    for gate in compile_circuit(tree).gates:
+    for gate in compile_circuit(tree):
         r = gate.slot - 1
         if isinstance(gate, SplitGate):
             rho = np.multiply.outer(rho, linalg.projector(0, n))
@@ -249,7 +249,7 @@ def dense_pruning(tree: PhyloTree, aln: Alignment) -> np.ndarray:
     slot. The last slot is contracted with diag(0, pi).
     """
     n = tree.n_states + 1
-    gates = compile_circuit(tree).gates
+    gates = compile_circuit(tree)
     rows = [aln.taxa.index(name) for name in tree.leaf_names]
     pinch = collective_diagonalizer(n).operators
     unshift = control_not(n).conj().T

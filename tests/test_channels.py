@@ -8,7 +8,7 @@ from qphylo.channels import (DiagonalDensity, KrausChannel, apply_channel,
                              collective_diagonalizer, control_not, diagonalizer,
                              diagonalizer_fourier, split, split_at)
 from qphylo.errors import ShapeMismatchError
-from qphylo.linalg import PAULI_X, PAULI_Z, ProbabilityTensor
+from qphylo.linalg import PAULI_X, PAULI_Z
 
 from conftest import random_complex, random_density, random_unitary
 
@@ -220,12 +220,11 @@ class TestSplitAt:
     def test_single_taxon_reduces_to_split(self, rng):
         p = rng.dirichlet(np.ones(4))
         via_split = split(DiagonalDensity.from_block(p))
-        via_split_at = split_at(ProbabilityTensor(p), 1)
-        assert np.array_equal(via_split.values, via_split_at.values)
+        assert np.array_equal(via_split.values, split_at(p, 1))
 
     def test_two_taxon_index_formula(self, rng):
         values = rng.dirichlet(np.ones(9)).reshape(3, 3)
-        out = split_at(ProbabilityTensor(values), 2).values
+        out = split_at(values, 2)
         for i in range(3):
             for j in range(3):
                 for l in range(3):
@@ -234,20 +233,16 @@ class TestSplitAt:
 
     def test_marginal_roundtrip(self, rng):
         values = rng.dirichlet(np.ones(64)).reshape(4, 4, 4)
-        t = ProbabilityTensor(values)
         for k in (1, 2, 3):
-            back = split_at(t, k).values.sum(axis=k)
+            back = split_at(values, k).sum(axis=k)
             assert np.abs(back - values).max() < 1e-13
 
     def test_commutes_with_permuting_untouched_slots(self, rng):
         values = rng.dirichlet(np.ones(64)).reshape(4, 4, 4)
-        t = ProbabilityTensor(values)
-        swapped = ProbabilityTensor(values.transpose(0, 2, 1))
-        left = split_at(swapped, 1).values
-        right = split_at(t, 1).values.transpose(0, 1, 3, 2)
+        left = split_at(values.transpose(0, 2, 1), 1)
+        right = split_at(values, 1).transpose(0, 1, 3, 2)
         assert np.array_equal(left, right)
 
     def test_invalid_slot(self, rng):
-        t = ProbabilityTensor(rng.dirichlet(np.ones(4)))
         with pytest.raises(ShapeMismatchError):
-            split_at(t, 2)
+            split_at(rng.dirichlet(np.ones(4)), 2)

@@ -117,6 +117,20 @@ class TestSimulate:
             cli._write_json(reference, {**doc, "pattern_probabilities": tensor.tolist()})
             assert streamed.read_bytes() == reference.read_bytes()
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]), st.integers(1, 6),
+           st.integers(1, 2000), st.floats(0.0, 0.9))
+    def test_draws_match_generator_choice(self, seed, states, taxa, sites, zeroed):
+        # Zero entries make flat steps in the cumulative sum, which no draw may land on.
+        rng, size = np.random.default_rng(seed), states ** taxa
+        keep = rng.random(size) >= zeroed
+        keep[rng.integers(size)] = True
+        values = rng.dirichlet(np.ones(size)) * keep
+        values = (values / values.sum()).reshape((states,) * taxa)
+        flat = values.ravel()
+        expected = np.random.default_rng(seed).choice(flat.size, size=sites, p=flat / flat.sum())
+        drawn = cli._draw(values, np.random.default_rng(seed), sites)
+        assert np.array_equal(drawn, expected)
+
     @pytest.mark.parametrize("sites", [-1, 0, "x"])
     def test_sites_below_one_rejected_by_argparse(self, tmp_path, tree_file, capsys, sites):
         out = tmp_path / "run"

@@ -55,7 +55,7 @@ def test_equality_and_hash_do_not_recurse(tree):
 
 
 def test_compile_circuit(tree):
-    gates = compile_circuit(tree).gates
+    gates = compile_circuit(tree)
     assert sum(isinstance(g, SplitGate) for g in gates) == N_LEAVES - 1
     assert sum(isinstance(g, EvolveGate) for g in gates) == 2 * N_LEAVES - 2
 

@@ -27,7 +27,11 @@ from conftest import random_density, random_unitary
 CHERRY = parse_newick("(A:0.1,B:0.1);")
 # Leaf likelihood vectors as alignment_loglik builds them: row x indicates character x.
 A, C = np.eye(4)[:2]
-CATERPILLAR_20 = parse_newick("(" * 19 + "t0:0.1" + "".join(f",t{i}:0.1):0.1" for i in range(1, 20)) + ";")
+def caterpillar(n):
+    return parse_newick("(" * (n - 1) + "t0:0.1" + "".join(f",t{i}:0.1):0.1" for i in range(1, n)) + ";")
+
+
+CATERPILLAR_20 = caterpillar(20)
 # The kinds of engine._edge_ops entry: W, and the Kraus and adjoint families' transfer forms.
 KINDS = ("classical", "kraus", "adjoint")
 
@@ -91,6 +95,33 @@ class TestSimulateTree:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_budget_counts_twice_the_tensor(self, monkeypatch):
+        tree = caterpillar(9)
+        monkeypatch.setattr(engine, "MAX_TENSOR_BYTES", 2 * 4 ** 9 * 8)
+        simulate_tree(tree)
+        monkeypatch.setattr(engine, "MAX_TENSOR_BYTES", 2 * 4 ** 9 * 8 - 1)
+        with pytest.raises(ModelError, match=r"4\*\*9 entries \(2097152 bytes\); building it takes twice"):
+            simulate_tree(tree)
+        monkeypatch.undo()
+        with pytest.raises(ModelError, match=r"2\*\*27 entries"):
+            simulate_tree(tree_with_shared_params(caterpillar(27), ModelParams.binary(0.1)))
+
+    @pytest.mark.parametrize("tree", [
+        caterpillar(9),
+        parse_newick("(((a:0.1,b:0.2):0.1,(c:0.1,d:0.3):0.2):0.1,((e:0.1,f:0.1):0.1,(g:0.2,h:0.1):0.1):0.1);"),
+        tree_with_shared_params(CATERPILLAR_20, ModelParams.binary(0.1)),
+    ], ids=["caterpillar-9", "balanced-8", "binary-caterpillar-20"])
+    def test_build_peaks_at_twice_the_tensor(self, tree):
+        # Each gate allocates only its output, so the input and output of the
+        # last evolution are the peak; MAX_TENSOR_BYTES counts both.
+        tracemalloc.start()
+        try:
+            tensor = simulate_tree(tree).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * tensor.nbytes + (64 << 10)
 
     def test_budget_counts_states_not_leaves(self):
         tree = tree_with_shared_params(CATERPILLAR_20, ModelParams.binary(0.1))

@@ -117,6 +117,43 @@ class TestPredicates:
         assert linalg.is_hermitian(h)
 
 
+class TestApplyOnAxes:
+    """Against the dense product kron(1_before, op, 1_after) on the flattened tensor."""
+
+    DIMS = (3, 2, 4, 2)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bra", [False, True], ids=["ket", "ket-bra"])
+    def test_matches_dense(self, rng, dtype, width, where, bra):
+        def draw(*shape):
+            real = rng.normal(size=shape)
+            return real + 1j * rng.normal(size=shape) if dtype is complex else real
+
+        dims = self.DIMS
+        first = {"first": 0, "middle": 1, "last": len(dims) - width}[where]
+        axes = list(range(first, first + width))
+        before, block = int(np.prod(dims[:first])), int(np.prod(dims[first:first + width]))
+        n = int(np.prod(dims))
+        op = draw(block, block)
+        full = np.kron(np.kron(np.eye(before), op), np.eye(n // (before * block)))
+        if bra:
+            rho = draw(n, n)
+            out = linalg.apply_on_axes(op, rho.reshape(dims + dims), axes, [len(dims) + a for a in axes])
+            expected = full @ rho @ full.conj().T
+        else:
+            rho = draw(n)
+            out = linalg.apply_on_axes(op, rho.reshape(dims), axes)
+            expected = full @ rho
+        assert out.shape == (dims + dims if bra else dims) and out.dtype == op.dtype
+        assert np.abs(out.reshape(expected.shape) - expected).max() < 1e-12
+
+    def test_axes_must_be_consecutive(self, rng):
+        with pytest.raises(ShapeMismatchError):
+            linalg.apply_on_axes(np.eye(12), rng.random(self.DIMS), [0, 2])
+
+
 class TestProbabilityTensor:
     def test_validates_mass_and_sign(self):
         with pytest.raises(ValueError):

@@ -233,27 +233,32 @@ class TestParseFasta:
 class TestCompileCircuit:
     def test_cherry_schedule(self):
         tree = parse_newick("(A:0.1,B:0.2);")
-        gates = compile_circuit(tree).gates
+        gates = compile_circuit(tree)
         assert isinstance(gates[0], SplitGate) and gates[0].slot == 1
         assert isinstance(gates[1], EvolveGate) and gates[1].slot == 1
         assert isinstance(gates[2], EvolveGate) and gates[2].slot == 2
         assert len(gates) == 3
 
     def test_four_taxa_balanced(self):
-        schedule = compile_circuit(parse_newick(BALANCED))
-        splits = [g.slot for g in schedule.gates if isinstance(g, SplitGate)]
-        evolves = [g for g in schedule.gates if isinstance(g, EvolveGate)]
+        gates = compile_circuit(parse_newick(BALANCED))
+        splits = [g.slot for g in gates if isinstance(g, SplitGate)]
+        evolves = [g for g in gates if isinstance(g, EvolveGate)]
         assert splits == [1, 1, 3]
         assert len(evolves) == 6
 
     def test_gate_counts_scale_with_leaves(self):
         text = "((((A:1,B:1):1,C:1):1,D:1):1,(E:1,(F:1,G:1):1):1);"
-        schedule = compile_circuit(parse_newick(text))
-        s = schedule.n_leaves
+        tree = parse_newick(text)
+        gates, s = compile_circuit(tree), tree.n_leaves
         assert s == 7
-        assert sum(isinstance(g, SplitGate) for g in schedule.gates) == s - 1
-        assert sum(isinstance(g, EvolveGate) for g in schedule.gates) == 2 * s - 2
+        assert sum(isinstance(g, SplitGate) for g in gates) == s - 1
+        assert sum(isinstance(g, EvolveGate) for g in gates) == 2 * s - 2
 
     def test_topology_sorted(self):
-        schedule = compile_circuit(parse_newick(BALANCED))
-        schedule.validate()  # raises if any gate touches a slot early
+        # No gate touches a slot before a split creates it, and the last
+        # split leaves one slot per leaf.
+        width = 1
+        for gate in compile_circuit(parse_newick(BALANCED)):
+            assert 1 <= gate.slot <= width
+            width += isinstance(gate, SplitGate)
+        assert width == 4
