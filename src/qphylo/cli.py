@@ -67,6 +67,18 @@ def _json_array(array: np.ndarray, level: int):
     yield close
 
 
+def _json_with_array_bytes(doc: dict, key: str, shape: tuple, entry: int) -> int:
+    """Bytes ``_write_json_with_array`` writes for an array of ``shape`` whose
+    every entry's repr takes ``entry`` bytes. The array takes the place of
+    ``null`` in the dump, whose non-ASCII characters json escapes; in it each
+    item follows "[" or "," and an indented newline, and each row closes on
+    an indented "]"."""
+    size = entry
+    for level in range(len(shape), 0, -1):
+        size = shape[level - 1] * (4 + 2 * level + size) + 2 + 2 * level
+    return len(json.dumps({**doc, key: None}, indent=2, sort_keys=True)) - len("null") + size + 1
+
+
 def _write_json_with_array(path: Path, doc: dict, key: str, array: np.ndarray) -> None:
     """The bytes ``_write_json`` writes for ``{**doc, key: array.tolist()}``, without that list.
 
@@ -116,6 +128,13 @@ def cmd_simulate(args) -> int:
     if size > MAX_TENSOR_BYTES:
         raise ModelError(f"a sample of {args.sites} sites for {tree.n_leaves} taxa needs "
                          f"{size} bytes, over the {MAX_TENSOR_BYTES}-byte limit")
+    doc = {"alphabet": tree.alphabet.name, "leaves": list(tree.leaf_names),
+           "seed": args.seed, "sites": args.sites}
+    # An entry is written as its repr, 23 bytes at most for a float in [0, 1].
+    size = _json_with_array_bytes(doc, "pattern_probabilities", (tree.n_states,) * tree.n_leaves, 23)
+    if size > MAX_TENSOR_BYTES:
+        raise ModelError(f"patterns.json of {tree.n_states}**{tree.n_leaves} entries may take "
+                         f"{size} bytes, over the {MAX_TENSOR_BYTES}-byte limit")
     tensor = simulate_tree(tree)
     rng = np.random.default_rng(args.seed)
     draws = _draw(tensor.values, rng, args.sites)
@@ -130,12 +149,7 @@ def cmd_simulate(args) -> int:
     fasta_path = out.with_name(out.name + ".fasta")
     doc_path = out.with_name(out.name + ".patterns.json")
     fasta_path.write_text("\n".join(fasta_lines) + "\n", encoding="utf-8")
-    _write_json_with_array(doc_path, {
-        "alphabet": tree.alphabet.name,
-        "leaves": list(tree.leaf_names),
-        "seed": args.seed,
-        "sites": args.sites,
-    }, "pattern_probabilities", tensor.values)
+    _write_json_with_array(doc_path, doc, "pattern_probabilities", tensor.values)
     print(f"simulated {args.sites} sites for {tree.n_leaves} taxa")
     print(f"wrote {fasta_path} and {doc_path}")
     return EXIT_OK

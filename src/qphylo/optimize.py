@@ -1,11 +1,12 @@
 """Maximum-likelihood estimation of model weights on a fixed topology.
 
 The search is a plain Nelder-Mead simplex over the family's free weights,
-shared across all edges of the tree. Candidate points that leave the
-family's feasible region (a box, plus a weight-sum constraint for the
-4-state group families) are reflected back inside before evaluation, so the
-objective only ever sees valid substitution matrices. The search itself is
-deterministic; the seed is carried through to the report for provenance.
+shared across all edges of the tree or one block per edge. Candidate
+points that leave the family's feasible region (a box, plus a weight-sum
+constraint for the 4-state group families) are reflected back inside
+before evaluation, so the objective only ever sees valid substitution
+matrices. The search itself is deterministic; the seed is carried through
+to the report for provenance.
 """
 
 from __future__ import annotations
@@ -26,26 +27,20 @@ _SPREAD = 0.05
 _START = 0.1
 
 
-@dataclass(frozen=True)
-class _FamilySpec:
-    names: tuple
-    lower: np.ndarray
-    upper: np.ndarray
-    sum_coeffs: np.ndarray | None  # feasible iff sum_coeffs @ x <= 1
-
-
-def _family_spec(name: str) -> _FamilySpec:
-    """The search region: every weight in [0, 1] and, for a flip family, a
-    nonnegative identity weight 1 - drives @ x, drives[i] counting the flips
-    that weight i drives. A single weight takes that bound as its box."""
+def _region(name: str):
+    """The search region (upper, drives) of a family's weights x: 0 <= x <= upper
+    and, for a flip family, a nonnegative identity weight 1 - drives @ x,
+    drives[i] counting the flips that weight i drives. A single weight takes
+    that bound as its box, and drives is None."""
     family = FAMILY.get(name)
     if family is None:
         raise ModelError(f"unknown model family {name!r}")
-    n = len(family.weights)
-    drives = None if family.flips is None else np.bincount(family.flips).astype(float)
-    if drives is not None and n == 1:
-        return _FamilySpec(family.weights, np.zeros(1), 1.0 / drives, None)
-    return _FamilySpec(family.weights, np.zeros(n), np.ones(n), drives)
+    if family.flips is None:
+        return np.ones(len(family.weights)), None
+    drives = np.bincount(family.flips).astype(float)
+    if drives.size == 1:
+        return 1.0 / drives, None
+    return np.ones(drives.size), drives
 
 
 @dataclass(frozen=True)
@@ -122,27 +117,28 @@ def tree_with_shared_params(tree: PhyloTree, params: ModelParams, root_pi=None) 
     return tree_with_edge_params(tree, itertools.repeat(params), root_pi=root_pi)
 
 
-def _reflect_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    span = upper - lower
-    period = 2.0 * span
-    y = np.mod(x - lower, period)
-    y = np.minimum(y, period - y)
-    return lower + y
+def _mirror(x: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    period = 2.0 * upper
+    y = np.mod(x, period)
+    return np.minimum(y, period - y)
 
 
-def reflect_feasible(x: np.ndarray, spec: _FamilySpec) -> np.ndarray:
-    """Mirror a point across the violated bounds into the family's region."""
-    x = _reflect_box(np.asarray(x, dtype=float), spec.lower, spec.upper)
-    if spec.sum_coeffs is not None:
-        c = spec.sum_coeffs
-        excess = c @ x - 1.0
-        if excess > 0.0:
-            x = x - 2.0 * excess / (c @ c) * c
-            x = _reflect_box(x, spec.lower, spec.upper)
-            if c @ x > 1.0:
-                # Pathological double violation: pull straight to the facet.
-                x = x * (1.0 / (c @ x))
-    return np.clip(x, spec.lower, spec.upper)
+def reflect_feasible(x: np.ndarray, upper: np.ndarray, drives: np.ndarray | None) -> np.ndarray:
+    """Mirror every row of ``x``, whose last axis is one edge block, across
+    the violated bounds into the region ``_region`` gives."""
+    x = _mirror(np.asarray(x, dtype=float), upper)
+    if drives is not None:
+        over = x @ drives > 1.0
+        if over.any():
+            y = x[over]
+            excess = y @ drives - 1.0
+            y = _mirror(y - (2.0 * excess / (drives @ drives))[:, None] * drives, upper)
+            total = y @ drives
+            # Pathological double violation: pull straight to the facet.
+            pull = total > 1.0
+            y[pull] *= (1.0 / total[pull])[:, None]
+            x[over] = y
+    return np.clip(x, 0.0, upper)
 
 
 def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
@@ -153,7 +149,7 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
     monotone in the objective. Raises OptimizerError when every vertex of
     the initial simplex has zero likelihood.
     """
-    spec = _family_spec(problem.family)
+    upper, drives = _region(problem.family)
     family = FAMILY[problem.family]
     n_states = family.n_states
     if n_states != problem.alignment.alphabet.n_states:
@@ -164,40 +160,31 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
     if family.takes_pi:
         uniform = root_pi is None or root_pi.size != n_states
         pi = np.full(n_states, 1.0 / n_states) if uniform else root_pi
-    block_dim = len(spec.names)
+    block_dim = len(family.weights)
     n_blocks = len(problem.tree.nodes) - 1 if problem.per_edge else 1
     dim = n_blocks * block_dim
 
     def reflect(x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x, dtype=float)
-        for b in range(n_blocks):
-            sl = slice(b * block_dim, (b + 1) * block_dim)
-            out[sl] = reflect_feasible(x[sl], spec)
-        return out
-
-    def edge_params(x: np.ndarray) -> list:
-        return [ModelParams(problem.family, *x[b * block_dim:(b + 1) * block_dim], pi=pi)
-                for b in range(n_blocks)]
+        """Points (..., dim) reflected block by block into the region."""
+        blocks = x.reshape(*x.shape[:-1], n_blocks, block_dim)
+        return reflect_feasible(blocks, upper, drives).reshape(x.shape)
 
     n_eval = 0
 
     def objective(x: np.ndarray) -> float:
         nonlocal n_eval
         n_eval += 1
-        tree = tree_with_edge_params(problem.tree, itertools.cycle(edge_params(x)), root_pi=root_pi)
+        edges = [ModelParams(problem.family, *block, pi=pi) for block in x.reshape(n_blocks, block_dim)]
+        tree = tree_with_edge_params(problem.tree, itertools.cycle(edges), root_pi=root_pi)
         try:
             report = alignment_loglik(tree, problem.alignment, engine=problem.engine)
         except ZeroLikelihoodError:
             return np.inf
         return -report.total_log_likelihood
 
-    x0 = np.full(dim, _START)
-    vertices = [reflect(x0)]
-    for i in range(dim):
-        step = x0.copy()
-        step[i] += _SPREAD
-        vertices.append(reflect(step))
-    values = [objective(v) for v in vertices]
+    # Vertex 0 is the start point; vertex i + 1 steps weight i by _SPREAD.
+    vertices = reflect(np.full(dim, _START) + np.vstack([np.zeros(dim), _SPREAD * np.eye(dim)]))
+    values = np.array([objective(v) for v in vertices])
     if not np.isfinite(values).any():
         raise OptimizerError("zero likelihood across the entire initial simplex")
 
@@ -213,13 +200,11 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
     converged = False
     while n_eval < MAX_EVALS:
         order = np.argsort(values, kind="stable")
-        vertices = [vertices[i] for i in order]
-        values = [values[i] for i in order]
-        diameter = max(np.abs(v - vertices[0]).max() for v in vertices[1:])
-        if diameter < DIAMETER_TOL:
+        vertices, values = vertices[order], values[order]
+        if np.abs(vertices[1:] - vertices[0]).max() < DIAMETER_TOL:
             converged = True
             break
-        centroid = np.mean(vertices[:-1], axis=0)
+        centroid = vertices[:-1].mean(axis=0)
         reflected = reflect(centroid + alpha * (centroid - vertices[-1]))
         f_reflected = objective(reflected)
         if f_reflected < values[0]:
@@ -237,16 +222,15 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
             if f_contracted < values[-1]:
                 vertices[-1], values[-1] = contracted, f_contracted
             else:
-                for i in range(1, len(vertices)):
-                    vertices[i] = reflect(vertices[0] + sigma * (vertices[i] - vertices[0]))
-                    values[i] = objective(vertices[i])
+                vertices[1:] = reflect(vertices[0] + sigma * (vertices[1:] - vertices[0]))
+                values[1:] = [objective(v) for v in vertices[1:]]
         record()
 
     best = int(np.argmin(values))
     if problem.per_edge:
-        names = tuple(f"edge{b + 1}.{name}" for b in range(n_blocks) for name in spec.names)
+        names = tuple(f"edge{b + 1}.{name}" for b in range(n_blocks) for name in family.weights)
     else:
-        names = spec.names
+        names = family.weights
     return OptimizationResult(
         family=problem.family,
         engine=problem.engine,

@@ -31,12 +31,6 @@ class Alphabet:
     def n_states(self) -> int:
         return len(self.symbols)
 
-    def index(self, symbol: str) -> int:
-        try:
-            return self.symbols.index(symbol)
-        except ValueError:
-            raise FastaParseError(f"character {symbol!r} not in {self.name} alphabet {self.symbols}") from None
-
 
 DNA = Alphabet("dna", ("A", "C", "G", "T"))
 BINARY = Alphabet("binary", ("0", "1"))
@@ -522,7 +516,10 @@ def parse_fasta(text: str) -> Alignment:
     else:
         bad = sorted(chars - set(DNA.symbols) - set(BINARY.symbols))
         raise FastaParseError(f"unsupported characters {bad} (gaps/ambiguity codes are rejected)")
-    data = np.array([[alphabet.index(ch) for ch in seq] for seq in joined], dtype=np.int64)
+    # Every character is one of the alphabet's ASCII symbols, so one table lookup maps them all.
+    table = np.zeros(128, dtype=np.int64)
+    table[[ord(symbol) for symbol in alphabet.symbols]] = np.arange(alphabet.n_states)
+    data = table[np.frombuffer("".join(joined).encode("ascii"), dtype=np.uint8)].reshape(len(joined), -1)
     return Alignment(taxa=tuple(taxa), data=data, alphabet=alphabet)
 
 

@@ -117,6 +117,51 @@ class TestSimulate:
             cli._write_json(reference, {**doc, "pattern_probabilities": tensor.tolist()})
             assert streamed.read_bytes() == reference.read_bytes()
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["binary", "dna"]), st.integers(1, 6),
+           st.lists(st.text(), max_size=3))
+    def test_patterns_bound_is_exact_but_for_the_entries(self, seed, alphabet, n_leaves, names):
+        # Entries of many repr lengths: zero, one, subnormals, and 2.2250738585072014e-308,
+        # whose 23 characters are the most a float in [0, 1] takes.
+        rng = np.random.default_rng(seed)
+        shape = ({"binary": 2, "dna": 4}[alphabet],) * n_leaves
+        values = rng.random(shape) * 10.0 ** -rng.integers(0, 330, shape)
+        values.flat[rng.integers(values.size, size=3)] = (0.0, 1.0, 2.2250738585072014e-308)
+        doc = {"alphabet": alphabet, "leaves": names, "seed": seed, "sites": n_leaves}
+        reprs = list(map(repr, values.ravel().tolist()))
+        assert max(map(len, reprs)) <= 23
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "patterns.json")
+            cli._write_json_with_array(path, doc, "pattern_probabilities", values)
+            written = len(path.read_bytes())
+        bound = cli._json_with_array_bytes(doc, "pattern_probabilities", values.shape, 23)
+        assert written == bound - sum(23 - len(r) for r in reprs)
+
+    @pytest.mark.parametrize("edge, states, leaves", [(":0.1", 4, 12), ("[&model=B,a=0.1]", 2, 23)])
+    def test_oversized_patterns_file_refused_before_allocating(self, tmp_path, capsys, edge,
+                                                               states, leaves):
+        caterpillar = "(" * (leaves - 1) + f"t0{edge}" + "".join(f",t{i}{edge}){edge}"
+                                                               for i in range(1, leaves))
+        tree = tmp_path / "cat.nwk"
+        tree.write_text(caterpillar.removesuffix(edge) + ";")
+        out = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            code = run(["simulate", "--tree", tree, "--sites", 5, "--seed", 1, "--out", out])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_MODEL
+        assert peak < 1 << 20
+        doc = {"alphabet": {2: "binary", 4: "dna"}[states], "leaves": [f"t{i}" for i in range(leaves)],
+               "seed": 1, "sites": 5}
+        bound = cli._json_with_array_bytes(doc, "pattern_probabilities", (states,) * leaves, 23)
+        assert capsys.readouterr().err == (f"model error: patterns.json of {states}**{leaves} entries "
+                                           f"may take {bound} bytes, over the {2**30}-byte limit\n")
+        assert not out.with_name("run.fasta").exists()
+        # One leaf fewer fits.
+        doc["leaves"].pop()
+        assert cli._json_with_array_bytes(doc, "pattern_probabilities", (states,) * (leaves - 1), 23) <= 2**30
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]), st.integers(1, 6),
            st.integers(1, 2000), st.floats(0.0, 0.9))
     def test_draws_match_generator_choice(self, seed, states, taxa, sites, zeroed):

@@ -17,16 +17,16 @@ from hypothesis import strategies as st
 
 from qphylo.errors import ModelError, NewickParseError
 from qphylo.models import FAMILIES, FAMILY, ModelParams, flip_weights
-from qphylo.optimize import _family_spec
+from qphylo.optimize import _region
 from qphylo.treeio import emit_newick, parse_newick
 
-# (lower, upper, sum_coeffs) of the search region.
-SPECS = {
-    "JC": (np.zeros(1), np.array([1.0 / 3.0]), None),
-    "K2": (np.zeros(2), np.ones(2), np.array([1.0, 2.0])),
-    "K3": (np.zeros(3), np.ones(3), np.ones(3)),
-    "B": (np.zeros(1), np.ones(1), None),
-    "F": (np.zeros(1), np.ones(1), None),
+# (upper, drives) of the search region; every lower bound is zero.
+REGIONS = {
+    "JC": (np.array([1.0 / 3.0]), None),
+    "K2": (np.ones(2), np.array([1.0, 2.0])),
+    "K3": (np.ones(3), np.ones(3)),
+    "B": (np.ones(1), None),
+    "F": (np.ones(1), None),
 }
 
 SIGNATURES = {"JC": "(a)", "K2": "(a, b)", "K3": "(a, b, c)", "B": "(a)", "F": "(a, pi)"}
@@ -66,26 +66,24 @@ ROUND_TRIP = {
 
 
 def test_every_family_is_pinned():
-    for table in (SPECS, SIGNATURES, SHAPES, MISSING, ROUND_TRIP):
+    for table in (REGIONS, SIGNATURES, SHAPES, MISSING, ROUND_TRIP):
         assert tuple(table) == FAMILIES
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_search_region_is_bytewise_unchanged(family):
-    spec = _family_spec(family)
-    lower, upper, sum_coeffs = SPECS[family]
-    for got, want in ((spec.lower, lower), (spec.upper, upper)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    if sum_coeffs is None:
-        assert spec.sum_coeffs is None
+    upper, drives = _region(family)
+    want_upper, want_drives = REGIONS[family]
+    assert upper.dtype == want_upper.dtype and upper.tobytes() == want_upper.tobytes()
+    if want_drives is None:
+        assert drives is None
     else:
-        assert spec.sum_coeffs.dtype == sum_coeffs.dtype
-        assert spec.sum_coeffs.tobytes() == sum_coeffs.tobytes()
+        assert drives.dtype == want_drives.dtype and drives.tobytes() == want_drives.tobytes()
 
 
 def test_unknown_family_has_no_search_region():
     with pytest.raises(ModelError, match=r"^unknown model family 'HKY'$"):
-        _family_spec("HKY")
+        _region("HKY")
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qphylo.engine import alignment_loglik, simulate_tree
 from qphylo.errors import ModelError
-from qphylo.models import ModelParams
-from qphylo.optimize import (OptimizationProblem, _family_spec, maximize_loglik,
+from qphylo.models import FAMILIES, FAMILY, ModelParams
+from qphylo.optimize import (OptimizationProblem, _region, maximize_loglik,
                              reflect_feasible, tree_with_edge_params, tree_with_shared_params)
 from qphylo.treeio import BINARY, DNA, Alignment, parse_newick
 
@@ -23,26 +25,76 @@ def simulated_alignment(tree, params, n_sites, seed):
     return Alignment(taxa=full.leaf_names, data=data, alphabet=alphabet)
 
 
+def reference_reflect(x, upper, drives):
+    """One block reflected as the optimizer did before it reflected whole arrays,
+    with its explicit zero lower bound."""
+    lower = np.zeros_like(upper)
+
+    def box(x):
+        period = 2.0 * (upper - lower)
+        y = np.mod(x - lower, period)
+        return lower + np.minimum(y, period - y)
+
+    x = box(np.asarray(x, dtype=float))
+    if drives is not None:
+        c = drives
+        excess = c @ x - 1.0
+        if excess > 0.0:
+            x = box(x - 2.0 * excess / (c @ c) * c)
+            if c @ x > 1.0:
+                x = x * (1.0 / (c @ x))
+    return np.clip(x, lower, upper)
+
+
+# Coordinates that reach every branch: signed zeros, the box faces, inside,
+# over the facet, and outside the box on either side.
+EDGE_VALUES = [0.0, -0.0, 1.0 / 3.0, 0.5, 1.0, 0.9, -0.05, 1.2, -1.7, 2.5]
+
+
+@st.composite
+def blocks(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    d = len(FAMILY[family].weights)
+    coordinate = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(EDGE_VALUES))
+    rows = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=1, max_size=7))
+    return family, np.array(rows)
+
+
 class TestReflection:
     def test_inside_stays_put(self):
-        spec = _family_spec("K3")
         x = np.array([0.1, 0.2, 0.3])
-        assert np.array_equal(reflect_feasible(x, spec), x)
+        assert np.array_equal(reflect_feasible(x, *_region("K3")), x)
 
     def test_box_violation_mirrors(self):
-        spec = _family_spec("JC")
-        assert reflect_feasible(np.array([-0.05]), spec)[0] == pytest.approx(0.05)
+        assert reflect_feasible(np.array([-0.05]), *_region("JC"))[0] == pytest.approx(0.05)
 
     def test_simplex_violation_reflects_across_facet(self):
-        spec = _family_spec("K3")
-        out = reflect_feasible(np.array([0.5, 0.4, 0.3]), spec)
+        out = reflect_feasible(np.array([0.5, 0.4, 0.3]), *_region("K3"))
         assert out.sum() <= 1.0 + 1e-12
         assert out.min() >= 0.0
 
     def test_k2_weight_sum(self):
-        spec = _family_spec("K2")
-        out = reflect_feasible(np.array([0.8, 0.4]), spec)
+        out = reflect_feasible(np.array([0.8, 0.4]), *_region("K2"))
         assert out[0] + 2 * out[1] <= 1.0 + 1e-12
+
+    def test_double_violation_is_pulled_onto_the_facet(self):
+        # (0.9, 0.9) reflects across a + 2b = 1 to (0.22, -0.46), which the box
+        # mirrors to (0.22, 0.46), still over the facet.
+        upper, drives = _region("K2")
+        out = reflect_feasible(np.array([[0.9, 0.9]]), upper, drives)[0]
+        assert out @ drives == 1.0
+        assert out == pytest.approx(np.array([0.22, 0.46]) / 1.14, rel=1e-12)
+
+    @settings(max_examples=500)
+    @given(blocks())
+    @example(("K2", np.array([[0.9, 0.9], [0.1, 0.2], [-0.0, 0.0]])))
+    @example(("K3", np.array([[0.5, 0.4, 0.3], [-0.0, -0.0, 1.0], [1.2, -0.05, 0.5]])))
+    @example(("JC", np.array([[-0.0], [0.4], [-0.05]])))
+    def test_rows_match_the_per_block_reflection_bytewise(self, case):
+        family, x = case
+        upper, drives = _region(family)
+        want = np.array([reference_reflect(row, upper, drives) for row in x])
+        assert reflect_feasible(x, upper, drives).tobytes() == want.tobytes()
 
 
 class TestMaximizeLoglik:

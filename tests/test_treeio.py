@@ -207,6 +207,18 @@ class TestParseFasta:
         with pytest.raises(FastaParseError):
             parse_fasta("\n\n")
 
+    @given(st.sampled_from([(BINARY, "01"), (DNA, "ACGTacgt")]).flatmap(
+        lambda alphabet: st.tuples(st.just(alphabet[0]), st.integers(1, 40).flatmap(
+            lambda n: st.lists(st.text(alphabet[1], min_size=n, max_size=n), min_size=1, max_size=5)))))
+    def test_one_lookup_matches_the_per_character_mapping(self, case):
+        alphabet, seqs = case
+        aln = parse_fasta("".join(f">t{i}\n{seq}\n" for i, seq in enumerate(seqs)))
+        want = np.array([[alphabet.symbols.index(ch.upper()) for ch in seq] for seq in seqs],
+                        dtype=np.int64)
+        assert aln.alphabet is alphabet
+        assert aln.data.dtype == want.dtype and aln.data.shape == want.shape
+        assert aln.data.tobytes() == want.tobytes()
+
     @given(FASTA_LIKE)
     def test_arbitrary_text_raises_only_package_errors(self, text):
         try:
