@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,6 +33,8 @@ EXIT_TAXA = 4
 EXIT_ZERO_LIKELIHOOD = 5
 EXIT_OPTIMIZER = 6
 
+_CHUNK = 4096  # entries per patterns.json write; 65,536 raised a 4**9-entry run's peak 8-15 MiB
+
 def _int_at_least(low: int):
     """argparse type for an integer that must be at least ``low``."""
     def parse(text: str) -> int:
@@ -51,47 +54,44 @@ def _write_json(path: Path, doc: dict) -> None:
         f.write("\n")
 
 
-def _json_array(array: np.ndarray, level: int):
-    """``json.dumps(array.tolist(), indent=2)`` nested ``level`` deep, one innermost row per piece.
+def _json_layout(shape: tuple):
+    """``(head, after, blocks)`` of ``json.dumps(indent=2)`` for a top-level list of ``shape``.
 
-    Floats are written with ``float.__repr__``, as json writes finite floats.
+    ``head`` precedes the first entry. ``after[j]`` follows each entry that closes
+    ``j`` inner axes: its 1-based flat index is a multiple of ``blocks[j]``, the
+    size of the last ``j`` axes, but not of ``blocks[j + 1]``. ``after[-1]`` ends the list.
     """
-    inner = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level + "]"
-    if array.ndim == 1:
-        yield "[" + inner + ("," + inner).join(map(float.__repr__, array.tolist())) + close
-        return
-    for i, sub in enumerate(array):
-        yield ("," if i else "[") + inner
-        yield from _json_array(sub, level + 1)
-    yield close
+    ndim = len(shape)
+    pad = ["\n" + "  " * level for level in range(ndim + 2)]
+    opens = ["".join("[" + pad[level] for level in range(ndim + 2 - j, ndim + 2)) for j in range(ndim + 1)]
+    closes = ["".join(pad[level] + "]" for level in range(ndim, ndim - j, -1)) for j in range(ndim + 1)]
+    after = [closes[j] + "," + pad[ndim + 1 - j] + opens[j] for j in range(ndim)] + [closes[ndim]]
+    return opens[ndim], np.array(after, dtype=object), [math.prod(shape[ndim - j:]) for j in range(ndim + 1)]
 
 
 def _json_with_array_bytes(doc: dict, key: str, shape: tuple, entry: int) -> int:
     """Bytes ``_write_json_with_array`` writes for an array of ``shape`` whose
     every entry's repr takes ``entry`` bytes. The array takes the place of
-    ``null`` in the dump, whose non-ASCII characters json escapes; in it each
-    item follows "[" or "," and an indented newline, and each row closes on
-    an indented "]"."""
-    size = entry
-    for level in range(len(shape), 0, -1):
-        size = shape[level - 1] * (4 + 2 * level + size) + 2 + 2 * level
-    return len(json.dumps({**doc, key: None}, indent=2, sort_keys=True)) - len("null") + size + 1
+    ``null`` in the dump, whose non-ASCII characters json escapes."""
+    head, after, blocks = _json_layout(shape)
+    closing = [blocks[-1] // block for block in blocks] + [0]  # entries that close at least j axes
+    text = len(head) + sum(len(sep) * (closing[j] - closing[j + 1]) for j, sep in enumerate(after))
+    return len(json.dumps({**doc, key: None}, indent=2, sort_keys=True)) - len("null") + text + blocks[-1] * entry + 1
 
 
 def _write_json_with_array(path: Path, doc: dict, key: str, array: np.ndarray) -> None:
-    """The bytes ``_write_json`` writes for ``{**doc, key: array.tolist()}``, without that list.
-
-    The other keys come from ``json.dumps``; the array, a top-level value, is
-    streamed one innermost row at a time, so no nested-list copy is built.
-    ``"<key>": null`` cannot occur inside a JSON string, whose quotes are
-    escaped, so it marks where the array goes.
-    """
-    marker = f'"{key}": null'
-    head, _, tail = json.dumps({**doc, key: None}, indent=2, sort_keys=True).partition(marker)
+    """The bytes ``_write_json`` writes for ``{**doc, key: array.tolist()}``, without that list:
+    ``_CHUNK`` entries at a time, each one's ``float.__repr__`` (as json writes finite floats)
+    then its separator. ``"<key>": null`` marks the array's place; in a JSON string its quotes are escaped."""
+    head, _, tail = json.dumps({**doc, key: None}, indent=2, sort_keys=True).partition(f'"{key}": null')
+    first, after, blocks = _json_layout(array.shape)
     with path.open("w", encoding="utf-8") as f:
-        f.write(head + f'"{key}": ')
-        f.writelines(_json_array(array, 1))
+        f.write(head + f'"{key}": ' + first)
+        for start in range(0, array.size, _CHUNK):
+            chunk = array.flat[start:start + _CHUNK].tolist()
+            index = np.arange(start + 1, start + len(chunk) + 1)
+            seps = after[sum(index % block == 0 for block in blocks[1:])].tolist()
+            f.write("".join(map(str.__add__, map(float.__repr__, chunk), seps)))
         f.write(tail + "\n")
 
 
@@ -123,7 +123,8 @@ def _draw(values: np.ndarray, rng: np.random.Generator, sites: int) -> np.ndarra
 
 def cmd_simulate(args) -> int:
     tree = _load_tree(args.tree)
-    # Per site: the flat draw and one index per leaf (int64), one FASTA character per leaf.
+    # Per site: the flat draw and one index per leaf (int64), then one leaf's FASTA
+    # row at a time (uint8); drawing holds only the uniforms and the draw (float64, int64).
     size = args.sites * (8 + 9 * tree.n_leaves)
     if size > MAX_TENSOR_BYTES:
         raise ModelError(f"a sample of {args.sites} sites for {tree.n_leaves} taxa needs "
@@ -139,16 +140,13 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     draws = _draw(tensor.values, rng, args.sites)
     patterns = np.unravel_index(draws, tensor.values.shape)
-    symbols = tree.alphabet.symbols
-    fasta_lines = []
-    for row, name in enumerate(tree.leaf_names):
-        seq = "".join(symbols[idx] for idx in patterns[row])
-        fasta_lines.append(f">{name}")
-        fasta_lines.append(seq)
+    codes = np.frombuffer("".join(tree.alphabet.symbols).encode("ascii"), dtype=np.uint8)
     out = Path(args.out)
     fasta_path = out.with_name(out.name + ".fasta")
     doc_path = out.with_name(out.name + ".patterns.json")
-    fasta_path.write_text("\n".join(fasta_lines) + "\n", encoding="utf-8")
+    with fasta_path.open("wb") as f:
+        for name, row in zip(tree.leaf_names, patterns):
+            f.writelines((f">{name}\n".encode("utf-8"), codes[row], b"\n"))
     _write_json_with_array(doc_path, doc, "pattern_probabilities", tensor.values)
     print(f"simulated {args.sites} sites for {tree.n_leaves} taxa")
     print(f"wrote {fasta_path} and {doc_path}")

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from qphylo import cli, verify
 from qphylo.engine import simulate_tree
 from qphylo.models import FAMILIES
+from qphylo.treeio import parse_fasta, parse_newick
 
 BALANCED = "((A:0.1,B:0.1):0.05,(C:0.2,D:0.2):0.05);"
 ZERO_CHERRY = "(A:0.0,B:0.0);"
+BINARY_TRIPLE = "((A[&model=B,a=0.2],B[&model=B,a=0.1])[&model=B,a=0.3],C[&model=B,a=0.05]);"
 
 
 @pytest.fixture
@@ -101,6 +103,24 @@ class TestSimulate:
         z = np.abs(freq - probs) / np.where(sigma > 0, sigma, 1.0)
         assert z.max() < 3.0
 
+    @pytest.mark.parametrize("newick", [BALANCED, BINARY_TRIPLE], ids=["dna", "binary"])
+    @pytest.mark.parametrize("seed", [0, 19])
+    def test_fasta_matches_per_character_reference(self, tmp_path, newick, seed):
+        tree_path = tmp_path / "tree.nwk"
+        tree_path.write_text(newick)
+        fasta, _ = simulate(tmp_path, tree_path, seed=seed, sites=2000)
+        tree = parse_newick(newick)
+        values = simulate_tree(tree).values
+        patterns = np.unravel_index(cli._draw(values, np.random.default_rng(seed), 2000), values.shape)
+        symbols, lines = tree.alphabet.symbols, []
+        for row, name in enumerate(tree.leaf_names):
+            lines += [f">{name}", "".join(symbols[idx] for idx in patterns[row])]
+        assert fasta.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        alignment = parse_fasta(fasta.read_text())
+        assert alignment.taxa == tree.leaf_names
+        assert alignment.alphabet == tree.alphabet
+        assert np.array_equal(alignment.data, np.stack(patterns))
+
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from(FAMILIES),
            st.lists(st.text(), max_size=3))
@@ -116,6 +136,22 @@ class TestSimulate:
             cli._write_json_with_array(streamed, doc, "pattern_probabilities", tensor)
             cli._write_json(reference, {**doc, "pattern_probabilities": tensor.tolist()})
             assert streamed.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("values", [
+        lambda: simulate_tree(verify.random_instance(np.random.default_rng(7), 7, "JC")[0]).values,
+        lambda: simulate_tree(verify.random_instance(np.random.default_rng(13), 13, "B")[0]).values,
+        lambda: np.random.default_rng(5).random((3, 5, 7, 11, 13)),  # seams fall inside rows
+    ], ids=["dna-7", "binary-13", "ragged"])
+    def test_streamed_patterns_match_write_json_across_chunks(self, tmp_path, values):
+        values = values()
+        assert values.size >= 2 * cli._CHUNK
+        doc = {"alphabet": "dna", "leaves": ["A"], "seed": 0, "sites": 1}
+        streamed, reference = tmp_path / "streamed.json", tmp_path / "reference.json"
+        cli._write_json_with_array(streamed, doc, "pattern_probabilities", values)
+        cli._write_json(reference, {**doc, "pattern_probabilities": values.tolist()})
+        assert streamed.read_bytes() == reference.read_bytes()
+        bound = cli._json_with_array_bytes(doc, "pattern_probabilities", values.shape, 23)
+        assert len(streamed.read_bytes()) == bound - sum(23 - len(repr(v)) for v in values.ravel().tolist())
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["binary", "dna"]), st.integers(1, 6),
            st.lists(st.text(), max_size=3))
@@ -206,6 +242,22 @@ class TestSimulate:
         assert peak < 1 << 20
         assert f"{sites} sites for 4 taxa needs {sites * 44} bytes" in capsys.readouterr().err
         assert not out.with_name("run.fasta").exists()
+
+    @pytest.mark.parametrize("newick, leaves", [("(A:0.1,B:0.2);", 2), (BALANCED, 4)], ids=["2", "4"])
+    def test_sample_peak_stays_within_its_budget(self, tmp_path, newick, leaves):
+        # The budget counts (8 + 9 * leaves) bytes a site; 1 MiB covers the tensor and the
+        # chunk strings. The warm-up run pays the first call's imports (about 1.2 MB traced).
+        tree = tmp_path / "tree.nwk"
+        tree.write_text(newick)
+        simulate(tmp_path, tree, sites=10, name="warm")
+        sites = 500_000
+        tracemalloc.start()
+        try:
+            simulate(tmp_path, tree, sites=sites)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 + 9 * leaves) * sites + (1 << 20)
 
 
 class TestTreeInputExitCodes:
