@@ -322,11 +322,14 @@ def _reduce_below_root(kids: tuple, values: list, edges: list, node_step):
         left, right = kids[slot]
         out = node_step(values[left], values[right], edges[left], edges[right])
         exponent = exponents[left] + exponents[right]
-        scale = out.max(axis=0)
-        if scale.min(initial=1.0) < _SCALE_FLOOR:  # initial: an alignment may have no sites
-            shift = np.frexp(scale)[1]
-            out = np.ldexp(out, -shift)
-            exponent = exponent + shift
+        # A column whose maximum is below the floor has every entry below it, so one
+        # minimum screens the node; initial=1.0 because an alignment may have no sites.
+        if out.min(initial=1.0) < _SCALE_FLOOR:
+            scale = out.max(axis=0)
+            if scale.min() < _SCALE_FLOOR:
+                shift = np.frexp(scale)[1]
+                out = np.ldexp(out, -shift)
+                exponent = exponent + shift
         values[slot] = out
         exponents[slot] = exponent
         values[left] = values[right] = None
@@ -357,9 +360,9 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
 
     patterns, _, inverse = aln.site_patterns()
     row_of = {name: row for row, name in enumerate(aln.taxa)}
-    # Every taxon's (k, P) indicator columns in one comparison; each leaf is a contiguous view.
-    leaves = (patterns.T[:, None, :] == np.arange(tree.n_states)[:, None]).astype(float)
-    values = [None if node.children else leaves[row_of[node.name]] for node in tree.nodes]
+    # Each leaf is a read-only, contiguous view of its taxon's rows of the alignment's
+    # indicator block, built once per alignment; the reduction only ever reads it.
+    values = [None if node.children else aln.indicators[row_of[node.name]] for node in tree.nodes]
     kind = "classical" if engine == "classical" else "kraus"
     edges = [None, *_edge_ops(tuple(node.params for node in tree.nodes[1:]), kind)]
     if engine == "classical":
@@ -392,15 +395,19 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
         root_values = (tree.pi[:, None] * node_step(lb, lc, eb, ec)).sum(axis=0)
     else:
         root_values = tree.pi @ node_step(lb, lc, eb, ec)
-    zero = root_values[inverse] <= 0.0
+    zero = root_values <= 0.0
     if zero.any():
-        raise ZeroLikelihoodError(int(np.argmax(zero)) + 1)
-    logs = (np.log(root_values) + (e_b + e_c) * _LN2)[inverse]
+        # Patterns are sorted, not in alignment order: name the first zero site.
+        raise ZeroLikelihoodError(int(np.argmax(zero[inverse])) + 1)
+    # log and exp run once per pattern; only the results are expanded to the sites. The
+    # total sums the site logs in alignment order, by the reduction np.sum dispatches to.
+    unique_logs = np.log(root_values) + (e_b + e_c) * _LN2
+    logs = unique_logs[inverse]
     return SiteLikelihoodReport(
         engine=engine,
-        likelihood=np.exp(logs),
+        likelihood=np.exp(unique_logs)[inverse],
         log=logs,
         nu=nu,
-        total_log_likelihood=float(np.sum(logs)),
+        total_log_likelihood=float(logs.sum()),
         tree=tree,
     )

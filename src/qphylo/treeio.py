@@ -451,6 +451,10 @@ class Alignment:
     patterns: np.ndarray = field(init=False, repr=False, compare=False)
     counts: np.ndarray = field(init=False, repr=False, compare=False)
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
+    # (n_taxa, k, P) float64, C order: row x of a taxon's contiguous (k, P) block marks
+    # the patterns showing character x, the leaf likelihood vectors of every likelihood
+    # call on this alignment.
+    indicators: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.int64)
@@ -460,7 +464,10 @@ class Alignment:
             raise FastaParseError("character index out of alphabet range")
         data = data.copy()
         unique = np.unique(data.T, axis=0, return_inverse=True, return_counts=True)
-        for name, array in zip(("data", "patterns", "inverse", "counts"), (data, *unique)):
+        states = np.arange(self.alphabet.n_states)[:, None]
+        indicators = (unique[0].T[:, None, :] == states).astype(float, order="C")
+        for name, array in zip(("data", "patterns", "inverse", "counts", "indicators"),
+                               (data, *unique, indicators)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         object.__setattr__(self, "taxa", tuple(self.taxa))

@@ -18,7 +18,8 @@ from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _adjoint_state, _classical
                            _trace_second_slot, alignment_loglik, simulate_tree)
 from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
 from qphylo.models import FAMILIES, ModelParams, markov, prune_matrix, prune_operators
-from qphylo.optimize import OptimizationProblem, maximize_loglik, tree_with_shared_params
+from qphylo.optimize import (OptimizationProblem, maximize_loglik, tree_with_edge_params,
+                             tree_with_shared_params)
 from qphylo.treeio import BINARY, DNA, Alignment, emit_newick, parse_newick
 from qphylo.verify import random_instance, random_params
 
@@ -650,10 +651,14 @@ class TestAlignmentLoglik:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_zero_site_reported_with_index(self, engine):
         tree = tree_with_shared_params(CHERRY, ModelParams.jc(0.0))
-        aln = Alignment(taxa=("A", "B"), data=np.array([[0, 0], [0, 1]]), alphabet=DNA)
-        with pytest.raises(ZeroLikelihoodError) as err:
-            alignment_loglik(tree, aln, engine=engine)
-        assert err.value.site == 2
+        # In the second alignment the zero sites 3 and 4 are the patterns (3, 1) and
+        # (0, 2), which sort the other way, and the first zero pattern is pattern 2 of 3:
+        # the first zero site in alignment order is named.
+        for data, site in (([[0, 0], [0, 1]], 2), ([[0, 0, 3, 0], [0, 0, 1, 2]], 3)):
+            aln = Alignment(taxa=("A", "B"), data=np.array(data), alphabet=DNA)
+            with pytest.raises(ZeroLikelihoodError) as err:
+                alignment_loglik(tree, aln, engine=engine)
+            assert err.value.site == site
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_dead_root_left_child_reported_with_index(self, engine):
@@ -702,6 +707,21 @@ class TestAlignmentLoglik:
         classical = alignment_loglik(tree, aln, engine="classical")
         assert classical.nu is None
 
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_warm_call_allocates_no_leaf_block(self, name):
+        # The leaves are views of the alignment's indicator block, so a warm call's
+        # peak stays below that block's size beyond the Kraus engines' work arrays.
+        tree, aln = wide_instance(np.random.default_rng(32))
+        work = 0 if name == "classical" else 3 * (tree.n_states + 1) ** 2 * len(aln.patterns) * 8
+        alignment_loglik(tree, aln, engine=name)
+        tracemalloc.start()
+        try:
+            alignment_loglik(tree, aln, engine=name)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < aln.indicators.nbytes + work
+
     def test_report_document_schema(self, rng):
         tree, aln = random_instance(rng, 3, "JC", n_sites=2)
         doc = alignment_loglik(tree, aln).to_document()
@@ -725,6 +745,14 @@ def balanced_newick(names: list, edges) -> str:
 # Edge annotations near the substitution probability 0.05 of the bench's `wide` trees.
 WIDE_EDGES = ("[&model=JC,a=0.016667]", "[&model=K2,a=0.03,b=0.01]",
               "[&model=K3,a=0.02,b=0.015,c=0.015]", "[&model=F,a=0.93,pi={0.1,0.2,0.3,0.4}]")
+
+
+def wide_instance(rng):
+    """A tree and alignment shaped like the bench's `wide`: 32 leaves, 300 random DNA sites."""
+    names = [f"t{i}" for i in range(32)]
+    tree = parse_newick(balanced_newick(names, (WIDE_EDGES[j] for j in rng.integers(0, 4, size=62))))
+    data = rng.integers(0, 4, size=(32, 300))
+    return tree, Alignment(taxa=tree.leaf_names, data=data, alphabet=DNA)
 
 
 @pytest.fixture
@@ -777,15 +805,17 @@ class TestRescaling:
         assert frexp_calls
 
     def test_wide_tree_is_never_rescaled(self, frexp_calls):
-        rng = np.random.default_rng(32)
-        names = [f"t{i}" for i in range(32)]
-        edges = (WIDE_EDGES[j] for j in rng.integers(0, 4, size=62))
-        tree = parse_newick(balanced_newick(names, edges))
-        data = rng.integers(0, 4, size=(32, 300))
-        aln = Alignment(taxa=tree.leaf_names, data=data, alphabet=DNA)
+        tree, aln = wide_instance(np.random.default_rng(32))
         assert len(aln.site_patterns()[0]) == 300
-        for name in ENGINES:
-            alignment_loglik(tree, aln, engine=name)
+        # Freezing every left edge (JC a=0) leaves exact zeros in every node, which all
+        # take the per-pattern test; no two leaves are joined by frozen edges alone, so
+        # no site has zero likelihood.
+        lefts = {kids[0] for kids in tree.kids if kids}
+        frozen = tree_with_edge_params(tree, (ModelParams.jc(0.0) if slot in lefts else node.params
+                                              for slot, node in enumerate(tree.nodes) if slot))
+        for one in (tree, frozen):
+            for name in ENGINES:
+                alignment_loglik(one, aln, engine=name)
         assert not frexp_calls
 
     def test_deep_tree_is_rescaled(self, frexp_calls):

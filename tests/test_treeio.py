@@ -241,6 +241,18 @@ class TestParseFasta:
         assert not any(array.flags.writeable for array in first)
         assert np.array_equal(first[0][first[2]], aln.data.T)
 
+    @pytest.mark.parametrize("alphabet, n_sites", [(DNA, 40), (BINARY, 9), (DNA, 0)])
+    def test_indicator_block_is_the_read_only_one_hot_of_the_patterns(self, alphabet, n_sites):
+        data = np.random.default_rng(3).integers(0, alphabet.n_states, size=(3, n_sites))
+        aln = Alignment(taxa=("x", "y", "z"), data=data, alphabet=alphabet)
+        patterns = aln.site_patterns()[0]
+        block = aln.indicators
+        assert block.shape == (3, alphabet.n_states, len(patterns))
+        assert block.dtype == np.float64 and block.flags.c_contiguous
+        assert not block.flags.writeable
+        want = np.eye(alphabet.n_states)[patterns.T].transpose(0, 2, 1)
+        assert block.tobytes() == want.tobytes()
+
 
 class TestCompileCircuit:
     def test_cherry_schedule(self):
