@@ -189,8 +189,8 @@ def cmd_optimize(args) -> int:
     result = maximize_loglik(problem)
     fitted = ", ".join(f"{n}={v:.10g}" for n, v in zip(result.names, result.w_star))
     print(f"{args.family} fit ({args.engine} engine): {fitted}")
-    print(f"log-likelihood {result.loglik:.12g} after {result.n_eval} evaluations "
-          f"({'converged' if result.converged else 'evaluation budget reached'})")
+    print(f"log-likelihood {result.loglik:.12g} after {result.n_eval} EM steps "
+          f"({'converged' if result.converged else 'EM step budget reached'})")
     if args.out:
         _write_json(Path(args.out), result.to_document())
         print(f"wrote {args.out}")

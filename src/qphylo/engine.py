@@ -46,6 +46,11 @@ with probability 0.05 is never rescaled on 300 random sites; a balanced
 
 All three agree because each edge step, restricted to diagonal operators,
 factors through the same likelihood-propagation matrix W = M^T.
+
+``_pattern_values`` is each engine's one reduction, on per-edge arrays.
+``alignment_loglik`` runs it on the tree's edges; the optimizer's E-step
+runs it with one edge's array replaced by the part of its instrument that
+one weight drives.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from .models import markov, prune_matrix, prune_operators
 from .treeio import Alignment, PhyloTree, SplitGate, compile_circuit, emit_newick
 
 ENGINES = ("classical", "quantum", "dual")
+_KIND = {"classical": "classical", "quantum": "kraus", "dual": "kraus"}  # the edge entry each reads
 
 # _reduce_below_root rescales a node only when some pattern's maximum is below this.
 _SCALE_FLOOR = 2.0 ** -256
@@ -126,22 +132,32 @@ def _transfer(stack: np.ndarray) -> np.ndarray:
     return np.einsum("kai,kbi->abi", block, block.conj()).reshape(n * n, n - 1)
 
 
-def _build(params, kind: str) -> np.ndarray:
-    """One edge's ``_edge_ops`` entry of ``kind``.
+def _stack_form(stack: np.ndarray, kind: str) -> np.ndarray:
+    """The entry of ``kind`` for an edge whose (K, k, k) Kraus stack is ``stack``.
 
-    "classical" is W = M^T; "kraus" is the ``_transfer`` form of the edge's
-    Kraus family, which the quantum and dual engines propagate through; and
-    "adjoint" is that of the adjoint family, which only the dual root's right
-    edge reads. ``prune_matrix`` and ``prune_operators`` are looked up in this
-    module's globals on every call, so a caller that rebinds them (a tracer,
-    a test) sees every build.
+    "classical" is W, entry (i, a) the probability sum_k |A_k[a, i]|^2 that i
+    becomes a; "kraus" is the stack's ``_transfer`` form, which the quantum and
+    dual engines propagate through; "adjoint" is the adjoint stack's, which
+    only the dual root's right edge reads.
     """
     if kind == "classical":
-        return prune_matrix(params)
-    stack = _embed_stack(prune_operators(params))
+        return np.einsum("kai,kai->ia", stack, stack.conj()).real
+    stack = _embed_stack(stack)
     if kind == "adjoint":
         stack = stack.conj().transpose(0, 2, 1)
     return _transfer(stack)
+
+
+def _build(params, kind: str) -> np.ndarray:
+    """One edge's ``_edge_ops`` entry of ``kind``: W = M^T, or ``_stack_form`` of its Kraus stack.
+
+    ``prune_matrix`` and ``prune_operators`` are looked up in this module's
+    globals on every call, so a caller that rebinds them (a tracer, a test)
+    sees every build.
+    """
+    if kind == "classical":
+        return prune_matrix(params)
+    return _stack_form(prune_operators(params), kind)
 
 
 @functools.lru_cache(maxsize=6)
@@ -162,6 +178,20 @@ def _edge_ops(edge_params: tuple, kind: str) -> tuple:
         built[params] = _build(params, kind)
         built[params].setflags(write=False)
     return tuple(built[params] for params in edge_params)
+
+
+def _engine_edges(tree: PhyloTree, edge_params: tuple, engine: str):
+    """(edges, adjoint) for ``_pattern_values``: None for the root, then the ``_edge_ops``
+    entries ``engine`` reads for ``edge_params`` (pre-order); the dual root's right edge's
+    "adjoint" entry, else None."""
+    edges = [None, *_edge_ops(edge_params, _KIND[engine])]
+    right = tree.kids[0][1] - 1
+    return edges, _edge_ops((edge_params[right],), "adjoint")[0] if engine == "dual" else None
+
+
+def _engine_forms(stack: np.ndarray, engine: str):
+    """(entry, adjoint entry) of a Kraus stack, as ``_engine_edges`` gives an edge's."""
+    return _stack_form(stack, _KIND[engine]), _stack_form(stack, "adjoint")
 
 
 # --- Batched kernels: arrays carry one column per site pattern -----------------
@@ -337,6 +367,54 @@ def _reduce_below_root(kids: tuple, values: list, edges: list, node_step):
     return (values[left], exponents[left]), (values[right], exponents[right])
 
 
+def _pattern_values(tree: PhyloTree, aln: Alignment, engine: str, edges: list, adjoint):
+    """Per-pattern root values, their binary exponents and the dual engine's nu, else None.
+
+    ``edges`` and ``adjoint`` are as ``_engine_edges`` gives them, or arrays
+    of the same shapes in their place. A value times 2^exponent is its
+    pattern's likelihood.
+    """
+    row_of = {name: row for row, name in enumerate(aln.taxa)}
+    # Each leaf is a read-only, contiguous view of its taxon's rows of the alignment's
+    # indicator block, built once per alignment; the reduction only ever reads it.
+    values = [None if node.children else aln.indicators[row_of[node.name]] for node in tree.nodes]
+    if engine == "classical":
+        node_step = _classical_node
+    else:
+        # Three pattern-sized operator stacks per call, not per node: freeing
+        # them at every node let glibc trim the heap and fault the pages back
+        # in at the next, up to 1.8x the time of a 300-pattern quantum call.
+        # On DNA with 300 patterns that is 3 x 25 x 300 float64 (176 KiB) for
+        # real Kraus families. One complex edge makes the array complex128
+        # (352 KiB): a complex product written into a real buffer would lose
+        # its imaginary part.
+        dtype = np.result_type(*{edge.dtype for edge in edges[1:]})
+        work = np.zeros((3, (tree.n_states + 1) ** 2, len(aln.counts)), dtype=dtype)
+        node_step = functools.partial(_quantum_node, work=work)
+
+    (lb, e_b), (lc, e_c) = _reduce_below_root(tree.kids, values, edges, node_step)
+    left, right = tree.kids[0]
+    eb, ec = edges[left], edges[right]
+    nu = None
+    if engine == "dual":
+        root_values, nu = _dual_root(lb, lc, eb, adjoint, tree.pi)
+        nu = np.ldexp(nu, e_b)
+    elif engine == "quantum":
+        # The pi-weighted rows summed in character order, not a matrix
+        # product: numpy hands a contiguous real array to BLAS, which may fuse
+        # multiply and add, and the strided real part of a complex array to
+        # its own loop, so the two fields would round differently.
+        root_values = (tree.pi[:, None] * node_step(lb, lc, eb, ec)).sum(axis=0)
+    else:
+        root_values = tree.pi @ node_step(lb, lc, eb, ec)
+    return root_values, e_b + e_c, nu
+
+
+def _pattern_logs(values: np.ndarray, exponent) -> np.ndarray:
+    """Each pattern's log-likelihood, from its ``_pattern_values`` value and exponent."""
+    return np.log(values) + exponent * _LN2
+
+
 def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical") -> SiteLikelihoodReport:
     """Total log-likelihood of an alignment under one engine.
 
@@ -358,56 +436,22 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
         raise ModelError(f"alignment alphabet has {aln.alphabet.n_states} states, "
                          f"tree models have {tree.n_states}")
 
-    patterns, _, inverse = aln.site_patterns()
-    row_of = {name: row for row, name in enumerate(aln.taxa)}
-    # Each leaf is a read-only, contiguous view of its taxon's rows of the alignment's
-    # indicator block, built once per alignment; the reduction only ever reads it.
-    values = [None if node.children else aln.indicators[row_of[node.name]] for node in tree.nodes]
-    kind = "classical" if engine == "classical" else "kraus"
-    edges = [None, *_edge_ops(tuple(node.params for node in tree.nodes[1:]), kind)]
-    if engine == "classical":
-        node_step = _classical_node
-    else:
-        # Three pattern-sized operator stacks per call, not per node: freeing
-        # them at every node let glibc trim the heap and fault the pages back
-        # in at the next, up to 1.8x the time of a 300-pattern quantum call.
-        # On DNA with 300 patterns that is 3 x 25 x 300 float64 (176 KiB) for
-        # real Kraus families. One complex edge makes the array complex128
-        # (352 KiB): a complex product written into a real buffer would lose
-        # its imaginary part.
-        dtype = np.result_type(*{edge.dtype for edge in edges[1:]})
-        work = np.zeros((3, (tree.n_states + 1) ** 2, len(patterns)), dtype=dtype)
-        node_step = functools.partial(_quantum_node, work=work)
-
-    (lb, e_b), (lc, e_c) = _reduce_below_root(tree.kids, values, edges, node_step)
-    left, right = tree.kids[0]
-    eb, ec = edges[left], edges[right]
-    nu = None
-    if engine == "dual":
-        (adjoint,) = _edge_ops((tree.nodes[right].params,), "adjoint")
-        root_values, nu = _dual_root(lb, lc, eb, adjoint, tree.pi)
-        nu = np.ldexp(nu, e_b)[inverse]
-    elif engine == "quantum":
-        # The pi-weighted rows summed in character order, not a matrix
-        # product: numpy hands a contiguous real array to BLAS, which may fuse
-        # multiply and add, and the strided real part of a complex array to
-        # its own loop, so the two fields would round differently.
-        root_values = (tree.pi[:, None] * node_step(lb, lc, eb, ec)).sum(axis=0)
-    else:
-        root_values = tree.pi @ node_step(lb, lc, eb, ec)
+    _, _, inverse = aln.site_patterns()
+    edges, adjoint = _engine_edges(tree, tuple(node.params for node in tree.nodes[1:]), engine)
+    root_values, exponent, nu = _pattern_values(tree, aln, engine, edges, adjoint)
     zero = root_values <= 0.0
     if zero.any():
         # Patterns are sorted, not in alignment order: name the first zero site.
         raise ZeroLikelihoodError(int(np.argmax(zero[inverse])) + 1)
     # log and exp run once per pattern; only the results are expanded to the sites. The
     # total sums the site logs in alignment order, by the reduction np.sum dispatches to.
-    unique_logs = np.log(root_values) + (e_b + e_c) * _LN2
+    unique_logs = _pattern_logs(root_values, exponent)
     logs = unique_logs[inverse]
     return SiteLikelihoodReport(
         engine=engine,
         likelihood=np.exp(unique_logs)[inverse],
         log=logs,
-        nu=nu,
+        nu=None if nu is None else nu[inverse],
         total_log_likelihood=float(logs.sum()),
         tree=tree,
     )

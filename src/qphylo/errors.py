@@ -51,4 +51,4 @@ class ZeroLikelihoodError(QPhyloError):
 
 
 class OptimizerError(QPhyloError):
-    """Degenerate optimization problem (e.g. all-zero likelihood simplex)."""
+    """Degenerate optimization problem. No fit raises it now; exit 6 stays reserved for it."""

@@ -198,6 +198,24 @@ def flip_weights(params: ModelParams) -> np.ndarray:
     return np.maximum(w, 0.0, out=w)
 
 
+def outcome_stacks(family: Family):
+    """(drives, stacks): weight i drives the drives[i] operators of stacks[i], at weight 1.
+
+    These are the instrument outcomes the optimizer's EM counts. A flip
+    family's weight drives the flips ``family.flips`` ties to it, F's weight
+    a the identity ("stay"); the identity weight or F's 1 - a drives the
+    rest. An edge's Kraus stack holds each driven operator scaled by
+    sqrt(x_i), so its engine entries are x_i times those of stacks[i].
+    """
+    n = family.n_states
+    if family.flips is None:
+        stacks = [np.eye(n)[None]]
+    else:
+        flips, ties = np.array(_FLIP_INDEX[n]), np.array(family.flips)
+        stacks = [_FLIPS[n][flips[ties == i]] for i in range(len(family.weights))]
+    return np.array([len(ops) for ops in stacks], dtype=float), stacks
+
+
 def _flip_kraus(w: np.ndarray) -> np.ndarray:
     """The real stack of operators sqrt(w_g) X_g of the flips with positive weight."""
     keep = w > 0.0

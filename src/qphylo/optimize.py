@@ -1,12 +1,13 @@
 """Maximum-likelihood estimation of model weights on a fixed topology.
 
-The search is a plain Nelder-Mead simplex over the family's free weights,
-shared across all edges of the tree or one block per edge. Candidate
-points that leave the family's feasible region (a box, plus a weight-sum
-constraint for the 4-state group families) are reflected back inside
-before evaluation, so the objective only ever sees valid substitution
-matrices. The search itself is deterministic; the seed is carried through
-to the report for provenance.
+Each edge's Kraus family is an instrument, and each family weight drives
+some of its outcomes. The fit is EM over those outcomes (Dempster, Laird &
+Rubin 1977), shared by all edges or one block per edge, accelerated by
+SQUAREM (Varadhan & Roland 2008). The chosen engine runs the E-step: an
+edge's operator is linear in its weights, so the reduction with one edge's
+operator replaced by the part one weight drives gives each pattern's joint
+probability with that outcome. The closed-form M-step stays in the region.
+The seed is only recorded in the report.
 """
 
 from __future__ import annotations
@@ -16,31 +17,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import alignment_loglik
-from .errors import ModelError, OptimizerError, ZeroLikelihoodError
-from .models import FAMILY, ModelParams
+from .engine import _engine_edges, _engine_forms, _pattern_logs, _pattern_values, alignment_loglik
+from .errors import ModelError
+from .models import FAMILY, ModelParams, outcome_stacks
 from .treeio import Alignment, PhyloTree
 
-DIAMETER_TOL = 1e-7
-MAX_EVALS = 2000
-_SPREAD = 0.05
+MAX_EVALS = 2000  # EM steps from one start point
+STEP_TOL = 1e-9  # converged when no weight moves more than this in a SQUAREM iteration
+GAIN_TOL = 1e-12  # and the log-likelihood gains at most this, relative
 _START = 0.1
-
-
-def _region(name: str):
-    """The search region (upper, drives) of a family's weights x: 0 <= x <= upper
-    and, for a flip family, a nonnegative identity weight 1 - drives @ x,
-    drives[i] counting the flips that weight i drives. A single weight takes
-    that bound as its box, and drives is None."""
-    family = FAMILY.get(name)
-    if family is None:
-        raise ModelError(f"unknown model family {name!r}")
-    if family.flips is None:
-        return np.ones(len(family.weights)), None
-    drives = np.bincount(family.flips).astype(float)
-    if drives.size == 1:
-        return 1.0 / drives, None
-    return np.ones(drives.size), drives
 
 
 @dataclass(frozen=True)
@@ -117,127 +102,122 @@ def tree_with_shared_params(tree: PhyloTree, params: ModelParams, root_pi=None) 
     return tree_with_edge_params(tree, itertools.repeat(params), root_pi=root_pi)
 
 
-def _mirror(x: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    period = 2.0 * upper
-    y = np.mod(x, period)
-    return np.minimum(y, period - y)
-
-
-def reflect_feasible(x: np.ndarray, upper: np.ndarray, drives: np.ndarray | None) -> np.ndarray:
-    """Mirror every row of ``x``, whose last axis is one edge block, across
-    the violated bounds into the region ``_region`` gives."""
-    x = _mirror(np.asarray(x, dtype=float), upper)
-    if drives is not None:
-        over = x @ drives > 1.0
-        if over.any():
-            y = x[over]
-            excess = y @ drives - 1.0
-            y = _mirror(y - (2.0 * excess / (drives @ drives))[:, None] * drives, upper)
-            total = y @ drives
-            # Pathological double violation: pull straight to the facet.
-            pull = total > 1.0
-            y[pull] *= (1.0 / total[pull])[:, None]
-            x[over] = y
-    return np.clip(x, 0.0, upper)
-
-
 def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
-    """Nelder-Mead search for the family weights maximizing the log-likelihood.
+    """EM for the family weights maximizing the log-likelihood, accelerated by SQUAREM.
 
-    Stops when the simplex diameter drops below 1e-7 or after 2000
-    evaluations; the trace records the best point after each iteration and is
-    monotone in the objective. Raises OptimizerError when every vertex of
-    the initial simplex has zero likelihood.
+    Per-edge block b of B starts at 0.1 (1 + b / 2B): EM keeps equal root
+    edges equal, as they act only through their product. A shared fit also
+    runs from the far corner, where what the weights leave over (the
+    identity, or F's 1 - a) is 0.1 and the driven operators share the rest
+    equally, and keeps that end and its trace if it is higher by more than
+    GAIN_TOL: the likelihood can have a mode on each side of full
+    randomisation, and EM's monotone path does not cross the dip between them.
+
+    A SQUAREM iteration from x0 takes EM steps x1 and x2 and jumps to
+    x0 - 2 alpha r + alpha^2 v (r = x1 - x0, v = x2 - 2 x1 + x0), with
+    alpha = min(-|r| / |v|, -1) but at least -cap, halved toward -1 (x2)
+    until the jump is strictly inside the region, where every pattern has
+    positive likelihood. A jump below x2's log-likelihood gives way to x2, so
+    the trace (each iteration's start, then the final point) is monotone. As
+    in Varadhan & Roland's code, the cap starts at 1, grows 4x when a jump at
+    it holds and shrinks 4x when one fails. ``n_eval`` counts EM steps, at
+    most MAX_EVALS per start; each runs 1 + E d engine passes (E edges, d
+    weights), so fits slow down as trees widen.
     """
-    upper, drives = _region(problem.family)
-    family = FAMILY[problem.family]
-    n_states = family.n_states
-    if n_states != problem.alignment.alphabet.n_states:
-        raise ModelError(f"family {problem.family} has {n_states} states but the "
-                         f"alignment alphabet has {problem.alignment.alphabet.n_states}")
-    root_pi = problem.tree.root_pi
-    pi = None
-    if family.takes_pi:
-        uniform = root_pi is None or root_pi.size != n_states
-        pi = np.full(n_states, 1.0 / n_states) if uniform else root_pi
-    block_dim = len(family.weights)
-    n_blocks = len(problem.tree.nodes) - 1 if problem.per_edge else 1
-    dim = n_blocks * block_dim
+    family = FAMILY.get(problem.family)
+    if family is None:
+        raise ModelError(f"unknown model family {problem.family!r}")
+    aln, engine = problem.alignment, problem.engine
+    root_pi, n = problem.tree.root_pi, family.n_states
+    pi = root_pi if root_pi is not None and root_pi.size == n else np.full(n, 1.0 / n)
+    n_edges = len(problem.tree.nodes) - 1
+    n_blocks = n_edges if problem.per_edge else 1
+    block_of = np.arange(n_edges) if problem.per_edge else np.zeros(n_edges, dtype=int)
+    drives, stacks = outcome_stacks(family)
 
-    def reflect(x: np.ndarray) -> np.ndarray:
-        """Points (..., dim) reflected block by block into the region."""
-        blocks = x.reshape(*x.shape[:-1], n_blocks, block_dim)
-        return reflect_feasible(blocks, upper, drives).reshape(x.shape)
+    def edge_params(x: np.ndarray) -> tuple:
+        blocks = [ModelParams(problem.family, *row, pi=pi if family.takes_pi else None) for row in x]
+        return tuple(blocks[b] for b in block_of)
 
+    spread = _START * (1.0 + 0.5 * np.arange(n_blocks) / n_blocks)
+    starts = [np.repeat(spread[:, None], len(family.weights), axis=1)]
+    if not problem.per_edge:
+        starts.append(np.full((1, len(family.weights)), (1.0 - _START) / drives.sum()))
+    tree = tree_with_edge_params(problem.tree, edge_params(starts[0]), root_pi=root_pi)
+    alignment_loglik(tree, aln, engine=engine)  # the engine, taxa and alphabet checks
+
+    forms, right = [_engine_forms(ops, engine) for ops in stacks], tree.kids[0][1]
+    _, counts, inverse = aln.site_patterns()
+    # Outcome trials per block; an alignment without sites has none and keeps its weights.
+    trials = aln.n_sites * np.bincount(block_of)[:, None] * drives
     n_eval = 0
 
-    def objective(x: np.ndarray) -> float:
+    def evaluate(x: np.ndarray):
+        """(log-likelihood at x, as alignment_loglik sums it; the pass that gave it)."""
+        edges, adjoint = _engine_edges(tree, edge_params(x), engine)
+        values, exponent, _ = _pattern_values(tree, aln, engine, edges, adjoint)
+        return float(_pattern_logs(values, exponent)[inverse].sum()), (values, exponent, edges, adjoint)
+
+    def em_image(x: np.ndarray, base) -> np.ndarray:
+        """The EM image of x, given the pass ``evaluate(x)`` ran."""
         nonlocal n_eval
         n_eval += 1
-        edges = [ModelParams(problem.family, *block, pi=pi) for block in x.reshape(n_blocks, block_dim)]
-        tree = tree_with_edge_params(problem.tree, itertools.cycle(edges), root_pi=root_pi)
-        try:
-            report = alignment_loglik(tree, problem.alignment, engine=problem.engine)
-        except ZeroLikelihoodError:
-            return np.inf
-        return -report.total_log_likelihood
+        (values, exponent, edges, adjoint), expected = base, np.zeros_like(x)
+        for slot, block in enumerate(block_of, start=1):
+            for i in np.flatnonzero(x[block]):
+                (form, adjoint_form), weight = forms[i], x[block, i]
+                trial = [*edges[:slot], weight * form, *edges[slot + 1:]]
+                joint, joint_exponent, _ = _pattern_values(
+                    tree, aln, engine, trial, weight * adjoint_form if slot == right else adjoint)
+                expected[block, i] += counts @ (np.ldexp(joint, joint_exponent - exponent) / values)
+        return np.minimum(np.divide(expected, trials, out=x.copy(), where=trials > 0), 1.0)
 
-    # Vertex 0 is the start point; vertex i + 1 steps weight i by _SPREAD.
-    vertices = reflect(np.full(dim, _START) + np.vstack([np.zeros(dim), _SPREAD * np.eye(dim)]))
-    values = np.array([objective(v) for v in vertices])
-    if not np.isfinite(values).any():
-        raise OptimizerError("zero likelihood across the entire initial simplex")
+    def climb(x: np.ndarray):
+        """SQUAREM from x: (the final point, its log-likelihood, converged, trace)."""
+        (level, base), first = evaluate(x), n_eval
+        trace, converged, cap = [], False, 1.0
+        while not converged and n_eval - first < MAX_EVALS:
+            trace.append(TracePoint(n_eval=n_eval, params=tuple(x.ravel().tolist()), loglik=level))
+            x1 = em_image(x, base)
+            x2 = em_image(x1, evaluate(x1)[1])
+            r, v = x1 - x, x2 - 2.0 * x1 + x
+            norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
+            alpha = max(-norm_r / norm_v if norm_r > norm_v > 0.0 else -1.0, -cap)
+            capped = alpha == -cap
+            jump = x - 2.0 * alpha * r + alpha**2 * v
+            while alpha < -1.0 and not ((jump > 0.0).all() and (jump @ drives < 1.0).all()):
+                alpha = (alpha - 1.0) / 2.0
+                jump = x - 2.0 * alpha * r + alpha**2 * v
+            new, (new_level, base), failed = x2, evaluate(x2), False
+            if alpha < -1.0:
+                jump_level, jump_base = evaluate(jump)
+                failed = jump_level < new_level
+                if not failed:
+                    new, new_level, base = jump, jump_level, jump_base
+            if capped:
+                cap = max(1.0, cap / 4.0) if failed else 4.0 * cap
+            converged = bool(np.abs(new - x).max() <= STEP_TOL
+                             and new_level - level <= GAIN_TOL * abs(new_level))
+            x, level = new, new_level
+        return x, level, converged, trace
 
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    trace = []
-
-    def record():
-        best = int(np.argmin(values))
-        trace.append(TracePoint(n_eval=n_eval, params=tuple(float(v) for v in vertices[best]),
-                                loglik=-float(values[best])))
-
-    record()
-    converged = False
-    while n_eval < MAX_EVALS:
-        order = np.argsort(values, kind="stable")
-        vertices, values = vertices[order], values[order]
-        if np.abs(vertices[1:] - vertices[0]).max() < DIAMETER_TOL:
-            converged = True
-            break
-        centroid = vertices[:-1].mean(axis=0)
-        reflected = reflect(centroid + alpha * (centroid - vertices[-1]))
-        f_reflected = objective(reflected)
-        if f_reflected < values[0]:
-            expanded = reflect(centroid + gamma * (reflected - centroid))
-            f_expanded = objective(expanded)
-            if f_expanded < f_reflected:
-                vertices[-1], values[-1] = expanded, f_expanded
-            else:
-                vertices[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-2]:
-            vertices[-1], values[-1] = reflected, f_reflected
-        else:
-            contracted = reflect(centroid + rho * (vertices[-1] - centroid))
-            f_contracted = objective(contracted)
-            if f_contracted < values[-1]:
-                vertices[-1], values[-1] = contracted, f_contracted
-            else:
-                vertices[1:] = reflect(vertices[0] + sigma * (vertices[1:] - vertices[0]))
-                values[1:] = [objective(v) for v in vertices[1:]]
-        record()
-
-    best = int(np.argmin(values))
-    if problem.per_edge:
-        names = tuple(f"edge{b + 1}.{name}" for b in range(n_blocks) for name in family.weights)
-    else:
-        names = family.weights
+    (x, level, converged, trace), *far = [climb(start) for start in starts]
+    # Equal modes (a likelihood even in the sign of an eigenvalue) end within rounding of
+    # each other; the far start must win by more than that, so every engine keeps the first.
+    if far and far[0][1] - level > GAIN_TOL * abs(level):
+        x, _, converged, trace = far[0]
+    w_star = tuple(x.ravel().tolist())
+    report = alignment_loglik(tree_with_edge_params(problem.tree, edge_params(x), root_pi=root_pi),
+                              aln, engine=engine)
+    trace.append(TracePoint(n_eval=n_eval, params=w_star, loglik=report.total_log_likelihood))
     return OptimizationResult(
         family=problem.family,
-        engine=problem.engine,
+        engine=engine,
         seed=problem.seed,
-        names=names,
-        w_star=tuple(float(v) for v in vertices[best]),
-        loglik=-float(values[best]),
+        names=tuple(f"edge{b + 1}.{name}" for b in range(n_blocks) for name in family.weights)
+        if problem.per_edge else family.weights,
+        w_star=w_star,
+        loglik=report.total_log_likelihood,
         n_eval=n_eval,
         converged=converged,
         trace=tuple(trace),

@@ -1,10 +1,10 @@
 """What each model family takes, pinned family by family.
 
-The optimizer's search region, the ModelParams signature errors, the Newick
-reader's annotation errors, the annotation round trip and the flip weights
-are compared with literal values or the construction they replaced, so a
-change to how the families are declared cannot move any of them. The
-README's family table is checked against ``FAMILY``.
+The ModelParams signature errors, the Newick reader's annotation errors,
+the annotation round trip and the flip weights are compared with literal
+values or the construction they replaced, so a change to how the families
+are declared cannot move any of them. The README's family table is checked
+against ``FAMILY``.
 """
 
 import re
@@ -17,17 +17,7 @@ from hypothesis import strategies as st
 
 from qphylo.errors import ModelError, NewickParseError
 from qphylo.models import FAMILIES, FAMILY, ModelParams, flip_weights
-from qphylo.optimize import _region
 from qphylo.treeio import emit_newick, parse_newick
-
-# (upper, drives) of the search region; every lower bound is zero.
-REGIONS = {
-    "JC": (np.array([1.0 / 3.0]), None),
-    "K2": (np.ones(2), np.array([1.0, 2.0])),
-    "K3": (np.ones(3), np.ones(3)),
-    "B": (np.ones(1), None),
-    "F": (np.ones(1), None),
-}
 
 SIGNATURES = {"JC": "(a)", "K2": "(a, b)", "K3": "(a, b, c)", "B": "(a)", "F": "(a, pi)"}
 SHAPES = {"JC": (False, False, False), "K2": (True, False, False), "K3": (True, True, False),
@@ -66,24 +56,8 @@ ROUND_TRIP = {
 
 
 def test_every_family_is_pinned():
-    for table in (REGIONS, SIGNATURES, SHAPES, MISSING, ROUND_TRIP):
+    for table in (SIGNATURES, SHAPES, MISSING, ROUND_TRIP):
         assert tuple(table) == FAMILIES
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_search_region_is_bytewise_unchanged(family):
-    upper, drives = _region(family)
-    want_upper, want_drives = REGIONS[family]
-    assert upper.dtype == want_upper.dtype and upper.tobytes() == want_upper.tobytes()
-    if want_drives is None:
-        assert drives is None
-    else:
-        assert drives.dtype == want_drives.dtype and drives.tobytes() == want_drives.tobytes()
-
-
-def test_unknown_family_has_no_search_region():
-    with pytest.raises(ModelError, match=r"^unknown model family 'HKY'$"):
-        _region("HKY")
 
 
 @pytest.mark.parametrize("family", FAMILIES)
