@@ -160,18 +160,11 @@ def _build(params, kind: str) -> np.ndarray:
     return _stack_form(prune_operators(params), kind)
 
 
-@functools.lru_cache(maxsize=6)
-def _edge_ops(edge_params: tuple, kind: str) -> tuple:
+def _edge_entries(edge_params: tuple, kind: str) -> tuple:
     """The read-only ``_build`` entries of ``kind`` for a tree's edges, in pre-order.
 
     Each distinct parameter value is built once, so a shared-parameter tree
-    builds one entry. The key is the parameter values and the kind's name,
-    never a build function, so rebinding ``prune_matrix`` or
-    ``prune_operators`` leaves the cache warm. The same tree evaluated
-    again, on another alignment or parsed again from the same text, builds
-    nothing. The quantum and dual engines share the "kraus" entry, and the
-    dual engine adds only its root's "adjoint" entry. Six entries hold the
-    three kinds for two trees, whatever their size.
+    builds one entry. ``_edge_ops`` is this function behind a cache.
     """
     built = {}
     for params in dict.fromkeys(edge_params):
@@ -180,13 +173,29 @@ def _edge_ops(edge_params: tuple, kind: str) -> tuple:
     return tuple(built[params] for params in edge_params)
 
 
-def _engine_edges(tree: PhyloTree, edge_params: tuple, engine: str):
+@functools.lru_cache(maxsize=6)
+def _edge_ops(edge_params: tuple, kind: str) -> tuple:
+    """``_edge_entries``, cached by the parameter values and the kind's name.
+
+    The key is never a build function, so rebinding ``prune_matrix`` or
+    ``prune_operators`` leaves the cache warm. The same tree evaluated
+    again, on another alignment or parsed again from the same text, builds
+    nothing. The quantum and dual engines share the "kraus" entry, and the
+    dual engine adds only its root's "adjoint" entry. Six entries hold the
+    three kinds for two trees, whatever their size.
+    """
+    return _edge_entries(edge_params, kind)
+
+
+def _engine_edges(tree: PhyloTree, edge_params: tuple, engine: str, cached: bool = True):
     """(edges, adjoint) for ``_pattern_values``: None for the root, then the ``_edge_ops``
     entries ``engine`` reads for ``edge_params`` (pre-order); the dual root's right edge's
-    "adjoint" entry, else None."""
-    edges = [None, *_edge_ops(edge_params, _KIND[engine])]
+    "adjoint" entry, else None. ``cached=False`` builds them with ``_edge_entries`` instead,
+    leaving the cache untouched."""
+    ops = _edge_ops if cached else _edge_entries
+    edges = [None, *ops(edge_params, _KIND[engine])]
     right = tree.kids[0][1] - 1
-    return edges, _edge_ops((edge_params[right],), "adjoint")[0] if engine == "dual" else None
+    return edges, ops((edge_params[right],), "adjoint")[0] if engine == "dual" else None
 
 
 def _engine_forms(stack: np.ndarray, engine: str):
@@ -374,10 +383,9 @@ def _pattern_values(tree: PhyloTree, aln: Alignment, engine: str, edges: list, a
     of the same shapes in their place. A value times 2^exponent is its
     pattern's likelihood.
     """
-    row_of = {name: row for row, name in enumerate(aln.taxa)}
     # Each leaf is a read-only, contiguous view of its taxon's rows of the alignment's
     # indicator block, built once per alignment; the reduction only ever reads it.
-    values = [None if node.children else aln.indicators[row_of[node.name]] for node in tree.nodes]
+    values = [None if node.children else aln.indicators[aln.row_of[node.name]] for node in tree.nodes]
     if engine == "classical":
         node_step = _classical_node
     else:
@@ -415,14 +423,8 @@ def _pattern_logs(values: np.ndarray, exponent) -> np.ndarray:
     return np.log(values) + exponent * _LN2
 
 
-def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical") -> SiteLikelihoodReport:
-    """Total log-likelihood of an alignment under one engine.
-
-    Sites are independent; identical site patterns are evaluated once, all
-    in one batch, and the per-site report is expanded back in alignment
-    order. A site of zero likelihood raises ZeroLikelihoodError naming the
-    (1-based) site.
-    """
+def _check_inputs(tree: PhyloTree, aln: Alignment, engine: str) -> None:
+    """Raise unless ``engine`` is an engine and ``aln`` has the tree's taxa and state count."""
     if engine not in ENGINES:
         raise ModelError(f"unknown engine {engine!r}; choose from {ENGINES}")
     tree_leaves = set(tree.leaf_names)
@@ -436,8 +438,18 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
         raise ModelError(f"alignment alphabet has {aln.alphabet.n_states} states, "
                          f"tree models have {tree.n_states}")
 
+
+def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical") -> SiteLikelihoodReport:
+    """Total log-likelihood of an alignment under one engine.
+
+    Sites are independent; identical site patterns are evaluated once, all
+    in one batch, and the per-site report is expanded back in alignment
+    order. A site of zero likelihood raises ZeroLikelihoodError naming the
+    (1-based) site.
+    """
+    _check_inputs(tree, aln, engine)
     _, _, inverse = aln.site_patterns()
-    edges, adjoint = _engine_edges(tree, tuple(node.params for node in tree.nodes[1:]), engine)
+    edges, adjoint = _engine_edges(tree, tree.edge_params, engine)
     root_values, exponent, nu = _pattern_values(tree, aln, engine, edges, adjoint)
     zero = root_values <= 0.0
     if zero.any():

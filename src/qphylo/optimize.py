@@ -7,7 +7,10 @@ SQUAREM (Varadhan & Roland 2008). The chosen engine runs the E-step: an
 edge's operator is linear in its weights, so the reduction with one edge's
 operator replaced by the part one weight drives gives each pattern's joint
 probability with that outcome. The closed-form M-step stays in the region.
-The seed is only recorded in the report.
+Each point the fit evaluates builds its edges' engine entries afresh, off
+the engine's edge cache, so the points do not evict the caller's cached
+trees; only the fitted tree's report runs ``alignment_loglik``. The seed is
+only recorded in the report.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import _engine_edges, _engine_forms, _pattern_logs, _pattern_values, alignment_loglik
+from .engine import (_check_inputs, _engine_edges, _engine_forms, _pattern_logs, _pattern_values,
+                     alignment_loglik)
 from .errors import ModelError
 from .models import FAMILY, ModelParams, outcome_stacks
 from .treeio import Alignment, PhyloTree
@@ -122,7 +126,9 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
     in Varadhan & Roland's code, the cap starts at 1, grows 4x when a jump at
     it holds and shrinks 4x when one fails. ``n_eval`` counts EM steps, at
     most MAX_EVALS per start; each runs 1 + E d engine passes (E edges, d
-    weights), so fits slow down as trees widen.
+    weights), so fits slow down as trees widen. A pass at point x builds its
+    edges' entries off the engine's cache, once per distinct row of the
+    (B, d) array x (B = 1 for a shared fit).
     """
     family = FAMILY.get(problem.family)
     if family is None:
@@ -144,7 +150,7 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
     if not problem.per_edge:
         starts.append(np.full((1, len(family.weights)), (1.0 - _START) / drives.sum()))
     tree = tree_with_edge_params(problem.tree, edge_params(starts[0]), root_pi=root_pi)
-    alignment_loglik(tree, aln, engine=engine)  # the engine, taxa and alphabet checks
+    _check_inputs(tree, aln, engine)
 
     forms, right = [_engine_forms(ops, engine) for ops in stacks], tree.kids[0][1]
     _, counts, inverse = aln.site_patterns()
@@ -154,7 +160,7 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
 
     def evaluate(x: np.ndarray):
         """(log-likelihood at x, as alignment_loglik sums it; the pass that gave it)."""
-        edges, adjoint = _engine_edges(tree, edge_params(x), engine)
+        edges, adjoint = _engine_edges(tree, edge_params(x), engine, cached=False)
         values, exponent, _ = _pattern_values(tree, aln, engine, edges, adjoint)
         return float(_pattern_logs(values, exponent)[inverse].sum()), (values, exponent, edges, adjoint)
 

@@ -104,9 +104,11 @@ class PhyloTree:
     """Rooted binary tree with per-edge model parameters.
 
     ``root_pi`` is the stationary distribution over the non-null characters
-    used at the root; None means uniform. ``nodes`` and ``kids`` are the
-    tree's pre-order table (see ``pre_order``), built once; position 0 is
-    the root, and positions 1..n-1 are the edges in pre-order.
+    used at the root; None means uniform, and ``pi`` is the read-only
+    distribution either resolves to. ``nodes`` and ``kids`` are the tree's
+    pre-order table (see ``pre_order``), built once; position 0 is the root,
+    and positions 1..n-1 are the edges in pre-order, whose parameters
+    ``edge_params`` holds in that order.
 
     Equality and hashing go by the nodes and ``root_pi``'s bytes.
     """
@@ -117,6 +119,8 @@ class PhyloTree:
     kids: tuple = field(init=False, repr=False, compare=False)
     leaf_names: tuple = field(init=False, repr=False, compare=False)
     n_states: int = field(init=False, repr=False, compare=False)
+    edge_params: tuple = field(init=False, repr=False, compare=False)
+    pi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.root.is_leaf:
@@ -146,7 +150,10 @@ class PhyloTree:
         object.__setattr__(self, "kids", kids)
         object.__setattr__(self, "leaf_names", tuple(names))
         object.__setattr__(self, "n_states", states.pop())
-        if self.root_pi is not None:
+        object.__setattr__(self, "edge_params", tuple(node.params for node in nodes[1:]))
+        if self.root_pi is None:
+            pi = np.full(self.n_states, 1.0 / self.n_states)
+        else:
             try:
                 pi = linalg.validate_probability_vector(np.asarray(self.root_pi, dtype=float))
             except ValueError as exc:
@@ -154,8 +161,9 @@ class PhyloTree:
             if pi.size != self.n_states:
                 raise ModelError(f"root distribution has {pi.size} entries for {self.n_states} states")
             pi = pi.copy()
-            pi.setflags(write=False)
             object.__setattr__(self, "root_pi", pi)
+        pi.setflags(write=False)
+        object.__setattr__(self, "pi", pi)
 
     def _key(self) -> tuple:
         return (_shape_key(self.nodes), None if self.root_pi is None else self.root_pi.tobytes())
@@ -171,13 +179,6 @@ class PhyloTree:
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_names)
-
-    @property
-    def pi(self) -> np.ndarray:
-        if self.root_pi is not None:
-            return self.root_pi
-        n = self.n_states
-        return np.full(n, 1.0 / n)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -455,11 +456,16 @@ class Alignment:
     # the patterns showing character x, the leaf likelihood vectors of every likelihood
     # call on this alignment.
     indicators: np.ndarray = field(init=False, repr=False, compare=False)
+    row_of: dict = field(init=False, repr=False, compare=False)  # taxon name -> data row
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.int64)
         if data.ndim != 2 or data.shape[0] != len(self.taxa):
             raise ShapeMismatchError(f"data shape {data.shape} does not match {len(self.taxa)} taxa")
+        row_of = {name: row for row, name in enumerate(self.taxa)}
+        if len(row_of) != len(self.taxa):
+            dup = sorted({name for name in self.taxa if self.taxa.count(name) > 1})
+            raise FastaParseError(f"duplicate taxa {dup}")
         if data.size and (data.min() < 0 or data.max() >= self.alphabet.n_states):
             raise FastaParseError("character index out of alphabet range")
         data = data.copy()
@@ -471,6 +477,7 @@ class Alignment:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         object.__setattr__(self, "taxa", tuple(self.taxa))
+        object.__setattr__(self, "row_of", row_of)
 
     @property
     def n_sites(self) -> int:

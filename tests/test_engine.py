@@ -438,12 +438,24 @@ class TestEdgeCache:
                 alignment_loglik(tree, aln, engine=e)
         assert builds == cold == {"prune_operators": 14, "prune_matrix": 12}
 
-    def test_per_edge_fit_stays_within_maxsize(self, rng, builds):
+    @pytest.mark.parametrize("per_edge", (False, True))
+    @pytest.mark.parametrize("fit_engine", ENGINES)
+    def test_a_fit_leaves_the_callers_tree_warm(self, rng, builds, fit_engine, per_edge):
+        # The EM loop builds its points' entries off the cache: only the fitted tree's report
+        # looks it up, for its one entry, and the dual engine's for its root adjoint too.
         tree, aln = random_instance(rng, 4, "JC", n_sites=40)
-        maximize_loglik(OptimizationProblem(tree=tree, alignment=aln, family="JC", per_edge=True))
+        for e in ENGINES:
+            alignment_loglik(tree, aln, engine=e)
+        before = engine._edge_ops.cache_info()
+        maximize_loglik(OptimizationProblem(tree=tree, alignment=aln, family="JC",
+                                            engine=fit_engine, per_edge=per_edge))
         info = engine._edge_ops.cache_info()
-        assert info.misses > info.maxsize
+        assert info.hits + info.misses == before.hits + before.misses + 1 + (fit_engine == "dual")
         assert info.currsize <= info.maxsize
+        fitted = dict(builds)
+        for e in ENGINES:
+            alignment_loglik(tree, aln, engine=e)
+        assert builds == fitted
 
     def test_cached_arrays_are_read_only(self, rng, builds, monkeypatch):
         real = ModelParams.felsenstein(0.3, (0.1, 0.2, 0.3, 0.4))

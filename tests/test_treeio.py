@@ -112,6 +112,7 @@ class TestParseNewick:
     def test_root_stationary_distribution(self):
         tree = parse_newick("(A:0.1,B:0.1)[&pi={0.1,0.2,0.3,0.4}];")
         assert np.array_equal(tree.pi, [0.1, 0.2, 0.3, 0.4])
+        assert tree.pi is tree.root_pi and not tree.pi.flags.writeable
 
     def test_trees_with_root_distribution_compare_and_hash_by_value(self):
         text = "(A:0.1,B:0.1)[&pi={0.1,0.2,0.3,0.4}];"
@@ -124,6 +125,14 @@ class TestParseNewick:
     def test_uniform_default_root(self):
         tree = parse_newick("(A:0.1,B:0.1);")
         assert np.array_equal(tree.pi, np.full(4, 0.25))
+        assert tree.root_pi is None
+        assert tree.pi is tree.pi and not tree.pi.flags.writeable
+
+    def test_edge_params_follow_pre_order(self):
+        tree = parse_newick("((A[&model=JC,a=0.1],B[&model=JC,a=0.2])[&model=JC,a=0.3],"
+                            "C[&model=JC,a=0.25]);")
+        assert tree.edge_params == tuple(node.params for node in tree.nodes[1:])
+        assert [params.a for params in tree.edge_params] == [0.3, 0.1, 0.2, 0.25]
 
     def test_mixed_state_counts_rejected(self):
         with pytest.raises(ModelError, match="mix"):
@@ -202,6 +211,16 @@ class TestParseFasta:
     def test_duplicate_names_rejected(self):
         with pytest.raises(FastaParseError, match="duplicate"):
             parse_fasta(">x\nAC\n>x\nGT\n")
+
+    def test_duplicate_taxa_rejected_at_construction(self):
+        # A likelihood call would read one row per name and drop the other A row unseen.
+        data = np.zeros((4, 3), dtype=int)
+        with pytest.raises(FastaParseError, match=r"^duplicate taxa \['A', 'B'\]$"):
+            Alignment(taxa=("A", "B", "A", "B"), data=data, alphabet=DNA)
+
+    def test_taxon_rows_are_mapped_once(self):
+        aln = parse_fasta(">y\nAC\n>x\nGT\n")
+        assert aln.row_of == {"y": 0, "x": 1}
 
     def test_empty_input_rejected(self):
         with pytest.raises(FastaParseError):
