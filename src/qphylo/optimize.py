@@ -9,8 +9,9 @@ operator replaced by the part one weight drives gives each pattern's joint
 probability with that outcome. The closed-form M-step stays in the region.
 Each point the fit evaluates builds its edges' engine entries afresh, off
 the engine's edge cache, so the points do not evict the caller's cached
-trees; only the fitted tree's report runs ``alignment_loglik``. The seed is
-only recorded in the report.
+trees. The reported log-likelihood is the one the search computed at the
+kept point, so a fit makes no cache lookup and runs no ``alignment_loglik``.
+The seed is only recorded in the report.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import (_check_inputs, _engine_edges, _engine_forms, _pattern_logs, _pattern_values,
-                     alignment_loglik)
+from .engine import _check_inputs, _engine_edges, _engine_forms, _pattern_logs, _pattern_values
 from .errors import ModelError
 from .models import FAMILY, ModelParams, outcome_stacks
 from .treeio import Alignment, PhyloTree
@@ -128,7 +128,9 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
     most MAX_EVALS per start; each runs 1 + E d engine passes (E edges, d
     weights), so fits slow down as trees widen. A pass at point x builds its
     edges' entries off the engine's cache, once per distinct row of the
-    (B, d) array x (B = 1 for a shared fit).
+    (B, d) array x (B = 1 for a shared fit). The result's log-likelihood is
+    the kept point's, summed as ``alignment_loglik`` sums it; no pass runs
+    after the search.
     """
     family = FAMILY.get(problem.family)
     if family is None:
@@ -211,11 +213,9 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
     # Equal modes (a likelihood even in the sign of an eigenvalue) end within rounding of
     # each other; the far start must win by more than that, so every engine keeps the first.
     if far and far[0][1] - level > GAIN_TOL * abs(level):
-        x, _, converged, trace = far[0]
+        x, level, converged, trace = far[0]
     w_star = tuple(x.ravel().tolist())
-    report = alignment_loglik(tree_with_edge_params(problem.tree, edge_params(x), root_pi=root_pi),
-                              aln, engine=engine)
-    trace.append(TracePoint(n_eval=n_eval, params=w_star, loglik=report.total_log_likelihood))
+    trace.append(TracePoint(n_eval=n_eval, params=w_star, loglik=level))
     return OptimizationResult(
         family=problem.family,
         engine=engine,
@@ -223,7 +223,7 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
         names=tuple(f"edge{b + 1}.{name}" for b in range(n_blocks) for name in family.weights)
         if problem.per_edge else family.weights,
         w_star=w_star,
-        loglik=report.total_log_likelihood,
+        loglik=level,
         n_eval=n_eval,
         converged=converged,
         trace=tuple(trace),

@@ -18,8 +18,10 @@ from . import linalg
 from .errors import FastaParseError, ModelError, NewickParseError, ShapeMismatchError
 from .models import FAMILY, ModelParams, jc_from_branch_length
 
-_NAME_CHARS = re.compile(r"[A-Za-z0-9_.\-|]")
+_SPACE = re.compile(r"[ \t\r\n]*")
+_NAME = re.compile(r"[A-Za-z0-9_.\-|]*")
 _NUMBER = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
+_ANNOTATION_MARKS = re.compile(r"[{},\]]")
 
 
 @dataclass(frozen=True)
@@ -77,13 +79,12 @@ def _shape_key(nodes) -> tuple:
 
 
 def pre_order(root):
-    """A tree's nodes in pre-order, root first, built without recursion.
+    """A ``TreeNode`` tree's nodes in pre-order, root first, built without recursion.
 
-    Works on any node with a ``children`` tuple. Returns (nodes, kids):
-    ``kids[s]`` holds the positions of node s's children, left to right.
-    Every child comes after its parent, so a forward loop over the positions
-    runs top-down and a reversed loop bottom-up; position s + 1 is the
-    first child of an internal node s.
+    Returns (nodes, kids): ``kids[s]`` holds the positions of node s's
+    children, left to right. Every child comes after its parent, so a forward
+    loop over the positions runs top-down and a reversed loop bottom-up;
+    position s + 1 is the first child of an internal node s.
     """
     nodes, kids = [], []
     stack = [(root, None)]
@@ -185,97 +186,55 @@ class PhyloTree:
         return alphabet_for_states(self.n_states)
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise NewickParseError(f"expected {ch!r}", offset=self.pos)
-        self.pos += 1
-
-    def name(self) -> str | None:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and _NAME_CHARS.match(self.text[self.pos]):
-            self.pos += 1
-        return self.text[start:self.pos] if self.pos > start else None
-
-    def number(self) -> float:
-        self.skip_ws()
-        m = _NUMBER.match(self.text, self.pos)
-        if not m:
-            raise NewickParseError("expected a number", offset=self.pos)
-        self.pos = m.end()
-        return float(m.group(0))
-
-    def comment(self) -> dict:
-        start = self.pos
-        self.take("[")
-        if self.peek() != "&":
-            raise NewickParseError("comment must start with '[&'", offset=start)
-        self.pos += 1
-        depth = 0
-        begin = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-            elif ch == "]" and depth == 0:
-                body = self.text[begin:self.pos]
-                self.pos += 1
-                return _parse_annotation(body, begin)
-            self.pos += 1
-        raise NewickParseError("unterminated comment", offset=start)
+def _skip(text: str, pos: int) -> int:
+    """The first position at or after ``pos`` that is not a space, tab or line break."""
+    return _SPACE.match(text, pos).end()
 
 
-def _parse_annotation(body: str, offset: int) -> dict:
-    out = {}
-    depth = 0
-    item = []
-    items = []
-    for ch in body:
+def _annotation(text: str, start: int) -> tuple:
+    """The ``[&key=value,...]`` block opening at ``start``: (its entries, the position past it).
+
+    One scan finds the closing ``]`` and the commas between entries, both outside
+    ``{...}`` lists. Entry errors carry the offset just past the ``&``.
+    """
+    begin = _skip(text, start + 1)
+    if not text.startswith("&", begin):
+        raise NewickParseError("comment must start with '[&'", offset=start)
+    begin += 1
+    depth, cuts = 0, [begin - 1]
+    for mark in _ANNOTATION_MARKS.finditer(text, begin):
+        ch = mark.group()
         if ch == "{":
             depth += 1
         elif ch == "}":
             depth -= 1
-        if ch == "," and depth == 0:
-            items.append("".join(item))
-            item = []
-        else:
-            item.append(ch)
-    items.append("".join(item))
-    for entry in items:
-        entry = entry.strip()
+        elif depth == 0:
+            cuts.append(mark.start())
+            if ch == "]":
+                break
+    else:
+        raise NewickParseError("unterminated comment", offset=start)
+    out = {}
+    for left, right in zip(cuts, cuts[1:]):
+        entry = text[left + 1:right].strip()
         if not entry:
             continue
         if "=" not in entry:
-            raise NewickParseError(f"annotation entry {entry!r} is not key=value", offset=offset)
+            raise NewickParseError(f"annotation entry {entry!r} is not key=value", offset=begin)
         key, value = entry.split("=", 1)
         key = key.strip()
         value = value.strip()
         if key in out:
-            raise NewickParseError(f"duplicate annotation key {key!r}", offset=offset)
+            raise NewickParseError(f"duplicate annotation key {key!r}", offset=begin)
         if value.startswith("{") and value.endswith("}"):
             try:
                 out[key] = tuple(float(x) for x in value[1:-1].split(","))
             except ValueError:
                 raise NewickParseError(f"annotation {key}={value} is not a list of numbers",
-                                       offset=offset) from None
+                                       offset=begin) from None
         else:
             out[key] = value
-    return out
+    return out, cuts[-1] + 1
 
 
 def _params_from_annotation(ann: dict, offset: int) -> ModelParams:
@@ -310,102 +269,92 @@ def _params_from_annotation(ann: dict, offset: int) -> ModelParams:
     return ModelParams(name, *map(num, family.weights), pi=ann.get("pi"))
 
 
-@dataclass
-class _RawNode:
-    """Structural parse result, before model parameters are resolved."""
-
-    offset: int
-    name: str | None = None
-    children: tuple = ()
-    length: float | None = None
-    annotation: dict | None = None
-
-
 def parse_newick(text: str) -> PhyloTree:
-    """Parse one Newick tree; errors carry the byte offset of the failure.
+    """Parse one Newick tree; errors carry the offset of the failure.
 
-    The structure is parsed and validated (binary nodes, named leaves)
-    before edge parameters are resolved, so a shape error is reported even
-    when deeper annotations are also missing. Both passes run in pre-order,
-    which is text order, so the first error in the text is the one reported.
+    One forward scan appends a record per node as the node starts, so the
+    records run in text order, which is pre-order, and a node's offset counts
+    its leading whitespace. Syntax errors, annotation syntax included, are
+    raised as the scan meets them. The records are then checked for binary
+    nodes before edge parameters are resolved, so a shape error is reported
+    even when an earlier annotation names a bad model; both checks run in
+    pre-order, so the first error in the text is the one reported. The nodes
+    are built bottom-up from the records.
     """
-    cur = _Cursor(text)
-    raw = _parse_raw(cur)
-    cur.take(";")
-    cur.skip_ws()
-    if cur.pos != len(cur.text):
-        raise NewickParseError("trailing text after ';'", offset=cur.pos)
-    nodes, kids = pre_order(raw)
-    for node in nodes:
-        if node.children and len(node.children) != 2:
-            raise NewickParseError(f"non-binary node with {len(node.children)} children", offset=node.offset)
-    ann = raw.annotation
+    records = []  # per node in pre-order: [offset, name, length, annotation, child positions]
+    groups = []  # positions of the nodes whose ')' is still to come
+    pos, s = 0, None  # s: the node whose name, length and annotation come next
+    while True:
+        if s is None:
+            s = len(records)
+            if groups:
+                records[groups[-1]][4].append(s)
+            records.append([pos, None, None, None, []])
+            pos = _skip(text, pos)
+            if text.startswith("(", pos):
+                groups.append(s)
+                pos, s = pos + 1, None
+                continue
+        found = _NAME.match(text, _skip(text, pos))
+        pos, name, length, ann = found.end(), found.group() or None, None, None
+        while True:
+            pos = _skip(text, pos)
+            if text.startswith(":", pos) and length is None:
+                pos = _skip(text, pos + 1)
+                found = _NUMBER.match(text, pos)
+                if not found:
+                    raise NewickParseError("expected a number", offset=pos)
+                length, pos = float(found.group()), found.end()
+            elif text.startswith("[", pos) and ann is None:
+                ann, pos = _annotation(text, pos)
+            else:
+                break
+        record = records[s]
+        if not record[4] and name is None:
+            raise NewickParseError("leaf without a name", offset=record[0])
+        record[1:4] = name, length, ann
+        if not groups:
+            break
+        if text.startswith(",", pos):
+            pos, s = pos + 1, None
+        elif text.startswith(")", pos):
+            pos, s = pos + 1, groups.pop()
+        else:
+            raise NewickParseError("expected ')'", offset=pos)
+    if not text.startswith(";", pos):
+        raise NewickParseError("expected ';'", offset=pos)
+    pos = _skip(text, pos + 1)
+    if pos != len(text):
+        raise NewickParseError("trailing text after ';'", offset=pos)
+    for offset, _, _, _, children in records:
+        if children and len(children) != 2:
+            raise NewickParseError(f"non-binary node with {len(children)} children", offset=offset)
+    offset, _, _, ann, _ = records[0]
     if ann and set(ann) - {"pi"}:
-        raise NewickParseError("root annotation may only set pi={...}", offset=raw.offset)
+        raise NewickParseError("root annotation may only set pi={...}", offset=offset)
     if ann and not isinstance(ann["pi"], tuple):
-        raise NewickParseError("root annotation needs pi={...}", offset=raw.offset)
+        raise NewickParseError("root annotation needs pi={...}", offset=offset)
     root_pi = np.asarray(ann["pi"], dtype=float) if ann else None
-    params = [None] + [_edge_params(node) for node in nodes[1:]]
+    params = [None] + [_edge_params(offset, length, ann)
+                       for offset, _, length, ann, _ in records[1:]]
     built = {}
-    for s in reversed(range(len(nodes))):
-        node = nodes[s]
-        built[s] = TreeNode(name=node.name, children=tuple(built.pop(k) for k in kids[s]),
-                            params=params[s], length=node.length,
-                            annotated=s > 0 and node.annotation is not None)
+    for s in reversed(range(len(records))):
+        _, name, length, ann, children = records[s]
+        built[s] = TreeNode(name=name, children=tuple(built.pop(k) for k in children),
+                            params=params[s], length=length, annotated=s > 0 and ann is not None)
     return PhyloTree(root=built[0], root_pi=root_pi)
 
 
-def _parse_raw(cur: _Cursor) -> _RawNode:
-    """The node structure, read left to right with a stack of open '(' groups."""
-    groups = []  # (offset, children so far) per open group
-    while True:
-        start = cur.pos
-        if cur.peek() == "(":
-            cur.take("(")
-            groups.append((start, []))
-            continue
-        node = _node_tail(cur, start, ())
-        while True:
-            if not groups:
-                return node
-            groups[-1][1].append(node)
-            if cur.peek() == ",":
-                cur.take(",")
-                break
-            cur.take(")")
-            start, children = groups.pop()
-            node = _node_tail(cur, start, tuple(children))
-
-
-def _node_tail(cur: _Cursor, start: int, children: tuple) -> _RawNode:
-    """Read a node's name, ``:length`` and ``[&...]`` annotation after its children."""
-    name = cur.name()
-    length = None
-    ann = None
-    while True:
-        ch = cur.peek()
-        if ch == ":" and length is None:
-            cur.take(":")
-            length = cur.number()
-        elif ch == "[" and ann is None:
-            ann = cur.comment()
-        else:
-            break
-    if not children and name is None:
-        raise NewickParseError("leaf without a name", offset=start)
-    return _RawNode(offset=start, name=name, children=children, length=length, annotation=ann)
-
-
-def _edge_params(raw: _RawNode) -> ModelParams:
+def _edge_params(offset: int, length: float | None, ann: dict | None) -> ModelParams:
     """The edge's model, from its annotation or else its bare branch length."""
     try:
-        if raw.annotation is not None:
-            return _params_from_annotation(raw.annotation, raw.offset)
-        if raw.length is not None:
-            return jc_from_branch_length(raw.length)
+        if ann is not None:
+            return _params_from_annotation(ann, offset)
+        if length is not None:
+            return jc_from_branch_length(length)
     except ModelError as exc:
-        raise NewickParseError(f"invalid model parameters: {exc}", offset=raw.offset) from exc
-    raise NewickParseError("edge needs a branch length or a model annotation", offset=raw.offset)
+        raise NewickParseError(f"invalid model parameters: {exc}", offset=offset) from exc
+    raise NewickParseError("edge needs a branch length or a model annotation", offset=offset)
 
 
 def _format_float(x: float) -> str:
@@ -459,16 +408,19 @@ class Alignment:
     row_of: dict = field(init=False, repr=False, compare=False)  # taxon name -> data row
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.int64)
+        data = np.asarray(self.data)
         if data.ndim != 2 or data.shape[0] != len(self.taxa):
             raise ShapeMismatchError(f"data shape {data.shape} does not match {len(self.taxa)} taxa")
         row_of = {name: row for row, name in enumerate(self.taxa)}
         if len(row_of) != len(self.taxa):
             dup = sorted({name for name in self.taxa if self.taxa.count(name) > 1})
             raise FastaParseError(f"duplicate taxa {dup}")
+        kind = data.dtype.kind
+        if kind not in "biuf" or (kind == "f" and (data != np.trunc(data)).any()):
+            raise FastaParseError("character index is not an integer")
         if data.size and (data.min() < 0 or data.max() >= self.alphabet.n_states):
             raise FastaParseError("character index out of alphabet range")
-        data = data.copy()
+        data = data.astype(np.int64)
         unique = np.unique(data.T, axis=0, return_inverse=True, return_counts=True)
         states = np.arange(self.alphabet.n_states)[:, None]
         indicators = (unique[0].T[:, None, :] == states).astype(float, order="C")
@@ -529,6 +481,8 @@ def parse_fasta(text: str) -> Alignment:
         alphabet = DNA
     else:
         bad = sorted(chars - set(DNA.symbols) - set(BINARY.symbols))
+        if not bad:
+            raise FastaParseError("records mix DNA (A/C/G/T) and binary (0/1) characters")
         raise FastaParseError(f"unsupported characters {bad} (gaps/ambiguity codes are rejected)")
     # Every character is one of the alphabet's ASCII symbols, so one table lookup maps them all.
     table = np.zeros(128, dtype=np.int64)

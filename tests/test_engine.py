@@ -441,8 +441,8 @@ class TestEdgeCache:
     @pytest.mark.parametrize("per_edge", (False, True))
     @pytest.mark.parametrize("fit_engine", ENGINES)
     def test_a_fit_leaves_the_callers_tree_warm(self, rng, builds, fit_engine, per_edge):
-        # The EM loop builds its points' entries off the cache: only the fitted tree's report
-        # looks it up, for its one entry, and the dual engine's for its root adjoint too.
+        # The EM loop builds its points' entries off the cache and reports its own value at
+        # the kept point, so a fit never looks the cache up.
         tree, aln = random_instance(rng, 4, "JC", n_sites=40)
         for e in ENGINES:
             alignment_loglik(tree, aln, engine=e)
@@ -450,8 +450,7 @@ class TestEdgeCache:
         maximize_loglik(OptimizationProblem(tree=tree, alignment=aln, family="JC",
                                             engine=fit_engine, per_edge=per_edge))
         info = engine._edge_ops.cache_info()
-        assert info.hits + info.misses == before.hits + before.misses + 1 + (fit_engine == "dual")
-        assert info.currsize <= info.maxsize
+        assert info == before
         fitted = dict(builds)
         for e in ENGINES:
             alignment_loglik(tree, aln, engine=e)

@@ -161,6 +161,32 @@ class TestMaximizeLoglik:
         assert result.converged
         assert result.loglik >= nelder_mead - 1e-9
 
+    @pytest.mark.parametrize("per_edge", (False, True))
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_reported_loglik_is_the_fitted_trees_exactly(self, engine, per_edge):
+        # The fit reports the search's own value at the kept point, with no pass after the
+        # search: it must be the fitted tree's alignment_loglik to the last bit.
+        aln = simulated_alignment(BALANCED, ModelParams.k2(0.1, 0.05), 200, seed=5)
+        result = maximize_loglik(OptimizationProblem(tree=BALANCED, alignment=aln, family="K2",
+                                                     engine=engine, per_edge=per_edge))
+        w = iter(result.w_star)
+        blocks = [ModelParams.k2(a, b) for a, b in zip(w, w)]
+        fitted = tree_with_edge_params(BALANCED, blocks if per_edge else blocks * 6)
+        assert alignment_loglik(fitted, aln, engine=engine).total_log_likelihood == result.loglik
+        assert result.trace[-1].loglik == result.loglik
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_reported_loglik_is_exact_when_the_far_start_wins(self, engine):
+        # On this data the far start ends higher (see the mode test above), so the kept
+        # level is the far climb's.
+        topology = parse_newick("((t1:1,t2:1):1,((t3:1,t4:1):1,t5:1):1);")
+        aln = parse_fasta((DATA / "shared_modes_38.fasta").read_text())
+        result = maximize_loglik(OptimizationProblem(tree=topology, alignment=aln, family="B",
+                                                     engine=engine))
+        assert result.w_star[0] > 0.5
+        fitted = tree_with_shared_params(topology, ModelParams.binary(result.w_star[0]))
+        assert alignment_loglik(fitted, aln, engine=engine).total_log_likelihood == result.loglik
+
     @pytest.mark.parametrize("seed", (1, 2))
     def test_equal_modes_keep_the_first_start(self, seed):
         # Every leaf path of BALANCED has even length, so the shared B likelihood is the

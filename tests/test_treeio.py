@@ -10,10 +10,14 @@ from qphylo.treeio import (BINARY, DNA, Alignment, EvolveGate, SplitGate, compil
 
 BALANCED = "((A:0.1,B:0.1):0.05,(C:0.2,D:0.2):0.05);"
 
-NEWICK_CHARS = "(),:;[]&={}AB01.e+- \n"
+NEWICK_CHARS = "(),:;[]&={}AB01.e+- \t\r\n"
+# Whole tokens, so that random joins spell out annotations and reach the parameter checks.
+NEWICK_FRAGMENTS = ["(", ")", ",", ":", ";", "[&", "]", "{", "}", "model=", "JC", "K2", "F", "a=",
+                    "t=", "pi=", "0.1", "-1", "A", "B", " ", "\t", "\r\n"]
 NEWICK_LIKE = st.one_of(
     st.text(max_size=80),
     st.text(alphabet=NEWICK_CHARS, max_size=80),
+    st.lists(st.sampled_from(NEWICK_FRAGMENTS), max_size=40).map("".join),
     st.tuples(st.integers(0, 3000), st.text(alphabet=NEWICK_CHARS, max_size=40),
               st.integers(0, 3000)).map(lambda t: "(" * t[0] + t[1] + ")" * t[2]),
     # Deep well-formed nesting; duplicate B labels make it fail after parsing.
@@ -47,6 +51,29 @@ class TestParseNewick:
         with pytest.raises(NewickParseError) as err:
             parse_newick("(A:0.1,B:0.2")
         assert err.value.offset is not None
+
+    @pytest.mark.parametrize("text, message", [
+        ("(A:0.1,B:0.2", "expected ')' (at offset 12)"),
+        ("(A:0.1,B:0.2) x", "expected ';' (at offset 15)"),
+        ("(A:0.1,B:0.2);x", "trailing text after ';' (at offset 14)"),
+        ("(A:,B:1);", "expected a number (at offset 3)"),
+        ("(A[model=JC,a=0.1],B:1);", "comment must start with '[&' (at offset 2)"),
+        ("(A[&model=JC,a=0.1,B:1);", "unterminated comment (at offset 2)"),
+        ("(A[&model],B:1);", "annotation entry 'model' is not key=value (at offset 4)"),
+        ("(A[&a=0.1,a=0.2],B:1);", "duplicate annotation key 'a' (at offset 4)"),
+        ("(A[&pi={0.1,x}],B:1);", "annotation pi={0.1,x} is not a list of numbers (at offset 4)"),
+        ("(A:1,:1);", "leaf without a name (at offset 5)"),
+        ("(A:1,B:1:2);", "expected ')' (at offset 8)"),
+        ("(A:1,B:1)[&a=0.1];", "root annotation may only set pi={...} (at offset 0)"),
+        # Leading whitespace counts toward a node's offset.
+        ("( A:1, (B:1,C:1,D:1):1);", "non-binary node with 3 children (at offset 6)"),
+        # A shape error wins over an earlier bad annotation.
+        ("(A[&model=XX],(B:1,C:1,D:1):1);", "non-binary node with 3 children (at offset 14)"),
+    ])
+    def test_every_reader_error_message_is_exact(self, text, message):
+        with pytest.raises(NewickParseError) as err:
+            parse_newick(text)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("text", ["(A:-0.1,B:0.1);", "(A[&model=JC,t=-0.1],B:0.1);"],
                              ids=["bare_length", "t_annotation"])
@@ -198,6 +225,36 @@ class TestParseFasta:
     def test_gap_rejected(self):
         with pytest.raises(FastaParseError, match="unsupported"):
             parse_fasta(">x\nAC-T\n")
+
+    @pytest.mark.parametrize("text", [">a\nAC01\n>b\nACGT\n", ">a\nAC\n>b\n01\n"])
+    def test_dna_and_binary_mix_is_named(self, text):
+        # Every character is in one of the alphabets, so there is no unsupported one to list.
+        with pytest.raises(FastaParseError) as err:
+            parse_fasta(text)
+        assert str(err.value) == "records mix DNA (A/C/G/T) and binary (0/1) characters"
+
+    @pytest.mark.parametrize("data", [
+        np.array([[0.5, 1.9], [2.2, 3.0]]),
+        np.array([[0.0, np.nan], [1.0, 2.0]]),
+        np.array([["A", "C"], ["G", "T"]]),
+        np.array([[0, 1], [2, 3]], dtype=object),
+    ], ids=["fractional", "nan", "strings", "objects"])
+    def test_non_integer_data_refused(self, data):
+        with pytest.raises(FastaParseError, match=r"^character index is not an integer$"):
+            Alignment(taxa=("A", "B"), data=data, alphabet=DNA)
+
+    @pytest.mark.parametrize("data, want", [
+        (np.array([[1.0, 0.0], [3.0, 2.0]]), [[1, 0], [3, 2]]),
+        (np.array([[True, False], [False, True]]), [[1, 0], [0, 1]]),
+        ([[], []], [[], []]),
+    ], ids=["integral_floats", "bools", "empty"])
+    def test_integer_valued_data_accepted(self, data, want):
+        aln = Alignment(taxa=("A", "B"), data=data, alphabet=DNA)
+        assert aln.data.dtype == np.int64 and aln.data.tolist() == want
+
+    def test_infinite_data_is_out_of_range(self):
+        with pytest.raises(FastaParseError, match="out of alphabet range"):
+            Alignment(taxa=("A", "B"), data=np.array([[np.inf, 0.0], [1.0, 2.0]]), alphabet=DNA)
 
     def test_binary_alphabet_detected(self):
         aln = parse_fasta(">x\n0110\n>y\n1010\n")
