@@ -9,14 +9,17 @@ non-null characters. Every kernel therefore runs along the P patterns.
 - The classical engine runs the textbook pruning recursion: one matmul per
   child edge and one elementwise product per node.
 - The quantum engine runs the pruning circuit: per-edge operator-sum
-  propagation of the two child likelihood operators into full (n, n, P)
-  operators (n = k + 1 counts the null character), the collective pinch
+  propagation of the two child likelihood operators, the collective pinch
   onto the |kk> subspace, the inverse control-shift (which parks the
-  duplicate character on the null ancilla), and a partial trace. The pinch
-  leaves a diagonal operator, so the gates run in their sparse forms: the
-  pinch is a gather of the |kk> entries, the control-shift an index
-  permutation and the partial trace a reshape-trace. The tests pin each
-  form to its dense operator.
+  duplicate character on the null ancilla), and a partial trace. An edge
+  gate's null row and column are zero, so propagation runs through (k*k, k)
+  transfer forms into the whole (k, k, P) non-null block, off-diagonal
+  entries included; the null character (n = k + 1 levels) enters at the
+  pinch, where the control-shift needs it. The pinch leaves a diagonal
+  operator, so the gates run in their sparse forms: the pinch is a product
+  of the |kk> entries, the control-shift an index permutation and the
+  partial trace a reshape-trace. The tests pin each form, read from the
+  node's own buffers, to its dense operator.
 - The dual engine reduces the subtrees the same way but evaluates the root
   cherry in the state picture: the left child's operator, propagated
   forward through its edge channel, pinches the stationary density, which
@@ -106,30 +109,19 @@ def simulate_tree(tree: PhyloTree) -> ProbabilityTensor:
 # --- Per-edge data -----------------------------------------------------------
 
 
-def _embed_stack(stack: np.ndarray) -> np.ndarray:
-    """A (K, m, m) Kraus stack extended by a zero null row and column, in its own dtype.
-
-    Likelihood operators carry no weight on the null character, so the
-    corner never reaches a result. The transfer forms built from the stack
-    and the kernels that read them run in the operators' own field.
-    """
-    k, m, _ = stack.shape
-    out = np.zeros((k, m + 1, m + 1), dtype=stack.dtype)
-    out[:, 1:, 1:] = stack
-    return out
-
-
 def _transfer(stack: np.ndarray) -> np.ndarray:
-    """The columns of sum_k A_k (x) conj(A_k) that a diagonal input reaches.
+    """The columns of sum_k A_k (x) conj(A_k) that a diagonal input reaches, on the non-null block.
 
-    Entry ((a, b), i) is sum_k A_k[a, i] conj(A_k[b, i]); only the non-null
-    inputs i >= 1 are kept, since likelihood operators carry no null weight.
-    Shape (n*n, n-1); it never grows with the number of patterns. It has the
-    stack's dtype: conj of a real stack is the stack itself.
+    Entry ((a, b), i) is sum_k A_k[a, i] conj(A_k[b, i]) for non-null
+    characters a, b and i. The null character's row and column of the
+    circuit's edge gate are zero, so a likelihood operator gains no null
+    weight on an edge and the form has shape (k*k, k); the null slot first
+    enters the circuit at the pinch. The form never grows with the number of
+    patterns, and it has the stack's dtype: conj of a real stack is the stack
+    itself.
     """
-    n = stack.shape[1]
-    block = stack[:, :, 1:]
-    return np.einsum("kai,kbi->abi", block, block.conj()).reshape(n * n, n - 1)
+    k = stack.shape[1]
+    return np.einsum("kai,kbi->abi", stack, stack.conj()).reshape(k * k, k)
 
 
 def _stack_form(stack: np.ndarray, kind: str) -> np.ndarray:
@@ -142,7 +134,6 @@ def _stack_form(stack: np.ndarray, kind: str) -> np.ndarray:
     """
     if kind == "classical":
         return np.einsum("kai,kai->ia", stack, stack.conj()).real
-    stack = _embed_stack(stack)
     if kind == "adjoint":
         stack = stack.conj().transpose(0, 2, 1)
     return _transfer(stack)
@@ -206,37 +197,6 @@ def _engine_forms(stack: np.ndarray, engine: str):
 # --- Batched kernels: arrays carry one column per site pattern -----------------
 
 
-def _diagonal(ops: np.ndarray) -> np.ndarray:
-    """The |k><k| entries of an (n, n, P) operator stack, shape (n, P)."""
-    n, _, p = ops.shape
-    return ops.reshape(n * n, p)[::n + 1]
-
-
-def _kraus_propagate(diag: np.ndarray, transfer: np.ndarray, out=None) -> np.ndarray:
-    """Batched operator sum sum_k A_k diag(0, d_p) A_k^dagger, shape (n, n, P).
-
-    ``diag`` is (n-1, P): each column the diagonal of one input operator over
-    the non-null characters. The result has the result type of ``transfer``
-    and ``diag``: real for a real Kraus family. ``out``, if given, is an
-    (n*n, P) array of that type to write into.
-    """
-    n = transfer.shape[1] + 1
-    return np.matmul(transfer, diag, out=out).reshape(n, n, diag.shape[1])
-
-
-def _collective_pinch(rho_b: np.ndarray, rho_c: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Diagonal of the collective pinch of rho_b (x) rho_c, written into ``out``, (n*n, P).
-
-    The pinch keeps only the |kk><kk| entries of the joint operator, and the
-    joint entry there is the product of the factors' |k><k| entries: the
-    gate is a gather, and every other entry of the result is zero. Only the
-    |kk> rows of ``out`` are written, so it must be zero elsewhere.
-    """
-    n = rho_b.shape[0]
-    np.multiply(_diagonal(rho_b), _diagonal(rho_c), out=out[::n + 1])
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _unshift_source(n: int) -> np.ndarray:
     """For each |i, j>, the index |i, j + i mod n> that the inverse control-shift moves there."""
@@ -244,22 +204,6 @@ def _unshift_source(n: int) -> np.ndarray:
     src = i * n + (j + i) % n
     src.setflags(write=False)
     return src
-
-
-def _inverse_control_shift(diag: np.ndarray) -> np.ndarray:
-    """U^dagger D U for the control-shift U and a diagonal D, given by its diagonal.
-
-    U^dagger sends |i, j> to |i, j - i mod n>, a permutation, so the
-    conjugation permutes the diagonal entries.
-    """
-    return diag[_unshift_source(math.isqrt(diag.shape[0]))]
-
-
-def _trace_second_slot(diag: np.ndarray) -> np.ndarray:
-    """Partial trace over slot 2 of a diagonal two-slot operator, shape (n, P)."""
-    nn, p = diag.shape
-    n = math.isqrt(nn)
-    return diag.reshape(n, n, p).sum(axis=1)
 
 
 def _classical_node(lb: np.ndarray, lc: np.ndarray, wb: np.ndarray, wc: np.ndarray) -> np.ndarray:
@@ -271,36 +215,53 @@ def _quantum_node(lb: np.ndarray, lc: np.ndarray, tb: np.ndarray, tc: np.ndarray
                   work: np.ndarray) -> np.ndarray:
     """The pruning circuit on two children's likelihood operators, one column per pattern.
 
-    ``tb`` and ``tc`` are the child edges' transfer forms. ``work`` is a
-    zeroed (3, n*n, P) array, of their result type, that every node of one
-    call reuses for the two propagated operators and their pinch. ``.real``
-    is a view for a real work array.
+    ``tb`` and ``tc`` are the child edges' (k*k, k) transfer forms. ``work``
+    is a zeroed (3, n*n, P) array, n = k + 1, of their result type, that every
+    node of one call reuses; each gate writes its output there in sparse form:
+
+    - Kraus propagation: the non-null (k, k) blocks of the two propagated
+      operators, in the leading k*k rows of planes 0 and 1;
+    - collective pinch: the |cc><cc| entries of the joint operator are the
+      products of the factors' |c><c| entries, written to the |cc> rows of
+      the null-extended plane 2 for the non-null c. Every other row stays
+      zero, the null |00> row included;
+    - inverse control-shift: U^dagger sends |i, j> to |i, j - i mod n>, so it
+      gathers plane 2's rows by ``_unshift_source``. Slot 1 of a non-null
+      result is never null, so only the rows i >= 1 are gathered;
+    - partial trace over slot 2: a reshape-trace, which leaves the (k, P)
+      node value. ``.real`` is a view for a real work array.
     """
-    rho_b = _kraus_propagate(lb, tb, out=work[0])
-    rho_c = _kraus_propagate(lc, tc, out=work[1])
-    joint = _collective_pinch(rho_b, rho_c, out=work[2])
-    return _trace_second_slot(_inverse_control_shift(joint))[1:].real
+    k, p = lb.shape
+    n, kk = k + 1, k * k
+    rho_b = np.matmul(tb, lb, out=work[0, :kk])
+    rho_c = np.matmul(tc, lc, out=work[1, :kk])
+    np.multiply(rho_b[::k + 1], rho_c[::k + 1], out=work[2, n + 1::n + 1])
+    return work[2][_unshift_source(n)[n:]].reshape(k, n, p).sum(axis=1).real
 
 
 def _pinch_weights(lb: np.ndarray, tb: np.ndarray):
     """Forward step of the left child: (q, nu) with q = diag(E_B(L_B)) / nu, nu = Tr L_B.
 
-    ``tb`` is the left edge's transfer form. q has shape (n, P) with
-    q[0] = 0; columns with nu = 0 get q = 0.
+    ``tb`` is the left edge's (k*k, k) transfer form, so the diagonal is read
+    off the non-null block: q has shape (k, P), and columns with nu = 0 get
+    q = 0.
     """
     nu = lb.sum(axis=0)
-    forward = _diagonal(_kraus_propagate(lb, tb)).real
+    forward = (tb @ lb)[::lb.shape[0] + 1].real
     q = np.divide(forward, nu, out=np.zeros_like(forward), where=nu > 0.0)
     return q, nu
 
 
 def _adjoint_state(q: np.ndarray, pi: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
-    """sum_k A_k^dagger sigma A_k for the pinched stationary density sigma, (n, n, P).
+    """sum_k A_k^dagger sigma A_k for the pinched stationary density sigma, (k, k, P).
 
     sigma = sum_k q_k P_k diag(0, pi) P_k is diagonal; the adjoint map is the
-    operator sum of the adjoint Kraus family, whose transfer form is ``adjoint``.
+    operator sum of the adjoint Kraus family, whose transfer form is
+    ``adjoint``. The result is the non-null block: its null row and column
+    are zero.
     """
-    return _kraus_propagate(q[1:] * pi[:, None], adjoint)
+    k, p = q.shape
+    return (adjoint @ (q * pi[:, None])).reshape(k, k, p)
 
 
 def _dual_root(lb: np.ndarray, lc: np.ndarray, tb: np.ndarray, adjoint: np.ndarray,
@@ -313,7 +274,7 @@ def _dual_root(lb: np.ndarray, lc: np.ndarray, tb: np.ndarray, adjoint: np.ndarr
     """
     q, nu = _pinch_weights(lb, tb)
     back = _adjoint_state(q, pi, adjoint)
-    return nu * np.einsum("ip,iip->p", lc, back[1:, 1:]).real, nu
+    return nu * np.einsum("ip,iip->p", lc, back).real, nu
 
 
 # --- Whole-alignment evaluation -------------------------------------------------
@@ -392,6 +353,8 @@ def _pattern_values(tree: PhyloTree, aln: Alignment, engine: str, edges: list, a
         # Three pattern-sized operator stacks per call, not per node: freeing
         # them at every node let glibc trim the heap and fault the pages back
         # in at the next, up to 1.8x the time of a 300-pattern quantum call.
+        # Planes 0 and 1 take the two propagated (k, k) non-null blocks in
+        # their leading k*k rows; plane 2 is the null-extended pinch, n*n rows.
         # On DNA with 300 patterns that is 3 x 25 x 300 float64 (176 KiB) for
         # real Kraus families. One complex edge makes the array complex128
         # (352 KiB): a complex product written into a real buffer would lose

@@ -227,11 +227,11 @@ def _annotation(text: str, start: int) -> tuple:
         if key in out:
             raise NewickParseError(f"duplicate annotation key {key!r}", offset=begin)
         if value.startswith("{") and value.endswith("}"):
-            try:
-                out[key] = tuple(float(x) for x in value[1:-1].split(","))
-            except ValueError:
+            items = [x.strip() for x in value[1:-1].split(",")]
+            if not all(_NUMBER.fullmatch(x) for x in items):
                 raise NewickParseError(f"annotation {key}={value} is not a list of numbers",
-                                       offset=begin) from None
+                                       offset=begin)
+            out[key] = tuple(map(float, items))
         else:
             out[key] = value
     return out, cuts[-1] + 1
@@ -255,11 +255,10 @@ def _params_from_annotation(ann: dict, offset: int) -> ModelParams:
     def num(key):
         if key not in ann:
             raise NewickParseError(f"model {name} needs {key}=", offset=offset)
-        try:
-            return float(ann[key])
-        except (TypeError, ValueError):
+        if not isinstance(ann[key], str) or not _NUMBER.fullmatch(ann[key]):
             raise NewickParseError(f"annotation {key}= must be a number, got {ann[key]!r}",
-                                   offset=offset) from None
+                                   offset=offset)
+        return float(ann[key])
     if family.takes_pi and not isinstance(ann.get("pi"), tuple):
         raise NewickParseError(f"model {name} needs pi={{...}}", offset=offset)
     if "t" in ann:

@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .channels import (apply_channel, collective_diagonalizer, control_not, diagonalizer,
                        diagonalizer_fourier)
-from .engine import _embed_stack, alignment_loglik, simulate_tree
+from .engine import alignment_loglik, simulate_tree
 from .models import (FAMILIES, Dilation, ModelParams, binary_dilation, bitflip_generator,
                      bitflip_unitary, flip_weights, group_channel, prune_operators, qw_dilation)
 from .treeio import Alignment, BINARY, DNA, PhyloTree, SplitGate, TreeNode, compile_circuit
@@ -167,6 +167,14 @@ def suite_pruning_equivalence(rng: np.random.Generator, instances: int = 60,
                     abs(total["classical"] - total["quantum"]),
                     abs(total["classical"] - total["dual"]))
     return SuiteResult("pruning engine equivalence", worst, 1e-8)
+
+
+def _embed_stack(stack: np.ndarray) -> np.ndarray:
+    """A (K, m, m) Kraus stack extended by a zero null row and column, in its own dtype."""
+    k, m, _ = stack.shape
+    out = np.zeros((k, m + 1, m + 1), dtype=stack.dtype)
+    out[:, 1:, 1:] = stack
+    return out
 
 
 def _null_fixed(ops: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from qphylo import cli, verify
 from qphylo.engine import simulate_tree
-from qphylo.models import FAMILIES
+from qphylo.errors import ModelError
+from qphylo.models import FAMILIES, ModelParams
 from qphylo.treeio import parse_fasta, parse_newick
 
 BALANCED = "((A:0.1,B:0.1):0.05,(C:0.2,D:0.2):0.05);"
@@ -318,17 +320,31 @@ class TestModelWeightBounds:
 
 
 class TestStationaryDistributionChecks:
-    """A given pi must be finite and have no negative entry, at an edge or at the root."""
+    """A given pi must be finite and have no negative entry, at an edge or at the root.
+
+    A Newick pi entry must be a number in the branch-length grammar, so the
+    reader refuses a non-finite entry before any model check runs.
+    """
 
     CASES = {
         "edge_nan": ("(A[&model=F,a=0.5,pi={nan,0.3,0.3,0.4}],B[&model=JC,a=0.1]);",
-                     cli.EXIT_PARSE, "F stationary distribution: non-finite probability entry"),
+                     cli.EXIT_PARSE,
+                     "annotation pi={nan,0.3,0.3,0.4} is not a list of numbers (at offset 4)"),
         "root_nan": ("(A[&model=JC,a=0.1],B[&model=JC,a=0.1])[&pi={nan,0.3,0.3,0.4}];",
-                     cli.EXIT_MODEL, "root distribution: non-finite probability entry"),
+                     cli.EXIT_PARSE,
+                     "annotation pi={nan,0.3,0.3,0.4} is not a list of numbers (at offset 41)"),
         "root_negative": ("(A[&model=JC,a=0.0],B[&model=JC,a=0.0])"
                           "[&pi={-0.00000000000001,0.3,0.3,0.40000000000001}];",
                           cli.EXIT_MODEL, "root distribution: negative probability entry -1e-14"),
     }
+
+    def test_model_checks_refuse_non_finite_entries(self):
+        pi = (float("nan"), 0.3, 0.3, 0.4)
+        with pytest.raises(ModelError, match="F stationary distribution: non-finite probability entry"):
+            ModelParams.felsenstein(0.5, pi)
+        tree = parse_newick("(A[&model=JC,a=0.1],B[&model=JC,a=0.1]);")
+        with pytest.raises(ModelError, match="root distribution: non-finite probability entry"):
+            dataclasses.replace(tree, root_pi=np.array(pi))
 
     @pytest.mark.parametrize("command", ["simulate", "likelihood"])
     @pytest.mark.parametrize("case", list(CASES))
@@ -345,7 +361,7 @@ class TestStationaryDistributionChecks:
         assert run(argv) == code
         err = capsys.readouterr().err
         assert message in err
-        assert ("(at offset 1)" in err) == (code == cli.EXIT_PARSE)
+        assert ("(at offset" in err) == (code == cli.EXIT_PARSE)
 
 
 class TestFileAccessExitCodes:

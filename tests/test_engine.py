@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 
 from qphylo import engine, linalg
 from qphylo.channels import KrausChannel, apply_channel, collective_diagonalizer, control_not
-from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _adjoint_state, _classical_node,
-                           _collective_pinch, _diagonal, _dual_root, _embed_stack,
-                           _inverse_control_shift, _kraus_propagate, _pinch_weights, _quantum_node,
-                           _trace_second_slot, alignment_loglik, simulate_tree)
+from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _adjoint_state, _classical_node, _dual_root,
+                           _pinch_weights, _quantum_node, _unshift_source, alignment_loglik,
+                           simulate_tree)
 from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
 from qphylo.models import FAMILIES, ModelParams, markov, prune_matrix, prune_operators
 from qphylo.optimize import (OptimizationProblem, maximize_loglik, tree_with_edge_params,
                              tree_with_shared_params)
 from qphylo.treeio import BINARY, DNA, Alignment, emit_newick, parse_newick
-from qphylo.verify import random_instance, random_params
+from qphylo.verify import _embed_stack, random_instance, random_params
 
 from conftest import random_density, random_unitary
 
@@ -234,7 +233,7 @@ class TestDualPrune:
         eye, eye_adjoint = kraus_entry(np.eye(4)[None]), kraus_entry(np.eye(4)[None], "adjoint")
         q, nu = _pinch_weights(A[:, None], eye)
         assert nu[0] == 1.0
-        assert np.abs(q[:, 0] - [0.0, 1.0, 0.0, 0.0, 0.0]).max() < 1e-14
+        assert np.abs(q[:, 0] - [1.0, 0.0, 0.0, 0.0]).max() < 1e-14
         values, _ = _dual_root(A[:, None], lc[:, None], eye, eye_adjoint, pi)
         assert abs(values[0] - lc[0] * pi[0]) < 1e-14
 
@@ -271,70 +270,119 @@ class TestDualPrune:
             q = np.diag(ub @ np.diag(lb).astype(complex) @ ub.conj().T).real / nu
             rho = random_density(rng, 4)
             pinch, _ = _pinch_weights(lb[:, None], kraus_entry(ub[None]))
-            evolved = _diagonal(_kraus_propagate(lc[:, None], kraus_entry(uc[None]))).real
-            forward = (pinch * evolved)[1:, 0]
+            evolved = (kraus_entry(uc[None]) @ lc[:, None])[::5].real
+            forward = (pinch * evolved)[:, 0]
             lhs = float(forward @ np.diag(rho).real)
             adjoint = uc.conj().T @ np.diag(q * np.diag(rho)) @ uc
             rhs = np.trace(np.diag(lc).astype(complex) @ adjoint).real
             assert abs(lhs - rhs) < 1e-12
 
 
+def dense_channel(stack) -> KrausChannel:
+    """The circuit's edge gate for a (K, k, k) stack: the stack with a zero null row and column."""
+    return KrausChannel(_embed_stack(np.asarray(stack, dtype=complex)), trace_preserving=False)
+
+
+# Edge stacks for the node pins: one random complex unitary per edge at n = 3 and 5, and a
+# random draw of every built-in family.
+NODE_STACKS = [
+    *(("unitary", n, seed) for n in (3, 5) for seed in range(3)),
+    *(("family", family, seed) for family in FAMILIES for seed in range(2)),
+]
+
+
+def node_stacks(kind, which, seed):
+    """The two child edges' Kraus stacks for one ``NODE_STACKS`` entry."""
+    rng = np.random.default_rng(seed)
+    if kind == "unitary":
+        return [random_unitary(rng, which - 1)[None] for _ in range(2)]
+    return [prune_operators(random_params(rng, which)) for _ in range(2)]
+
+
 class TestSparseGates:
-    """Each sparse gate of the batched pruning circuit against its dense operator."""
+    """Each gate of the batched pruning circuit, read from the node's own buffers,
+    against its dense operator on the null-extended space."""
+
+    @pytest.mark.parametrize("kind, which, seed", NODE_STACKS)
+    def test_node_buffers_hold_each_dense_gate(self, kind, which, seed):
+        stack_b, stack_c = node_stacks(kind, which, seed)
+        k, p = stack_b.shape[1], 4
+        n = k + 1
+        rng = np.random.default_rng(100 + seed)
+        lb, lc = rng.random((k, p)), rng.random((k, p))
+        tb, tc = kraus_entry(stack_b), kraus_entry(stack_c)
+        work = np.zeros((3, n * n, p), dtype=np.result_type(tb, tc))
+        out = _quantum_node(lb, lc, tb, tc, work)
+        assert out.shape == (k, p)
+        kk_rows = (n + 1) * np.arange(n)
+        unshift = control_not(n).conj().T
+        for i in range(p):
+            # Kraus propagation: the dense gate leaves the null row and column exactly zero,
+            # so the node keeps only the non-null block.
+            propagated = []
+            for stack, leaf, plane in ((stack_b, lb, 0), (stack_c, lc, 1)):
+                dense = apply_channel(dense_channel(stack), np.diag(np.concatenate([[0.0], leaf[:, i]])))
+                assert not dense[0].any() and not dense[:, 0].any()
+                block = work[plane, :k * k, i].reshape(k, k)
+                assert np.abs(block - dense[1:, 1:]).max() < 1e-14
+                propagated.append(_embed_stack(block[None])[0])
+            # Collective pinch of the node's propagated operators.
+            pinched = apply_channel(collective_diagonalizer(n), linalg.kron(*propagated))
+            assert np.abs(pinched - np.diag(work[2, :, i])).max() < 1e-15
+            assert not np.delete(work[2, :, i], kk_rows).any()
+            # Inverse control-shift and partial trace of the node's pinch.
+            shifted = unshift @ np.diag(work[2, :, i]) @ unshift.conj().T
+            traced = linalg.partial_trace(shifted, [n, n], traced=2)
+            assert np.abs(traced - np.diag(np.diagonal(traced))).max() == 0.0
+            assert traced[0, 0] == 0.0
+            assert np.abs(out[:, i] - np.diagonal(traced)[1:]).max() < 1e-14
 
     def test_kraus_propagation_matches_apply_channel(self, rng):
         for family in ("JC", "K2", "K3", "B", "F"):
             for _ in range(5):
                 params = random_params(rng, family)
-                stack = _embed_stack(prune_operators(params))
-                channel = KrausChannel(stack, trace_preserving=False)
-                diags = rng.random((3, params.n_states))
-                batched = _kraus_propagate(diags.T, engine._build(params, "kraus"))
-                for d, rho in zip(diags, batched.transpose(2, 0, 1)):
+                k = params.n_states
+                channel = dense_channel(prune_operators(params))
+                diags = rng.random((3, k))
+                batched = (engine._build(params, "kraus") @ diags.T).reshape(k, k, 3)
+                for d, block in zip(diags, batched.transpose(2, 0, 1)):
                     dense = apply_channel(channel, np.diag(np.concatenate([[0.0], d])))
-                    assert np.abs(rho - dense).max() < 1e-14
-
-    def test_pinch_gather_matches_collective_diagonalizer(self, rng):
-        for n in (3, 5):
-            rho_b = np.stack([random_density(rng, n) for _ in range(4)], axis=-1)
-            rho_c = np.stack([random_density(rng, n) for _ in range(4)], axis=-1)
-            gathered = _collective_pinch(rho_b, rho_c, np.zeros((n * n, 4), dtype=complex))
-            for b, c, diag in zip(rho_b.transpose(2, 0, 1), rho_c.transpose(2, 0, 1), gathered.T):
-                dense = apply_channel(collective_diagonalizer(n), linalg.kron(b, c))
-                assert np.abs(dense - np.diag(diag)).max() < 1e-15
+                    assert not dense[0].any() and not dense[:, 0].any()
+                    assert np.abs(block - dense[1:, 1:]).max() < 1e-14
 
     def test_permutation_matches_control_shift_conjugation(self, rng):
         for n in (2, 3, 5):
             ucn_dag = control_not(n).conj().T
             diags = rng.random((4, n * n)) + 1j * rng.random((4, n * n))
-            permuted = _inverse_control_shift(diags.T)
+            permuted = diags.T[_unshift_source(n)]
             for d, out in zip(diags, permuted.T):
                 dense = ucn_dag @ np.diag(d) @ ucn_dag.conj().T
                 assert np.abs(dense - np.diag(out)).max() == 0.0
 
-    def test_reshape_trace_matches_partial_trace(self, rng):
-        for n in (2, 3, 5):
-            diags = rng.random((4, n * n)) + 1j * rng.random((4, n * n))
-            traced = _trace_second_slot(diags.T)
-            for d, out in zip(diags, traced.T):
-                dense = linalg.partial_trace(np.diag(d), [n, n], traced=2)
-                assert np.abs(dense - np.diag(out)).max() < 1e-15
-
-    def test_reshape_trace_is_bitwise_the_same_at_every_placement(self, rng):
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_reshape_trace_is_bitwise_the_same_at_every_placement(self, rng, is_complex):
         # Summing a contiguous length-n axis let the memory placement pick the
         # summation order; summing n rows of P patterns adds them in one order.
-        n, p = 5, 300
-        values = rng.random((n * n, p)) + 1j * rng.random((n * n, p))
-        rows = values.reshape(n, n, p)
-        in_order = rows[:, 0]
-        for j in range(1, n):
-            in_order = in_order + rows[:, j]
-        assert _trace_second_slot(values[np.arange(n * n)]).tobytes() == in_order.tobytes()
-        buffer = np.empty(n * n * p + 8, dtype=complex)
+        k, p = 4, 300
+        stacks = [prune_operators(random_params(rng, "F")) for _ in range(2)]
+        if is_complex:
+            stacks = [random_unitary(rng, k)[None] for _ in range(2)]
+        tb, tc = (kraus_entry(stack) for stack in stacks)
+        lb, lc = rng.random((k, p)), rng.random((k, p))
+        n, dtype = k + 1, np.result_type(tb, tc)
+        buffer = np.empty(3 * n * n * p + 8, dtype=dtype)
+        expected = None
         for offset in range(9):
-            placed = buffer[offset:offset + n * n * p].reshape(n * n, p)
-            placed[...] = values
-            assert _trace_second_slot(placed).tobytes() == in_order.tobytes()
+            work = buffer[offset:offset + 3 * n * n * p].reshape(3, n * n, p)
+            work[...] = 0.0
+            out = _quantum_node(lb, lc, tb, tc, work)
+            rows = work[2][_unshift_source(n)[n:]].reshape(k, n, p)
+            in_order = rows[:, 0]
+            for j in range(1, n):
+                in_order = in_order + rows[:, j]
+            assert out.tobytes() == in_order.real.tobytes()
+            expected = out.tobytes() if expected is None else expected
+            assert out.tobytes() == expected
 
 
 class TestDualRoot:
@@ -347,11 +395,17 @@ class TestDualRoot:
             q, nu = _pinch_weights(lb.T, tb)
             back = _adjoint_state(q, pi, adjoint)
             values, nus = _dual_root(lb.T, lc.T, tb, adjoint, pi)
+            assert q.shape == (4, 3) and back.shape == (4, 4, 3)
+            adjoint_gate = dense_channel(uc.conj().T[None])
             for i in range(3):
-                dense = uc.conj().T @ np.diag(q[1:, i] * pi) @ uc
-                assert np.abs(back[1:, 1:, i] - dense).max() < 1e-14
-                assert np.abs(back[0, :, i]).max() == 0.0 and np.abs(back[:, 0, i]).max() == 0.0
-                expected = nu[i] * np.trace(np.diag(lc[i]) @ dense).real
+                forward = apply_channel(dense_channel(ub[None]), np.diag(np.concatenate([[0.0], lb[i]])))
+                assert np.abs(q[:, i] - np.diagonal(forward)[1:].real / nu[i]).max() < 1e-14
+                # The adjoint gate leaves the null row and column exactly zero, so the
+                # state is its non-null block.
+                dense = apply_channel(adjoint_gate, np.diag(np.concatenate([[0.0], q[:, i] * pi])))
+                assert not dense[0].any() and not dense[:, 0].any()
+                assert np.abs(back[:, :, i] - dense[1:, 1:]).max() < 1e-14
+                expected = nu[i] * np.trace(np.diag(lc[i]) @ dense[1:, 1:]).real
                 assert abs(values[i] - expected) < 1e-14
                 assert nus[i] == lb[i].sum()
 
@@ -376,7 +430,7 @@ class TestDualRoot:
         (w,) = engine._edge_ops((params,), "classical")
         (kraus,) = engine._edge_ops((params,), "kraus")
         assert np.array_equal(w, prune_matrix(params))
-        assert kraus.shape == (25, 4)
+        assert kraus.shape == (16, 4)
 
 
 @pytest.fixture

@@ -95,6 +95,29 @@ class TestParseNewick:
             parse_newick(text)
         assert err.value.offset is not None
 
+    @pytest.mark.parametrize("text, message", [
+        ("(A[&model=JC,t=inf],B:1);", "annotation t= must be a number, got 'inf' (at offset 1)"),
+        ("(A[&model=JC,a=nan],B:1);", "annotation a= must be a number, got 'nan' (at offset 1)"),
+        ("(A[&model=JC,t=1_0],B:1);", "annotation t= must be a number, got '1_0' (at offset 1)"),
+        ("(A:1,B[&model=JC,a=0.1_0]);", "annotation a= must be a number, got '0.1_0' (at offset 5)"),
+        ("(A[&model=K2,a=0.1,b=0x1],B:1);", "annotation b= must be a number, got '0x1' (at offset 1)"),
+        ("(A[&model=F,a=0.5,pi={0.25,0.25,0.25,0.2_5}],B:1);",
+         "annotation pi={0.25,0.25,0.25,0.2_5} is not a list of numbers (at offset 4)"),
+        ("(A:1,B:1)[&pi={0.5,0.5,0,infinity}];",
+         "annotation pi={0.5,0.5,0,infinity} is not a list of numbers (at offset 11)"),
+    ])
+    def test_annotation_numbers_use_the_branch_length_grammar(self, text, message):
+        # float() alone would read these as inf, nan, 10, 0.1 and 0.25.
+        with pytest.raises(NewickParseError) as err:
+            parse_newick(text)
+        assert str(err.value) == message
+
+    def test_annotation_numbers_allow_what_a_branch_length_allows(self):
+        tree = parse_newick("(A[&model=JC,a= +.1e0 ],B[&model=F,a=1E-1,pi={ 0.1, 0.2 ,.3,4e-1}]);")
+        a, b = tree.root.children
+        assert a.params == ModelParams.jc(0.1)
+        assert b.params == ModelParams.felsenstein(0.1, (0.1, 0.2, 0.3, 0.4))
+
     def test_single_leaf_rejected(self):
         with pytest.raises(NewickParseError, match="two leaves"):
             parse_newick("A;")
