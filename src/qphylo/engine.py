@@ -17,9 +17,13 @@ non-null characters. Every kernel therefore runs along the P patterns.
   entries included; the null character (n = k + 1 levels) enters at the
   pinch, where the control-shift needs it. The pinch leaves a diagonal
   operator, so the gates run in their sparse forms: the pinch is a product
-  of the |kk> entries, the control-shift an index permutation and the
-  partial trace a reshape-trace. The tests pin each form, read from the
-  node's own buffers, to its dense operator.
+  of the |kk> entries, and the inverse control-shift and the partial trace
+  are one 0/1 matrix applied to the pinched diagonal. That product is
+  exact, since each output has one non-zero term, with coefficient 1, and
+  node values are finite. A node is four array calls (two propagation
+  matmuls, the pinch product, the shift-trace matmul) on buffers built
+  once per call. The tests pin each form, read from the node's own
+  buffers, to its dense operator.
 - The dual engine reduces the subtrees the same way but evaluates the root
   cherry in the state picture: the left child's operator, propagated
   forward through its edge channel, pinches the stationary density, which
@@ -211,32 +215,65 @@ def _classical_node(lb: np.ndarray, lc: np.ndarray, wb: np.ndarray, wc: np.ndarr
     return (wb @ lb) * (wc @ lc)
 
 
+@functools.lru_cache(maxsize=None)
+def _shift_trace(n: int, dtype: np.dtype) -> np.ndarray:
+    """The inverse control-shift and the partial trace over slot 2 on a diagonal, as one matrix.
+
+    Row i - 1 of this read-only (n - 1, n*n) 0/1 matrix has a 1 at each
+    ``_unshift_source(n)[i*n + j]``, j < n: the rows that the shift moves to
+    |i, j> and the trace then adds into |i>. Only the non-null i >= 1 are
+    kept. ``dtype`` is the work array's, so a complex call casts nothing.
+    """
+    sources = _unshift_source(n)[n:].reshape(n - 1, n)
+    matrix = np.zeros((n - 1, n * n), dtype=dtype)
+    np.put_along_axis(matrix, sources, 1.0, axis=1)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _node_buffers(work: np.ndarray) -> tuple:
+    """The views of a zeroed (3, n*n, P) work array that every ``_quantum_node`` writes through.
+
+    Built once per call: the (k*k, P) propagated blocks in planes 0 and 1,
+    their diagonal rows, plane 2's |cc> rows for the non-null c, plane 2
+    itself, and the ``_shift_trace`` matrix in the work array's dtype.
+    """
+    n = math.isqrt(work.shape[1])
+    rho_b, rho_c, pinch = work[0, :(n - 1) ** 2], work[1, :(n - 1) ** 2], work[2]
+    return (rho_b, rho_c, rho_b[::n], rho_c[::n], pinch[n + 1::n + 1], pinch,
+            _shift_trace(n, work.dtype))
+
+
 def _quantum_node(lb: np.ndarray, lc: np.ndarray, tb: np.ndarray, tc: np.ndarray,
-                  work: np.ndarray) -> np.ndarray:
+                  buffers: tuple) -> np.ndarray:
     """The pruning circuit on two children's likelihood operators, one column per pattern.
 
-    ``tb`` and ``tc`` are the child edges' (k*k, k) transfer forms. ``work``
-    is a zeroed (3, n*n, P) array, n = k + 1, of their result type, that every
-    node of one call reuses; each gate writes its output there in sparse form:
+    ``tb`` and ``tc`` are the child edges' (k*k, k) transfer forms.
+    ``buffers`` is ``_node_buffers`` of a zeroed (3, n*n, P) work array,
+    n = k + 1, of their result type, that every node of one call reuses. The
+    node is four array calls:
 
-    - Kraus propagation: the non-null (k, k) blocks of the two propagated
-      operators, in the leading k*k rows of planes 0 and 1;
-    - collective pinch: the |cc><cc| entries of the joint operator are the
-      products of the factors' |c><c| entries, written to the |cc> rows of
-      the null-extended plane 2 for the non-null c. Every other row stays
-      zero, the null |00> row included;
-    - inverse control-shift: U^dagger sends |i, j> to |i, j - i mod n>, so it
-      gathers plane 2's rows by ``_unshift_source``. Slot 1 of a non-null
-      result is never null, so only the rows i >= 1 are gathered;
-    - partial trace over slot 2: a reshape-trace, which leaves the (k, P)
-      node value. ``.real`` is a view for a real work array.
+    - Kraus propagation, two matmuls: the non-null (k, k) blocks of the two
+      propagated operators, in the leading k*k rows of planes 0 and 1;
+    - collective pinch, one multiply: the |cc><cc| entries of the joint
+      operator are the products of the factors' |c><c| entries, written to
+      the |cc> rows of the null-extended plane 2 for the non-null c. Every
+      other row stays zero, the null |00> row included;
+    - inverse control-shift and partial trace over slot 2, one matmul of
+      plane 2 by the 0/1 ``_shift_trace`` matrix: U^dagger sends |i, j> to
+      |i, j - i mod n>, and the trace adds the n rows |i, j> into |i>. Slot
+      1 of a non-null result is never null, so only the rows i >= 1 are
+      kept. Of the n*n terms of an output entry only the |ii> row can be
+      non-zero, with coefficient 1.0, and node values are finite, so the
+      product is exact.
+
+    ``.real`` is a view for a real work array.
     """
-    k, p = lb.shape
-    n, kk = k + 1, k * k
-    rho_b = np.matmul(tb, lb, out=work[0, :kk])
-    rho_c = np.matmul(tc, lc, out=work[1, :kk])
-    np.multiply(rho_b[::k + 1], rho_c[::k + 1], out=work[2, n + 1::n + 1])
-    return work[2][_unshift_source(n)[n:]].reshape(k, n, p).sum(axis=1).real
+    rho_b, rho_c, diag_b, diag_c, pinch_rows, pinch, shift_trace = buffers
+    np.matmul(tb, lb, out=rho_b)
+    np.matmul(tc, lc, out=rho_c)
+    np.multiply(diag_b, diag_c, out=pinch_rows)
+    return np.matmul(shift_trace, pinch).real
 
 
 def _pinch_weights(lb: np.ndarray, tb: np.ndarray):
@@ -361,7 +398,8 @@ def _pattern_values(tree: PhyloTree, aln: Alignment, engine: str, edges: list, a
         # its imaginary part.
         dtype = np.result_type(*{edge.dtype for edge in edges[1:]})
         work = np.zeros((3, (tree.n_states + 1) ** 2, len(aln.counts)), dtype=dtype)
-        node_step = functools.partial(_quantum_node, work=work)
+        # The views each node writes through are taken here, once, not at every node.
+        node_step = functools.partial(_quantum_node, buffers=_node_buffers(work))
 
     (lb, e_b), (lc, e_c) = _reduce_below_root(tree.kids, values, edges, node_step)
     left, right = tree.kids[0]

@@ -2,8 +2,10 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 from qphylo import engine, linalg
 from qphylo.channels import KrausChannel, apply_channel, collective_diagonalizer, control_not
 from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _adjoint_state, _classical_node, _dual_root,
-                           _pinch_weights, _quantum_node, _unshift_source, alignment_loglik,
-                           simulate_tree)
+                           _node_buffers, _pinch_weights, _quantum_node, _shift_trace,
+                           _unshift_source, alignment_loglik, simulate_tree)
 from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
 from qphylo.models import FAMILIES, ModelParams, markov, prune_matrix, prune_operators
 from qphylo.optimize import (OptimizationProblem, maximize_loglik, tree_with_edge_params,
@@ -160,7 +162,7 @@ def quantum_pair(lb, lc, ub, uc):
     """One pruning-circuit node step at P = 1, one unitary per edge."""
     work = np.zeros((3, (len(lb) + 1) ** 2, 1), dtype=complex)
     return _quantum_node(lb[:, None], lc[:, None], kraus_entry(ub[None]), kraus_entry(uc[None]),
-                         work)[:, 0]
+                         _node_buffers(work))[:, 0]
 
 
 JC_WEIGHTS = (0.0, 0.05, 0.1, 0.25)
@@ -312,7 +314,9 @@ class TestSparseGates:
         lb, lc = rng.random((k, p)), rng.random((k, p))
         tb, tc = kraus_entry(stack_b), kraus_entry(stack_c)
         work = np.zeros((3, n * n, p), dtype=np.result_type(tb, tc))
-        out = _quantum_node(lb, lc, tb, tc, work)
+        buffers = _node_buffers(work)
+        rho_b, rho_c, *_, pinch, _ = buffers
+        out = _quantum_node(lb, lc, tb, tc, buffers)
         assert out.shape == (k, p)
         kk_rows = (n + 1) * np.arange(n)
         unshift = control_not(n).conj().T
@@ -320,22 +324,22 @@ class TestSparseGates:
             # Kraus propagation: the dense gate leaves the null row and column exactly zero,
             # so the node keeps only the non-null block.
             propagated = []
-            for stack, leaf, plane in ((stack_b, lb, 0), (stack_c, lc, 1)):
+            for stack, leaf, rho in ((stack_b, lb, rho_b), (stack_c, lc, rho_c)):
                 dense = apply_channel(dense_channel(stack), np.diag(np.concatenate([[0.0], leaf[:, i]])))
                 assert not dense[0].any() and not dense[:, 0].any()
-                block = work[plane, :k * k, i].reshape(k, k)
+                block = rho[:, i].reshape(k, k)
                 assert np.abs(block - dense[1:, 1:]).max() < 1e-14
                 propagated.append(_embed_stack(block[None])[0])
             # Collective pinch of the node's propagated operators.
             pinched = apply_channel(collective_diagonalizer(n), linalg.kron(*propagated))
-            assert np.abs(pinched - np.diag(work[2, :, i])).max() < 1e-15
-            assert not np.delete(work[2, :, i], kk_rows).any()
+            assert np.abs(pinched - np.diag(pinch[:, i])).max() < 1e-15
+            assert not np.delete(pinch[:, i], kk_rows).any()
             # Inverse control-shift and partial trace of the node's pinch.
-            shifted = unshift @ np.diag(work[2, :, i]) @ unshift.conj().T
+            shifted = unshift @ np.diag(pinch[:, i]) @ unshift.conj().T
             traced = linalg.partial_trace(shifted, [n, n], traced=2)
             assert np.abs(traced - np.diag(np.diagonal(traced))).max() == 0.0
             assert traced[0, 0] == 0.0
-            assert np.abs(out[:, i] - np.diagonal(traced)[1:]).max() < 1e-14
+            assert np.abs(out[:, i] - np.diagonal(traced)[1:]).max() == 0.0
 
     def test_kraus_propagation_matches_apply_channel(self, rng):
         for family in ("JC", "K2", "K3", "B", "F"):
@@ -359,6 +363,56 @@ class TestSparseGates:
                 dense = ucn_dag @ np.diag(d) @ ucn_dag.conj().T
                 assert np.abs(dense - np.diag(out)).max() == 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_shift_trace_is_the_dense_shift_then_trace(self, rng, n, dtype):
+        matrix = _shift_trace(n, np.dtype(dtype))
+        assert matrix is _shift_trace(n, np.dtype(dtype))
+        assert matrix.dtype == dtype and matrix.shape == (n - 1, n * n)
+        assert not matrix.flags.writeable
+        # Row i - 1 holds a 1 at the source of each |i, j> the shift fills, and nothing else.
+        sources = _unshift_source(n)[n:].reshape(n - 1, n)
+        assert np.array_equal(np.take_along_axis(matrix, sources, axis=1), np.ones((n - 1, n)))
+        assert matrix.sum() == (n - 1) * n
+        ucn_dag = control_not(n).conj().T
+
+        def dense(d):
+            shifted = ucn_dag @ np.diag(d) @ ucn_dag.conj().T
+            return np.diagonal(linalg.partial_trace(shifted, [n, n], traced=2))[1:]
+
+        # The dense gates applied to each basis diagonal give the matrix column by column.
+        assert np.abs(np.array([dense(e) for e in np.eye(n * n)]).T - matrix).max() == 0.0
+        # Integer entries sum exactly in any order; a pinch leaves one non-zero term per entry.
+        diags = rng.integers(0, 9, (4, n * n)).astype(dtype)
+        pinches = np.zeros((4, n * n), dtype=dtype)
+        pinches[:, (n + 1) * np.arange(1, n)] = rng.random((4, n - 1))
+        if dtype is np.complex128:
+            diags += 1j * rng.integers(0, 9, (4, n * n))
+            pinches[:, (n + 1) * np.arange(1, n)] += 1j * rng.random((4, n - 1))
+        for d in (*diags, *pinches):
+            assert np.abs(matrix @ d - dense(d)).max() == 0.0
+
+    @pytest.mark.parametrize("complex_edge", [False, True], ids=["mixed", "complex-edge"])
+    def test_whole_tree_outputs_match_the_gather_and_reshape_trace_bytewise(
+            self, monkeypatch, complex_edge):
+        tree, aln = wide_instance(np.random.default_rng(2700))
+        assert len(aln.site_patterns()[0]) == 300
+        if complex_edge:
+            # The first JC edge's unitary with a phase: the call runs in complex128.
+            slot = next(slot for slot, node in enumerate(tree.nodes)
+                        if slot and node.params.family == "JC")
+            monkeypatch.setattr(engine, "_edge_ops",
+                                unitary_edge_ops(engine._edge_ops, tree, slot))
+        kraus = engine._edge_ops(tree.edge_params, "kraus")
+        assert np.result_type(*kraus) == (complex if complex_edge else float)
+        production = [alignment_loglik(tree, aln, engine=e) for e in ("quantum", "dual")]
+        monkeypatch.setattr(engine, "_quantum_node", reference_node)
+        reference = [alignment_loglik(tree, aln, engine=e) for e in ("quantum", "dual")]
+        for new, old in zip(production, reference):
+            assert new.log.tobytes() == old.log.tobytes()
+            assert new.likelihood.tobytes() == old.likelihood.tobytes()
+        assert production[1].nu.tobytes() == reference[1].nu.tobytes()
+
     @pytest.mark.parametrize("is_complex", [False, True])
     def test_reshape_trace_is_bitwise_the_same_at_every_placement(self, rng, is_complex):
         # Summing a contiguous length-n axis let the memory placement pick the
@@ -375,7 +429,7 @@ class TestSparseGates:
         for offset in range(9):
             work = buffer[offset:offset + 3 * n * n * p].reshape(3, n * n, p)
             work[...] = 0.0
-            out = _quantum_node(lb, lc, tb, tc, work)
+            out = _quantum_node(lb, lc, tb, tc, _node_buffers(work))
             rows = work[2][_unshift_source(n)[n:]].reshape(k, n, p)
             in_order = rows[:, 0]
             for j in range(1, n):
@@ -383,6 +437,17 @@ class TestSparseGates:
             assert out.tobytes() == in_order.real.tobytes()
             expected = out.tobytes() if expected is None else expected
             assert out.tobytes() == expected
+
+
+def reference_node(lb, lc, tb, tc, buffers):
+    """``_quantum_node`` with the inverse control-shift as a gather by ``_unshift_source`` and
+    the partial trace as a reshape-sum, on the production node's own buffers."""
+    rho_b, rho_c, diag_b, diag_c, pinch_rows, pinch, _ = buffers
+    np.matmul(tb, lb, out=rho_b)
+    np.matmul(tc, lc, out=rho_c)
+    np.multiply(diag_b, diag_c, out=pinch_rows)
+    k, p = lb.shape
+    return pinch[_unshift_source(k + 1)[k + 1:]].reshape(k, k + 1, p).sum(axis=1).real
 
 
 class TestDualRoot:
@@ -550,6 +615,22 @@ def complex_edge_ops(cached, rebuilt: list, only=None):
     return edges
 
 
+def unitary_edge_ops(cached, tree, slot: int):
+    """An ``_edge_ops`` stand-in that gives the JC edge at ``slot`` of ``tree`` the Kraus and
+    adjoint entries of ``jc_unitary``, a single unitary with a phase; the rest are ``cached``'s."""
+    unitary = jc_unitary(tree.nodes[slot].params.a)[None]
+
+    def edges(edge_params, kind):
+        entries = list(cached(edge_params, kind))
+        if kind == "kraus":
+            entries[slot - 1] = kraus_entry(unitary)
+        elif kind == "adjoint" and slot == tree.kids[0][1]:
+            entries[0] = kraus_entry(unitary, "adjoint")
+        return tuple(entries)
+
+    return edges
+
+
 PI = (0.1, 0.2, 0.3, 0.4)
 # Draws where Kraus operators drop out: a zero flip weight, or F without its identity or instruments.
 BOUNDARY_PARAMS = (ModelParams.jc(0.0), ModelParams.binary(0.0), ModelParams.binary(1.0),
@@ -626,23 +707,15 @@ class TestRealField:
         aln = Alignment(taxa=("A", "B", "C", "D"),
                         data=np.random.default_rng(slot).integers(0, 4, (4, 40)), alphabet=DNA)
         classical = alignment_loglik(tree, aln).log
-        cached = engine._edge_ops
-        unitary = jc_unitary(tree.nodes[slot].params.a)[None]
-
-        def one_complex_edge(edge_params, kind):
-            edges = list(cached(edge_params, kind))
-            if kind == "kraus":
-                edges[slot - 1] = kraus_entry(unitary)
-            elif kind == "adjoint" and slot == tree.kids[0][1]:
-                edges[0] = kraus_entry(unitary, "adjoint")
-            return tuple(edges)
-
+        one_complex_edge = unitary_edge_ops(engine._edge_ops, tree, slot)
         real_node = engine._quantum_node
         work_dtypes = []
 
-        def recording_node(*args, work):
-            work_dtypes.append(work.dtype)
-            return real_node(*args, work=work)
+        def recording_node(*args, buffers):
+            *_, pinch, shift_trace = buffers
+            assert shift_trace.dtype == pinch.dtype
+            work_dtypes.append(pinch.dtype)
+            return real_node(*args, buffers=buffers)
 
         monkeypatch.setattr(engine, "_quantum_node", recording_node)
         for name in ("quantum", "dual"):
@@ -738,16 +811,41 @@ class TestAlignmentLoglik:
         assert err.value.site == 2
 
     @pytest.mark.parametrize("name", ENGINES)
-    def test_alignment_without_sites_has_zero_log_likelihood(self, name):
-        tree, _ = random_instance(np.random.default_rng(7), 5, "K3")
-        aln = Alignment(taxa=tree.leaf_names, data=np.zeros((5, 0), dtype=int), alphabet=DNA)
-        report = alignment_loglik(tree, aln, engine=name)
-        assert report.total_log_likelihood == 0.0
-        assert report.likelihood.shape == report.log.shape == (0,)
-        assert (report.nu is None) == (name != "dual")
-        if name == "dual":
-            assert report.nu.shape == (0,)
-        assert report.to_document()["per_site"] == []
+    def test_alignment_without_sites_has_zero_log_likelihood(self, monkeypatch, name):
+        # The Kraus engines run every node on a (3, 25, 0) work array and a (4, 0) output.
+        outputs = []
+        real_node = engine._quantum_node
+
+        def recording_node(*args, buffers):
+            outputs.append(real_node(*args, buffers=buffers))
+            return outputs[-1]
+
+        monkeypatch.setattr(engine, "_quantum_node", recording_node)
+        for n_leaves in (4, 5):
+            outputs.clear()
+            tree, _ = random_instance(np.random.default_rng(7), n_leaves, "K3")
+            aln = Alignment(taxa=tree.leaf_names, data=np.zeros((n_leaves, 0), dtype=int),
+                            alphabet=DNA)
+            report = alignment_loglik(tree, aln, engine=name)
+            assert report.total_log_likelihood == 0.0
+            assert report.likelihood.shape == report.log.shape == (0,)
+            assert (report.nu is None) == (name != "dual")
+            if name == "dual":
+                assert report.nu.shape == (0,)
+            assert report.to_document()["per_site"] == []
+            nodes = {"classical": 0, "quantum": n_leaves - 1, "dual": n_leaves - 2}[name]
+            assert [out.shape for out in outputs] == [(4, 0)] * nodes
+
+    def test_readme_example_tree_runs_on_every_engine(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (text,) = re.findall(r"^\*\*Trees\*\*.*?^```text\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+        tree = parse_newick(text)
+        data = np.random.default_rng(27).integers(0, 4, (tree.n_leaves, 30))
+        aln = Alignment(taxa=tree.leaf_names, data=data, alphabet=DNA)
+        totals = [alignment_loglik(tree, aln, engine=e).total_log_likelihood for e in ENGINES]
+        assert np.isfinite(totals[0])
+        assert abs(totals[0] - totals[1]) < 1e-8
+        assert abs(totals[0] - totals[2]) < 1e-8
 
     def test_deep_tree_does_not_underflow_to_zero(self):
         # Each site's likelihood is about exp(-1470), far below the float64 range.
