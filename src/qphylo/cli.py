@@ -2,8 +2,9 @@
 
 Exit codes are stable API: 0 ok, 1 verify failure, 2 input parse error
 (an unreadable input or an unwritable output included), 3 model error,
-4 taxa mismatch, 5 zero site likelihood, 6 optimizer degeneracy. All
-outputs are deterministic for a fixed seed: no timestamps, no
+4 taxa mismatch, 5 zero site likelihood. Exit 6, once optimizer
+degeneracy, is retired, since no fit can reach it; it will not be reused.
+All outputs are deterministic for a fixed seed: no timestamps, no
 environment-dependent content.
 """
 
@@ -18,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import ENGINES, MAX_TENSOR_BYTES, alignment_loglik, simulate_tree
-from .errors import (ModelError, OptimizerError, ParseError, QPhyloError,
-                     TaxaMismatchError, ZeroLikelihoodError)
+from .errors import ModelError, ParseError, QPhyloError, TaxaMismatchError, ZeroLikelihoodError
 from .models import FAMILIES
 from .optimize import OptimizationProblem, maximize_loglik
 from .treeio import parse_fasta, parse_newick
@@ -31,7 +31,6 @@ EXIT_PARSE = 2
 EXIT_MODEL = 3
 EXIT_TAXA = 4
 EXIT_ZERO_LIKELIHOOD = 5
-EXIT_OPTIMIZER = 6
 
 _CHUNK = 4096  # entries per patterns.json write; 65,536 raised a 4**9-entry run's peak 8-15 MiB
 
@@ -261,9 +260,6 @@ def main(argv=None) -> int:
     except ZeroLikelihoodError as exc:
         print(f"zero likelihood: {exc}", file=sys.stderr)
         return EXIT_ZERO_LIKELIHOOD
-    except OptimizerError as exc:
-        print(f"optimizer error: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZER
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL

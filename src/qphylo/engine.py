@@ -113,34 +113,25 @@ def simulate_tree(tree: PhyloTree) -> ProbabilityTensor:
 # --- Per-edge data -----------------------------------------------------------
 
 
-def _transfer(stack: np.ndarray) -> np.ndarray:
-    """The columns of sum_k A_k (x) conj(A_k) that a diagonal input reaches, on the non-null block.
-
-    Entry ((a, b), i) is sum_k A_k[a, i] conj(A_k[b, i]) for non-null
-    characters a, b and i. The null character's row and column of the
-    circuit's edge gate are zero, so a likelihood operator gains no null
-    weight on an edge and the form has shape (k*k, k); the null slot first
-    enters the circuit at the pinch. The form never grows with the number of
-    patterns, and it has the stack's dtype: conj of a real stack is the stack
-    itself.
-    """
-    k = stack.shape[1]
-    return np.einsum("kai,kbi->abi", stack, stack.conj()).reshape(k * k, k)
-
-
 def _stack_form(stack: np.ndarray, kind: str) -> np.ndarray:
     """The entry of ``kind`` for an edge whose (K, k, k) Kraus stack is ``stack``.
 
     "classical" is W, entry (i, a) the probability sum_k |A_k[a, i]|^2 that i
-    becomes a; "kraus" is the stack's ``_transfer`` form, which the quantum and
-    dual engines propagate through; "adjoint" is the adjoint stack's, which
-    only the dual root's right edge reads.
+    becomes a. "kraus" is the transfer form the quantum and dual engines
+    propagate through: the columns of sum_k A_k (x) conj(A_k) that a diagonal
+    input reaches, entry ((a, b), i) sum_k A_k[a, i] conj(A_k[b, i]) for
+    non-null a, b and i. "adjoint" is the adjoint stack's, which only the dual
+    root's right edge reads. The edge gate's null row and column are zero, so
+    an operator gains no null weight on an edge and the form is the (k*k, k)
+    non-null block; the null slot enters at the pinch. The form has the
+    stack's dtype: conj of a real stack is the stack itself.
     """
     if kind == "classical":
         return np.einsum("kai,kai->ia", stack, stack.conj()).real
     if kind == "adjoint":
         stack = stack.conj().transpose(0, 2, 1)
-    return _transfer(stack)
+    k = stack.shape[1]
+    return np.einsum("kai,kbi->abi", stack, stack.conj()).reshape(k * k, k)
 
 
 def _build(params, kind: str) -> np.ndarray:

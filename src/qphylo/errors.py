@@ -2,7 +2,9 @@
 
 Every error the CLI maps to a process exit code lives here. ``qphylo.cli.main``
 maps them with one ``except`` clause per exit code, a subclass before its
-base class.
+base class. Exit 6 is retired with the optimizer error it mapped: every EM
+start lies strictly inside its family's region, where every site has
+positive likelihood, so no fit can be degenerate. The code will not be reused.
 """
 
 from __future__ import annotations
@@ -49,6 +51,3 @@ class ZeroLikelihoodError(QPhyloError):
         super().__init__(f"site {site} has zero likelihood")
         self.site = site
 
-
-class OptimizerError(QPhyloError):
-    """Degenerate optimization problem. No fit raises it now; exit 6 stays reserved for it."""

@@ -76,7 +76,6 @@ class OptimizationResult:
             "engine": self.engine,
             "seed": self.seed,
             "w_star": dict(zip(self.names, self.w_star)),
-            "fixed": {},  # no weight is held fixed; kept so the report keys stay stable
             "log_likelihood": self.loglik,
             "n_eval": self.n_eval,
             "converged": self.converged,

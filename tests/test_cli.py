@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -449,17 +451,6 @@ class TestOptimize:
         assert run(["optimize", "--tree", tree_file, "--alignment", aln,
                     "--family", "K3", "--seed", 1]) == cli.EXIT_MODEL
 
-    def test_optimizer_degeneracy_exit_code(self, tmp_path, tree_file, monkeypatch):
-        from qphylo.errors import OptimizerError
-
-        def explode(problem):
-            raise OptimizerError("zero likelihood across the entire initial simplex")
-
-        monkeypatch.setattr(cli, "maximize_loglik", explode)
-        fasta, _ = simulate(tmp_path, tree_file, sites=10)
-        assert run(["optimize", "--tree", tree_file, "--alignment", fasta,
-                    "--family", "JC", "--seed", 1]) == cli.EXIT_OPTIMIZER
-
 
 class TestVerify:
     def test_default_level_passes(self, capsys):
@@ -502,15 +493,30 @@ _FOOTPRINT_SCRIPT = textwrap.dedent('''
 ''')
 
 
+# Also in a fresh interpreter: the qphylo submodules that importing the package root loads.
+_ROOT_IMPORT_SCRIPT = textwrap.dedent('''
+    import json, sys
+    import qphylo
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("qphylo."))))
+''')
+
+
+def fresh_interpreter_output(script, *args):
+    """The last stdout line of ``script`` run by a new interpreter that imports qphylo from this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 class TestImportFootprint:
     def test_no_command_loads_scipy(self, tmp_path, tree_file):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tree_file), str(tmp_path / "run")],
-                              env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        loaded = json.loads(done.stdout.strip().splitlines()[-1])
-        assert loaded == []
+        assert fresh_interpreter_output(_FOOTPRINT_SCRIPT, tree_file, tmp_path / "run") == []
+
+    def test_package_root_loads_no_submodule(self):
+        assert fresh_interpreter_output(_ROOT_IMPORT_SCRIPT) == []
 
 
 # Inputs for the argv property: "@name" stands for a file or directory under
@@ -591,4 +597,23 @@ class TestArgvExitCodes:
             assert exc.code == cli.EXIT_PARSE
         else:
             assert code in {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_MODEL, cli.EXIT_TAXA,
-                            cli.EXIT_ZERO_LIKELIHOOD, cli.EXIT_OPTIMIZER}
+                            cli.EXIT_ZERO_LIKELIHOOD}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_exit_codes_are_the_exit_constants():
+    sentence = re.search(r"Exit codes are stable API: (.*?)\.\s", README.read_text(encoding="utf-8"), re.DOTALL)
+    codes = [int(code) for code in re.findall(r"`(\d+)`", sentence.group(1))]
+    assert codes == sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
+
+
+def test_readme_python_names_are_in_their_modules():
+    readme = README.read_text(encoding="utf-8")
+    items = readme[readme.index("**From Python,**"):readme.index("## Layout")].split("\n- ")[1:]
+    assert len(items) == 9
+    for item in items:
+        module, *names = re.findall(r"`([\w.]+)`", item)
+        for name in names:
+            assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

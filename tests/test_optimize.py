@@ -265,7 +265,7 @@ class TestMaximizeLoglik:
         aln = simulated_alignment(CHERRY, ModelParams.jc(0.1), 50, seed=2)
         doc = maximize_loglik(OptimizationProblem(tree=CHERRY, alignment=aln,
                                                   family="JC", seed=4)).to_document()
-        assert {"family", "engine", "seed", "w_star", "fixed", "log_likelihood",
+        assert {"family", "engine", "seed", "w_star", "log_likelihood",
                 "n_eval", "converged", "trace"} == set(doc)
         assert doc["seed"] == 4
 
