@@ -20,10 +20,11 @@ non-null characters. Every kernel therefore runs along the P patterns.
   of the |kk> entries, and the inverse control-shift and the partial trace
   are one 0/1 matrix applied to the pinched diagonal. That product is
   exact, since each output has one non-zero term, with coefficient 1, and
-  node values are finite. A node is four array calls (two propagation
-  matmuls, the pinch product, the shift-trace matmul) on buffers built
-  once per call. The tests pin each form, read from the node's own
-  buffers, to its dense operator.
+  node values are finite. Blocks and the pinched diagonal store their
+  diagonal rows first, so the pinch runs on contiguous rows. A node is four
+  array calls (two propagation matmuls, the pinch product, the shift-trace
+  matmul) on buffers built once per call; tests pin each form, read from
+  the node's own buffers, to its dense operator.
 - The dual engine reduces the subtrees the same way but evaluates the root
   cherry in the state picture: the left child's operator, propagated
   forward through its edge channel, pinches the stationary density, which
@@ -43,13 +44,13 @@ the root is rescaled when some pattern's maximum falls below 2^-256, as
 RAxML does (Stamatakis 2006): each pattern's column is multiplied by the
 power of two that brings its maximum into [1/2, 1), and the integer
 exponents accumulate per pattern. A power of two scales exactly, so the
-result does not depend on which nodes were rescaled. A node that is not
-rescaled has children whose maxima are at least 2^-256, so its raw product
-keeps 2^-510 of headroom above the smallest normal float64 for its two edge
-factors; dividing every node by its maximum would keep 2^-1022, at four
-more array operations per node. A 32-leaf tree whose edges change state
-with probability 0.05 is never rescaled on 300 random sites; a balanced
-1024-leaf tree is.
+result does not depend on which nodes were rescaled. An unrescaled node's
+children have maxima of at least 2^-256, so its raw product keeps 2^-510
+of headroom above the smallest normal float64. A node is screened only
+where a bound from its edges' floors (the least entry a node reads) cannot
+clear it: below the root, a 32-leaf tree whose edges change state with
+probability 0.05 is never screened on 300 random sites; a balanced
+1024-leaf tree is screened and rescaled.
 
 All three agree because each edge step, restricted to diagonal operators,
 factors through the same likelihood-propagation matrix W = M^T.
@@ -113,6 +114,12 @@ def simulate_tree(tree: PhyloTree) -> ProbabilityTensor:
 # --- Per-edge data -----------------------------------------------------------
 
 
+def _diagonal_first(d: int, first: int) -> list:
+    """The row order of a (d*d)-row block: the rows |c, c>, c >= first, then the rest, in order."""
+    diagonal = list(range(first * (d + 1), d * d, d + 1))
+    return diagonal + [row for row in range(d * d) if row not in diagonal]
+
+
 def _stack_form(stack: np.ndarray, kind: str) -> np.ndarray:
     """The entry of ``kind`` for an edge whose (K, k, k) Kraus stack is ``stack``.
 
@@ -120,18 +127,20 @@ def _stack_form(stack: np.ndarray, kind: str) -> np.ndarray:
     becomes a. "kraus" is the transfer form the quantum and dual engines
     propagate through: the columns of sum_k A_k (x) conj(A_k) that a diagonal
     input reaches, entry ((a, b), i) sum_k A_k[a, i] conj(A_k[b, i]) for
-    non-null a, b and i. "adjoint" is the adjoint stack's, which only the dual
-    root's right edge reads. The edge gate's null row and column are zero, so
-    an operator gains no null weight on an edge and the form is the (k*k, k)
-    non-null block; the null slot enters at the pinch. The form has the
-    stack's dtype: conj of a real stack is the stack itself.
+    non-null a, b and i, its k rows (a, a) first (``_diagonal_first``), so a
+    node pinches its leading rows. "adjoint" is the adjoint stack's, row-major,
+    which only the dual root's right edge reads. The edge gate's null row and
+    column are zero, so an operator gains no null weight on an edge and the
+    form is the (k*k, k) non-null block; the null slot enters at the pinch.
+    The form has the stack's dtype: conj of a real stack is the stack itself.
     """
     if kind == "classical":
         return np.einsum("kai,kai->ia", stack, stack.conj()).real
     if kind == "adjoint":
         stack = stack.conj().transpose(0, 2, 1)
     k = stack.shape[1]
-    return np.einsum("kai,kbi->abi", stack, stack.conj()).reshape(k * k, k)
+    form = np.einsum("kai,kbi->abi", stack, stack.conj()).reshape(k * k, k)
+    return form if kind == "adjoint" else form[_diagonal_first(k, 0)]
 
 
 def _build(params, kind: str) -> np.ndarray:
@@ -146,17 +155,25 @@ def _build(params, kind: str) -> np.ndarray:
     return _stack_form(prune_operators(params), kind)
 
 
-def _edge_entries(edge_params: tuple, kind: str) -> tuple:
-    """The read-only ``_build`` entries of ``kind`` for a tree's edges, in pre-order.
+def _floor(entry: np.ndarray, kind: str) -> float:
+    """max(0, the least value a node reads of an entry): all of W, the real part of a transfer
+    form's k diagonal rows; 0.0 for the "adjoint" entry, which feeds no node."""
+    read = entry if kind == "classical" else entry[:entry.shape[1]].real
+    return 0.0 if kind == "adjoint" else max(0.0, float(read.min()))
 
-    Each distinct parameter value is built once, so a shared-parameter tree
-    builds one entry. ``_edge_ops`` is this function behind a cache.
+
+def _edge_entries(edge_params: tuple, kind: str) -> tuple:
+    """The read-only ``_build`` entries of ``kind`` for a tree's edges, in pre-order, and their floors.
+
+    Each distinct parameter value is built once, with its floor, so a
+    shared-parameter tree builds one entry. ``_edge_ops`` is this function behind a cache.
     """
     built = {}
     for params in dict.fromkeys(edge_params):
-        built[params] = _build(params, kind)
-        built[params].setflags(write=False)
-    return tuple(built[params] for params in edge_params)
+        entry = _build(params, kind)
+        entry.setflags(write=False)
+        built[params] = entry, _floor(entry, kind)
+    return tuple(zip(*(built[params] for params in edge_params)))
 
 
 @functools.lru_cache(maxsize=6)
@@ -174,14 +191,15 @@ def _edge_ops(edge_params: tuple, kind: str) -> tuple:
 
 
 def _engine_edges(tree: PhyloTree, edge_params: tuple, engine: str, cached: bool = True):
-    """(edges, adjoint) for ``_pattern_values``: None for the root, then the ``_edge_ops``
-    entries ``engine`` reads for ``edge_params`` (pre-order); the dual root's right edge's
-    "adjoint" entry, else None. ``cached=False`` builds them with ``_edge_entries`` instead,
-    leaving the cache untouched."""
+    """(edges, floors, adjoint) for ``_pattern_values``: None for the root, then the ``_edge_ops``
+    entries ``engine`` reads for ``edge_params`` (pre-order), and their floors; the dual root's
+    right edge's "adjoint" entry, else None. ``cached=False`` builds them with ``_edge_entries``
+    instead, leaving the cache untouched."""
     ops = _edge_ops if cached else _edge_entries
-    edges = [None, *ops(edge_params, _KIND[engine])]
+    entries, floors = ops(edge_params, _KIND[engine])
     right = tree.kids[0][1] - 1
-    return edges, ops((edge_params[right],), "adjoint")[0] if engine == "dual" else None
+    adjoint = ops((edge_params[right],), "adjoint")[0][0] if engine == "dual" else None
+    return [None, *entries], [None, *floors], adjoint
 
 
 def _engine_forms(stack: np.ndarray, engine: str):
@@ -213,11 +231,13 @@ def _shift_trace(n: int, dtype: np.dtype) -> np.ndarray:
     Row i - 1 of this read-only (n - 1, n*n) 0/1 matrix has a 1 at each
     ``_unshift_source(n)[i*n + j]``, j < n: the rows that the shift moves to
     |i, j> and the trace then adds into |i>. Only the non-null i >= 1 are
-    kept. ``dtype`` is the work array's, so a complex call casts nothing.
+    kept. Columns take plane 2's order, ``_diagonal_first(n, 1)``: |11>, ...,
+    |kk> first. ``dtype`` is the work array's, so a complex call casts nothing.
     """
     sources = _unshift_source(n)[n:].reshape(n - 1, n)
     matrix = np.zeros((n - 1, n * n), dtype=dtype)
     np.put_along_axis(matrix, sources, 1.0, axis=1)
+    matrix = matrix[:, _diagonal_first(n, 1)]
     matrix.setflags(write=False)
     return matrix
 
@@ -227,12 +247,12 @@ def _node_buffers(work: np.ndarray) -> tuple:
 
     Built once per call: the (k*k, P) propagated blocks in planes 0 and 1,
     their diagonal rows, plane 2's |cc> rows for the non-null c, plane 2
-    itself, and the ``_shift_trace`` matrix in the work array's dtype.
+    itself, and the ``_shift_trace`` matrix in the work array's dtype. Blocks
+    and plane 2 store those rows first, so each is a contiguous (k, P) view.
     """
-    n = math.isqrt(work.shape[1])
-    rho_b, rho_c, pinch = work[0, :(n - 1) ** 2], work[1, :(n - 1) ** 2], work[2]
-    return (rho_b, rho_c, rho_b[::n], rho_c[::n], pinch[n + 1::n + 1], pinch,
-            _shift_trace(n, work.dtype))
+    k = math.isqrt(work.shape[1]) - 1
+    rho_b, rho_c, pinch = work[0, :k * k], work[1, :k * k], work[2]
+    return rho_b, rho_c, rho_b[:k], rho_c[:k], pinch[:k], pinch, _shift_trace(k + 1, work.dtype)
 
 
 def _quantum_node(lb: np.ndarray, lc: np.ndarray, tb: np.ndarray, tc: np.ndarray,
@@ -247,9 +267,10 @@ def _quantum_node(lb: np.ndarray, lc: np.ndarray, tb: np.ndarray, tc: np.ndarray
     - Kraus propagation, two matmuls: the non-null (k, k) blocks of the two
       propagated operators, in the leading k*k rows of planes 0 and 1;
     - collective pinch, one multiply: the |cc><cc| entries of the joint
-      operator are the products of the factors' |c><c| entries, written to
-      the |cc> rows of the null-extended plane 2 for the non-null c. Every
-      other row stays zero, the null |00> row included;
+      operator are the products of the factors' |c><c| entries (the leading
+      k rows of each block), written to the |cc> rows of the null-extended
+      plane 2 for the non-null c (its leading k rows). Every other row stays
+      zero, the null |00> row included;
     - inverse control-shift and partial trace over slot 2, one matmul of
       plane 2 by the 0/1 ``_shift_trace`` matrix: U^dagger sends |i, j> to
       |i, j - i mod n>, and the trace adds the n rows |i, j> into |i>. Slot
@@ -271,11 +292,11 @@ def _pinch_weights(lb: np.ndarray, tb: np.ndarray):
     """Forward step of the left child: (q, nu) with q = diag(E_B(L_B)) / nu, nu = Tr L_B.
 
     ``tb`` is the left edge's (k*k, k) transfer form, so the diagonal is read
-    off the non-null block: q has shape (k, P), and columns with nu = 0 get
-    q = 0.
+    off the non-null block's leading k rows: q has shape (k, P), and columns
+    with nu = 0 get q = 0.
     """
     nu = lb.sum(axis=0)
-    forward = (tb @ lb)[::lb.shape[0] + 1].real
+    forward = (tb @ lb)[:lb.shape[0]].real
     q = np.divide(forward, nu, out=np.zeros_like(forward), where=nu > 0.0)
     return q, nu
 
@@ -332,44 +353,51 @@ class SiteLikelihoodReport:
         }
 
 
-def _reduce_below_root(kids: tuple, values: list, edges: list, node_step):
+def _reduce_below_root(kids: tuple, values: list, edges: list, floors: list, node_step):
     """Reduce every internal node below the root, rescaling near underflow.
 
     ``kids`` is the tree's pre-order table, read in reverse. ``values`` holds
     the leaves' (k, P) arrays and is filled in place. A node is rescaled only
     when some pattern's maximum is below ``_SCALE_FLOOR``: each column is then
     multiplied by 2^-e, e the binary exponent of its maximum, which is exact.
+
+    A slot's bound is at most each column's maximum, 1.0 for a leaf. A node
+    reads entries >= its edges' ``floors`` (>= 0) on values >= 0, so all its
+    entries are >= 0.5 f_l f_r b_l b_r (0.5 covers rounding). Only a node with
+    that below the floor is screened; the screen's last minimum is its bound.
+
     Returns the root children as ((array, exponent), (array, exponent)), where
     each array times 2^exponent is the unscaled operator; an exponent is the
     int 0 when no node of that subtree was rescaled, else a per-pattern array.
     """
-    exponents = [0] * len(values)
+    exponents, bounds = [0] * len(values), [1.0] * len(values)
     for slot in reversed(range(1, len(values))):
         if not kids[slot]:
             continue
         left, right = kids[slot]
         out = node_step(values[left], values[right], edges[left], edges[right])
         exponent = exponents[left] + exponents[right]
+        bound = 0.5 * floors[left] * floors[right] * bounds[left] * bounds[right]
         # A column whose maximum is below the floor has every entry below it, so one
         # minimum screens the node; initial=1.0 because an alignment may have no sites.
-        if out.min(initial=1.0) < _SCALE_FLOOR:
+        if bound < _SCALE_FLOOR and (bound := out.min(initial=1.0)) < _SCALE_FLOOR:
             scale = out.max(axis=0)
-            if scale.min() < _SCALE_FLOOR:
-                shift = np.frexp(scale)[1]
+            if (bound := scale.min()) < _SCALE_FLOOR:
+                mantissa, shift = np.frexp(scale)
                 out = np.ldexp(out, -shift)
                 exponent = exponent + shift
-        values[slot] = out
-        exponents[slot] = exponent
+                bound = mantissa.min()
+        values[slot], exponents[slot], bounds[slot] = out, exponent, bound
         values[left] = values[right] = None
     left, right = kids[0]
     return (values[left], exponents[left]), (values[right], exponents[right])
 
 
-def _pattern_values(tree: PhyloTree, aln: Alignment, engine: str, edges: list, adjoint):
+def _pattern_values(tree: PhyloTree, aln: Alignment, engine: str, edges: list, floors: list, adjoint):
     """Per-pattern root values, their binary exponents and the dual engine's nu, else None.
 
-    ``edges`` and ``adjoint`` are as ``_engine_edges`` gives them, or arrays
-    of the same shapes in their place. A value times 2^exponent is its
+    ``edges``, ``floors`` and ``adjoint`` are as ``_engine_edges`` gives them, or arrays of
+    the same shapes and floors no higher in their place. A value times 2^exponent is its
     pattern's likelihood.
     """
     # Each leaf is a read-only, contiguous view of its taxon's rows of the alignment's
@@ -392,7 +420,7 @@ def _pattern_values(tree: PhyloTree, aln: Alignment, engine: str, edges: list, a
         # The views each node writes through are taken here, once, not at every node.
         node_step = functools.partial(_quantum_node, buffers=_node_buffers(work))
 
-    (lb, e_b), (lc, e_c) = _reduce_below_root(tree.kids, values, edges, node_step)
+    (lb, e_b), (lc, e_c) = _reduce_below_root(tree.kids, values, edges, floors, node_step)
     left, right = tree.kids[0]
     eb, ec = edges[left], edges[right]
     nu = None
@@ -441,8 +469,8 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
     """
     _check_inputs(tree, aln, engine)
     _, _, inverse = aln.site_patterns()
-    edges, adjoint = _engine_edges(tree, tree.edge_params, engine)
-    root_values, exponent, nu = _pattern_values(tree, aln, engine, edges, adjoint)
+    edges, floors, adjoint = _engine_edges(tree, tree.edge_params, engine)
+    root_values, exponent, nu = _pattern_values(tree, aln, engine, edges, floors, adjoint)
     zero = root_values <= 0.0
     if zero.any():
         # Patterns are sorted, not in alignment order: name the first zero site.

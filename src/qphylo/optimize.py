@@ -161,21 +161,23 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
 
     def evaluate(x: np.ndarray):
         """(log-likelihood at x, as alignment_loglik sums it; the pass that gave it)."""
-        edges, adjoint = _engine_edges(tree, edge_params(x), engine, cached=False)
-        values, exponent, _ = _pattern_values(tree, aln, engine, edges, adjoint)
-        return float(_pattern_logs(values, exponent)[inverse].sum()), (values, exponent, edges, adjoint)
+        edges, floors, adjoint = _engine_edges(tree, edge_params(x), engine, cached=False)
+        values, exponent, _ = _pattern_values(tree, aln, engine, edges, floors, adjoint)
+        return float(_pattern_logs(values, exponent)[inverse].sum()), (values, exponent, edges, floors, adjoint)
 
     def em_image(x: np.ndarray, base) -> np.ndarray:
         """The EM image of x, given the pass ``evaluate(x)`` ran."""
         nonlocal n_eval
         n_eval += 1
-        (values, exponent, edges, adjoint), expected = base, np.zeros_like(x)
+        (values, exponent, edges, floors, adjoint), expected = base, np.zeros_like(x)
         for slot, block in enumerate(block_of, start=1):
+            # The part one weight drives reads nothing negative at a node: floor 0.0.
+            trial_floors = [*floors[:slot], 0.0, *floors[slot + 1:]]
             for i in np.flatnonzero(x[block]):
                 (form, adjoint_form), weight = forms[i], x[block, i]
                 trial = [*edges[:slot], weight * form, *edges[slot + 1:]]
                 joint, joint_exponent, _ = _pattern_values(
-                    tree, aln, engine, trial, weight * adjoint_form if slot == right else adjoint)
+                    tree, aln, engine, trial, trial_floors, weight * adjoint_form if slot == right else adjoint)
                 expected[block, i] += counts @ (np.ldexp(joint, joint_exponent - exponent) / values)
         return np.minimum(np.divide(expected, trials, out=x.copy(), where=trials > 0), 1.0)
 

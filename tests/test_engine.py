@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 
 from qphylo import engine, linalg
 from qphylo.channels import KrausChannel, apply_channel, collective_diagonalizer, control_not
-from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _adjoint_state, _classical_node, _dual_root,
-                           _node_buffers, _pinch_weights, _quantum_node, _shift_trace,
-                           _unshift_source, alignment_loglik, simulate_tree)
+from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _adjoint_state, _classical_node,
+                           _diagonal_first, _dual_root, _node_buffers, _pinch_weights,
+                           _quantum_node, _shift_trace, _unshift_source, alignment_loglik,
+                           simulate_tree)
 from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
 from qphylo.models import FAMILIES, ModelParams, markov, prune_matrix, prune_operators
 from qphylo.optimize import (OptimizationProblem, maximize_loglik, tree_with_edge_params,
@@ -158,6 +160,11 @@ def kraus_entry(ops, kind="kraus"):
         return engine._build(None, kind)
 
 
+def natural_rows(rows, d, first):
+    """Rows stored in ``_diagonal_first(d, first)`` order, put back in natural order."""
+    return rows[np.argsort(_diagonal_first(d, first))]
+
+
 def quantum_pair(lb, lc, ub, uc):
     """One pruning-circuit node step at P = 1, one unitary per edge."""
     work = np.zeros((3, (len(lb) + 1) ** 2, 1), dtype=complex)
@@ -272,7 +279,7 @@ class TestDualPrune:
             q = np.diag(ub @ np.diag(lb).astype(complex) @ ub.conj().T).real / nu
             rho = random_density(rng, 4)
             pinch, _ = _pinch_weights(lb[:, None], kraus_entry(ub[None]))
-            evolved = (kraus_entry(uc[None]) @ lc[:, None])[::5].real
+            evolved = (natural_rows(kraus_entry(uc[None]), 4, 0) @ lc[:, None])[::5].real
             forward = (pinch * evolved)[:, 0]
             lhs = float(forward @ np.diag(rho).real)
             adjoint = uc.conj().T @ np.diag(q * np.diag(rho)) @ uc
@@ -317,6 +324,8 @@ class TestSparseGates:
         buffers = _node_buffers(work)
         rho_b, rho_c, *_, pinch, _ = buffers
         out = _quantum_node(lb, lc, tb, tc, buffers)
+        # Planes 0 and 1 hold each block diagonal-first, plane 2 its |cc> rows first.
+        rho_b, rho_c, pinch = natural_rows(rho_b, k, 0), natural_rows(rho_c, k, 0), natural_rows(pinch, n, 1)
         assert out.shape == (k, p)
         kk_rows = (n + 1) * np.arange(n)
         unshift = control_not(n).conj().T
@@ -348,7 +357,8 @@ class TestSparseGates:
                 k = params.n_states
                 channel = dense_channel(prune_operators(params))
                 diags = rng.random((3, k))
-                batched = (engine._build(params, "kraus") @ diags.T).reshape(k, k, 3)
+                rows = natural_rows(engine._build(params, "kraus"), k, 0)
+                batched = (rows @ diags.T).reshape(k, k, 3)
                 for d, block in zip(diags, batched.transpose(2, 0, 1)):
                     dense = apply_channel(channel, np.diag(np.concatenate([[0.0], d])))
                     assert not dense[0].any() and not dense[:, 0].any()
@@ -370,9 +380,14 @@ class TestSparseGates:
         assert matrix is _shift_trace(n, np.dtype(dtype))
         assert matrix.dtype == dtype and matrix.shape == (n - 1, n * n)
         assert not matrix.flags.writeable
+        # The columns follow plane 2's order: the |cc> rows first, then the rest.
+        order = _diagonal_first(n, 1)
+        assert order == [(n + 1) * c for c in range(1, n)] + [
+            row for row in range(n * n) if row % (n + 1) or row == 0]
+        natural = natural_rows(matrix.T, n, 1).T
         # Row i - 1 holds a 1 at the source of each |i, j> the shift fills, and nothing else.
         sources = _unshift_source(n)[n:].reshape(n - 1, n)
-        assert np.array_equal(np.take_along_axis(matrix, sources, axis=1), np.ones((n - 1, n)))
+        assert np.array_equal(np.take_along_axis(natural, sources, axis=1), np.ones((n - 1, n)))
         assert matrix.sum() == (n - 1) * n
         ucn_dag = control_not(n).conj().T
 
@@ -381,7 +396,7 @@ class TestSparseGates:
             return np.diagonal(linalg.partial_trace(shifted, [n, n], traced=2))[1:]
 
         # The dense gates applied to each basis diagonal give the matrix column by column.
-        assert np.abs(np.array([dense(e) for e in np.eye(n * n)]).T - matrix).max() == 0.0
+        assert np.abs(np.array([dense(e) for e in np.eye(n * n)]).T - natural).max() == 0.0
         # Integer entries sum exactly in any order; a pinch leaves one non-zero term per entry.
         diags = rng.integers(0, 9, (4, n * n)).astype(dtype)
         pinches = np.zeros((4, n * n), dtype=dtype)
@@ -390,7 +405,19 @@ class TestSparseGates:
             diags += 1j * rng.integers(0, 9, (4, n * n))
             pinches[:, (n + 1) * np.arange(1, n)] += 1j * rng.random((4, n - 1))
         for d in (*diags, *pinches):
-            assert np.abs(matrix @ d - dense(d)).max() == 0.0
+            assert np.abs(matrix @ d[order] - dense(d)).max() == 0.0
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_pinch_operands_are_contiguous_views_of_the_work_array(self, k, dtype):
+        # The diagonal rows of planes 0 and 1 and the |cc> rows of plane 2 are each plane's
+        # leading k rows, so the pinch product runs on three C-contiguous (k, P) blocks.
+        work = np.zeros((3, (k + 1) ** 2, 300), dtype=dtype)
+        _, _, diag_b, diag_c, pinch_rows, *_ = _node_buffers(work)
+        for view, plane in ((diag_b, 0), (diag_c, 1), (pinch_rows, 2)):
+            assert view.shape == (k, 300) and view.dtype == dtype and view.flags.c_contiguous
+            assert np.shares_memory(view, work[plane])
+            assert view.__array_interface__["data"][0] == work[plane].__array_interface__["data"][0]
 
     @pytest.mark.parametrize("complex_edge", [False, True], ids=["mixed", "complex-edge"])
     def test_whole_tree_outputs_match_the_gather_and_reshape_trace_bytewise(
@@ -403,7 +430,7 @@ class TestSparseGates:
                         if slot and node.params.family == "JC")
             monkeypatch.setattr(engine, "_edge_ops",
                                 unitary_edge_ops(engine._edge_ops, tree, slot))
-        kraus = engine._edge_ops(tree.edge_params, "kraus")
+        kraus, _ = engine._edge_ops(tree.edge_params, "kraus")
         assert np.result_type(*kraus) == (complex if complex_edge else float)
         production = [alignment_loglik(tree, aln, engine=e) for e in ("quantum", "dual")]
         monkeypatch.setattr(engine, "_quantum_node", reference_node)
@@ -430,7 +457,7 @@ class TestSparseGates:
             work = buffer[offset:offset + 3 * n * n * p].reshape(3, n * n, p)
             work[...] = 0.0
             out = _quantum_node(lb, lc, tb, tc, _node_buffers(work))
-            rows = work[2][_unshift_source(n)[n:]].reshape(k, n, p)
+            rows = natural_rows(work[2], n, 1)[_unshift_source(n)[n:]].reshape(k, n, p)
             in_order = rows[:, 0]
             for j in range(1, n):
                 in_order = in_order + rows[:, j]
@@ -447,7 +474,8 @@ def reference_node(lb, lc, tb, tc, buffers):
     np.matmul(tc, lc, out=rho_c)
     np.multiply(diag_b, diag_c, out=pinch_rows)
     k, p = lb.shape
-    return pinch[_unshift_source(k + 1)[k + 1:]].reshape(k, k + 1, p).sum(axis=1).real
+    natural = natural_rows(pinch, k + 1, 1)
+    return natural[_unshift_source(k + 1)[k + 1:]].reshape(k, k + 1, p).sum(axis=1).real
 
 
 class TestDualRoot:
@@ -492,8 +520,8 @@ class TestDualRoot:
         alignment_loglik(tree, aln, engine="quantum")
         assert builds == {"prune_operators": 6, "prune_matrix": 6}
         params = tree.nodes[1].params
-        (w,) = engine._edge_ops((params,), "classical")
-        (kraus,) = engine._edge_ops((params,), "kraus")
+        (w,), _ = engine._edge_ops((params,), "classical")
+        (kraus,), _ = engine._edge_ops((params,), "kraus")
         assert np.array_equal(w, prune_matrix(params))
         assert kraus.shape == (16, 4)
 
@@ -582,7 +610,7 @@ class TestEdgeCache:
         monkeypatch.setattr(engine, "prune_operators", lambda params: unitary)
         entries += [engine._edge_ops((ModelParams.jc(0.2),), kind) for kind in KINDS[1:]]
         dtypes = [np.float64] * 3 + [np.complex128] * 2
-        for (array,), dtype in zip(entries, dtypes):
+        for ((array,), _), dtype in zip(entries, dtypes):
             assert type(array) is np.ndarray and array.dtype == dtype
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -598,6 +626,46 @@ class TestEdgeCache:
         assert cold == warm[::-1]
 
 
+class TestFloors:
+    """Each edge entry's floor: the least value a node reads of it, clamped at 0.0."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_floor_is_the_clamped_least_value_a_node_reads(self, family):
+        rng = np.random.default_rng(31)
+        for params in [random_params(rng, family) for _ in range(3)] + list(BOUNDARY_PARAMS):
+            if params.family != family:
+                continue
+            k = params.n_states
+            (w,), (w_floor,) = engine._edge_entries((params,), "classical")
+            (form,), (form_floor,) = engine._edge_entries((params,), "kraus")
+            (_,), (adjoint_floor,) = engine._edge_entries((params,), "adjoint")
+            # A classical node reads all of W; a Kraus node the real diagonal of each block.
+            diagonal = natural_rows(form, k, 0).reshape(k, k, k)[np.arange(k), np.arange(k)].real
+            assert type(w_floor) is float and w_floor == max(0.0, w.min())
+            assert type(form_floor) is float and form_floor == max(0.0, diagonal.min())
+            assert adjoint_floor == 0.0
+            # Row (a, a) of the form holds the probabilities of column a of W.
+            assert form_floor == pytest.approx(w_floor, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("params", [ModelParams.jc(0.0), ModelParams.binary(0.0),
+                                        ModelParams("K3", 0.0, 0.0, 0.0)], ids=["JC", "B", "K3"])
+    def test_a_frozen_edge_has_floor_zero(self, params):
+        for kind in KINDS:
+            assert engine._edge_entries((params,), kind)[1] == (0.0,)
+
+    def test_a_rounding_negative_entry_gives_floor_zero(self, monkeypatch):
+        # Unclamped, two such floors would multiply to a positive bound.
+        params = ModelParams.binary(0.1)
+        monkeypatch.setattr(engine, "prune_matrix", lambda params: np.array([[1.0, -1e-17], [0.1, 0.9]]))
+        assert engine._edge_entries((params,), "classical")[1] == (0.0,)
+        # A transfer form's off-diagonal rows, after its k diagonal rows, are not read.
+        form = np.array([[0.9, 0.2], [0.2, 0.8], [-0.3, 0.1], [0.1, -0.3]])
+        assert engine._floor(form, "kraus") == 0.2
+        form[1, 0] = -1e-17
+        assert engine._floor(form, "kraus") == 0.0
+        assert engine._floor(form.astype(complex) + 1j, "kraus") == 0.0
+
+
 def complex_edge_ops(cached, rebuilt: list, only=None):
     """An ``_edge_ops`` stand-in that builds Kraus entries from stacks cast to complex128.
 
@@ -605,12 +673,12 @@ def complex_edge_ops(cached, rebuilt: list, only=None):
     ``only``; each rebuilt entry is appended to ``rebuilt``.
     """
     def edges(edge_params, kind):
-        entries = list(cached(edge_params, kind))
+        entries = list(cached(edge_params, kind)[0])
         for i, params in enumerate(edge_params):
             if kind != "classical" and only in (None, params):
                 entries[i] = kraus_entry(prune_operators(params).astype(complex), kind)
                 rebuilt.append(entries[i])
-        return tuple(entries)
+        return tuple(entries), tuple(engine._floor(entry, kind) for entry in entries)
 
     return edges
 
@@ -621,12 +689,12 @@ def unitary_edge_ops(cached, tree, slot: int):
     unitary = jc_unitary(tree.nodes[slot].params.a)[None]
 
     def edges(edge_params, kind):
-        entries = list(cached(edge_params, kind))
+        entries = list(cached(edge_params, kind)[0])
         if kind == "kraus":
             entries[slot - 1] = kraus_entry(unitary)
         elif kind == "adjoint" and slot == tree.kids[0][1]:
             entries[0] = kraus_entry(unitary, "adjoint")
-        return tuple(entries)
+        return tuple(entries), tuple(engine._floor(entry, kind) for entry in entries)
 
     return edges
 
@@ -656,7 +724,7 @@ class TestRealField:
         monkeypatch.setattr(linalg, "as_matrix", refuse)
         engine._edge_ops.cache_clear()
         try:
-            edges = [edge for kind in KINDS[1:] for edge in engine._edge_ops(edge_params, kind)]
+            edges = [edge for kind in KINDS[1:] for edge in engine._edge_ops(edge_params, kind)[0]]
         finally:
             engine._edge_ops.cache_clear()
         assert {edge.dtype for edge in edges} == {np.dtype(np.float64)}
@@ -931,8 +999,139 @@ def frexp_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def screens(monkeypatch):
+    """The node outputs the underflow screen takes a whole-array minimum of while the test runs."""
+    calls = []
+
+    class Output(np.ndarray):
+        def min(self, *args, **kwargs):
+            if self.ndim == 2:
+                calls.append(self)
+            return self.view(np.ndarray).min(*args, **kwargs)
+
+    for name in ("_classical_node", "_quantum_node"):
+        def recorded(*args, _node=getattr(engine, name), **kwargs):
+            return _node(*args, **kwargs).view(Output)
+        monkeypatch.setattr(engine, name, recorded)
+    return calls
+
+
+@contextlib.contextmanager
+def zero_floors():
+    """Every edge floor forced to 0.0, so every node below the root takes the screen."""
+    engine._edge_ops.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_floor", lambda entry, kind: 0.0)
+            yield
+    finally:
+        engine._edge_ops.cache_clear()
+
+
+def deep_instance():
+    """The balanced 1024-leaf tree and 5 sites of test_deep_tree_does_not_underflow_to_zero."""
+    names = [f"t{i}" for i in range(1024)]
+    tree = parse_newick(balanced_newick(names, itertools.repeat(":0.5")))
+    data = np.random.default_rng(5).integers(0, 4, size=(1024, 5))
+    return tree, Alignment(taxa=tuple(names), data=data, alphabet=DNA)
+
+
+def tiny_jc_instance():
+    """The 6-leaf tree of test_rescaled_sites_match_the_exact_tensor: each substitution costs
+    about 1e-50, so every node whose leaves differ underflows the floor."""
+    names = [f"t{i}" for i in range(6)]
+    tree = parse_newick(balanced_newick(names, itertools.repeat("[&model=JC,a=1e-50]")))
+    data = np.random.default_rng(17).integers(0, 4, size=(6, 400))
+    return tree, Alignment(taxa=tree.leaf_names, data=data, alphabet=DNA)
+
+
+def frozen_wide_instance():
+    """wide_instance(32) with every left edge frozen (JC a=0): exact zeros in every node."""
+    tree, aln = wide_instance(np.random.default_rng(32))
+    lefts = {kids[0] for kids in tree.kids if kids}
+    return tree_with_edge_params(tree, (ModelParams.jc(0.0) if slot in lefts else node.params
+                                        for slot, node in enumerate(tree.nodes) if slot)), aln
+
+
+def caterpillar_instance():
+    """A 600-leaf caterpillar on 20 random sites, about 2^-1200 each."""
+    tree = caterpillar(600)
+    data = np.random.default_rng(9).integers(0, 4, size=(600, 20))
+    return tree, Alignment(taxa=tree.leaf_names, data=data, alphabet=DNA)
+
+
+GATE_INSTANCES = {"deep-1024": deep_instance, "jc-1e-50": tiny_jc_instance,
+                  "frozen-wide": frozen_wide_instance, "caterpillar-600": caterpillar_instance,
+                  "complex-deep-1024": deep_instance}
+
+
 class TestRescaling:
     """Nodes are rescaled by exact powers of two, and only near underflow."""
+
+    @pytest.mark.parametrize("name", GATE_INSTANCES)
+    def test_gated_screens_match_screening_every_node(self, frexp_calls, screens, name):
+        # Floors of 0.0 give every node a bound of 0.0, which is the rule without the gate.
+        tree, aln = GATE_INSTANCES[name]()
+        edge_ops = engine._edge_ops
+        if name.startswith("complex"):
+            edge_ops = complex_edge_ops(edge_ops, [])
+        runs = []
+        for gate in (contextlib.nullcontext, zero_floors):
+            frexp_calls.clear()
+            screens.clear()
+            with gate(), pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "_edge_ops", edge_ops)
+                reports = [alignment_loglik(tree, aln, engine=e) for e in ENGINES]
+            runs.append((reports, [x.tobytes() for x in frexp_calls], len(screens)))
+        (gated, gated_frexp, gated_screens), (every, every_frexp, every_screens) = runs
+        assert gated_frexp == every_frexp
+        assert (len(gated_frexp) > 0) == (name != "frozen-wide")
+        # Every node below the root, once per engine.
+        assert every_screens == 3 * (tree.n_leaves - 2)
+        assert gated_screens <= every_screens
+        for new, old in zip(gated, every):
+            for column in ("log", "likelihood", "nu"):
+                assert getattr(new, column) is None or (
+                    getattr(new, column).tobytes() == getattr(old, column).tobytes())
+
+    @pytest.mark.parametrize("per_edge", (False, True))
+    @pytest.mark.parametrize("fit_engine", ENGINES)
+    def test_fits_match_screening_every_node(self, fit_engine, per_edge):
+        tree, aln = random_instance(np.random.default_rng(29), 5, "K2", n_sites=40)
+        problem = OptimizationProblem(tree=tree, alignment=aln, family="K2", engine=fit_engine,
+                                      per_edge=per_edge)
+        gated = maximize_loglik(problem).to_document()
+        with zero_floors():
+            every = maximize_loglik(problem).to_document()
+        assert json.dumps(gated) == json.dumps(every)
+
+    def test_a_node_is_screened_only_where_its_bound_is_below_the_floor(self, frexp_calls, screens):
+        # A JC edge's floor is its weight a. Between leaves that differ, the cherry's least
+        # entry is a^2, and 0.5 a^2 < 2^-256 <= a^2: the bound cannot clear the cherry, so
+        # it is screened, and passes.
+        a = 1.2 * 2.0 ** -128
+        tight = parse_newick(f"((A[&model=JC,a={a!r}],B[&model=JC,a={a!r}])[&model=JC,a=0.1],"
+                             "C[&model=JC,a=0.1]);")
+        # Weight 1e-100 puts the cherry's maxima below the floor, so it is rescaled; its
+        # rescaled maxima are at least 1/2, which clears its parent.
+        rescaled = parse_newick("(((A[&model=JC,a=1e-100],B[&model=JC,a=1e-100])[&model=JC,a=0.1],"
+                                "C[&model=JC,a=0.1])[&model=JC,a=0.1],D[&model=JC,a=0.1]);")
+        for tree, n_rescales in ((tight, 0), (rescaled, 1)):
+            data = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]])[:tree.n_leaves]
+            aln = Alignment(taxa=tree.leaf_names, data=data, alphabet=DNA)
+            for name in ENGINES:
+                frexp_calls.clear()
+                screens.clear()
+                alignment_loglik(tree, aln, engine=name)
+                assert [out.shape for out in screens] == [(4, 4)]
+                assert len(frexp_calls) == n_rescales
+
+    def test_wide_tree_is_never_screened(self, screens):
+        tree, aln = wide_instance(np.random.default_rng(32))
+        for name in ENGINES:
+            alignment_loglik(tree, aln, engine=name)
+        assert not screens
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.sampled_from(("JC", "K2", "K3", "F")),
            st.booleans())
@@ -955,13 +1154,9 @@ class TestRescaling:
 
     @pytest.mark.parametrize("name", ENGINES)
     def test_rescaled_sites_match_the_exact_tensor(self, frexp_calls, name):
-        # One substitution costs a factor of about 1e-50, so site probabilities
-        # reach about exp(-460) and a node whose leaves differ underflows the floor.
-        names = [f"t{i}" for i in range(6)]
-        tree = parse_newick(balanced_newick(names, itertools.repeat("[&model=JC,a=1e-50]")))
-        data = np.random.default_rng(17).integers(0, 4, size=(6, 400))
-        aln = Alignment(taxa=tree.leaf_names, data=data, alphabet=DNA)
-        exact = np.log(simulate_tree(tree).values[tuple(data)])
+        # Site probabilities reach about exp(-460).
+        tree, aln = tiny_jc_instance()
+        exact = np.log(simulate_tree(tree).values[tuple(aln.data)])
         assert exact.min() < -400.0
         report = alignment_loglik(tree, aln, engine=name)
         np.testing.assert_allclose(report.log, exact, rtol=1e-12, atol=0.0)
@@ -970,23 +1165,16 @@ class TestRescaling:
     def test_wide_tree_is_never_rescaled(self, frexp_calls):
         tree, aln = wide_instance(np.random.default_rng(32))
         assert len(aln.site_patterns()[0]) == 300
-        # Freezing every left edge (JC a=0) leaves exact zeros in every node, which all
-        # take the per-pattern test; no two leaves are joined by frozen edges alone, so
-        # no site has zero likelihood.
-        lefts = {kids[0] for kids in tree.kids if kids}
-        frozen = tree_with_edge_params(tree, (ModelParams.jc(0.0) if slot in lefts else node.params
-                                              for slot, node in enumerate(tree.nodes) if slot))
+        # The frozen edges' exact zeros all take the per-pattern test; no two leaves are
+        # joined by frozen edges alone, so no site has zero likelihood.
+        frozen, _ = frozen_wide_instance()
         for one in (tree, frozen):
             for name in ENGINES:
                 alignment_loglik(one, aln, engine=name)
         assert not frexp_calls
 
     def test_deep_tree_is_rescaled(self, frexp_calls):
-        # The tree and sites of test_deep_tree_does_not_underflow_to_zero.
-        names = [f"t{i}" for i in range(1024)]
-        tree = parse_newick(balanced_newick(names, itertools.repeat(":0.5")))
-        data = np.random.default_rng(5).integers(0, 4, size=(1024, 5))
-        aln = Alignment(taxa=tuple(names), data=data, alphabet=DNA)
+        tree, aln = deep_instance()
         for name in ENGINES:
             frexp_calls.clear()
             alignment_loglik(tree, aln, engine=name)
