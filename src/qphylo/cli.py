@@ -266,6 +266,9 @@ def main(argv=None) -> int:
     except QPhyloError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
+    except MemoryError as exc:  # the backstop: nothing yet refuses an alignment too large up front
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_MODEL
 
 
 if __name__ == "__main__":

@@ -55,6 +55,10 @@ probability 0.05 is never screened on 300 random sites; a balanced
 All three agree because each edge step, restricted to diagonal operators,
 factors through the same likelihood-propagation matrix W = M^T.
 
+Edge entries have one builder, ``_entries``: a family's (B, d) weight rows
+become B entries in one einsum, for the tree cache (one batch per family),
+each fit point and, from the unit rows, the outcomes the optimizer counts.
+
 ``_pattern_values`` is each engine's one reduction, on per-edge arrays.
 ``alignment_loglik`` runs it on the tree's edges; the optimizer's E-step
 runs it with one edge's array replaced by the part of its instrument that
@@ -120,59 +124,61 @@ def _diagonal_first(d: int, first: int) -> list:
     return diagonal + [row for row in range(d * d) if row not in diagonal]
 
 
-def _stack_form(stack: np.ndarray, kind: str) -> np.ndarray:
-    """The entry of ``kind`` for an edge whose (K, k, k) Kraus stack is ``stack``.
+def _stack_form(stacks: np.ndarray, kind: str) -> np.ndarray:
+    """The entries of ``kind`` for edges whose (B, K, k, k) Kraus stacks are ``stacks``.
 
-    "classical" is W, entry (i, a) the probability sum_k |A_k[a, i]|^2 that i
-    becomes a. "kraus" is the transfer form the quantum and dual engines
-    propagate through: the columns of sum_k A_k (x) conj(A_k) that a diagonal
-    input reaches, entry ((a, b), i) sum_k A_k[a, i] conj(A_k[b, i]) for
-    non-null a, b and i, its k rows (a, a) first (``_diagonal_first``), so a
-    node pinches its leading rows. "adjoint" is the adjoint stack's, row-major,
+    "kraus" is the transfer form the quantum and dual engines propagate
+    through: the columns of sum_k A_k (x) conj(A_k) that a diagonal input
+    reaches, entry ((a, b), i) sum_k A_k[a, i] conj(A_k[b, i]) for non-null
+    a, b and i, its k rows (a, a) first (``_diagonal_first``), so a node
+    pinches its leading rows. "adjoint" is the adjoint stack's, row-major,
     which only the dual root's right edge reads. The edge gate's null row and
     column are zero, so an operator gains no null weight on an edge and the
     form is the (k*k, k) non-null block; the null slot enters at the pinch.
-    The form has the stack's dtype: conj of a real stack is the stack itself.
+    One einsum forms the batch. A form has the stack's dtype: conj of a real
+    stack is the stack itself.
     """
-    if kind == "classical":
-        return np.einsum("kai,kai->ia", stack, stack.conj()).real
     if kind == "adjoint":
-        stack = stack.conj().transpose(0, 2, 1)
-    k = stack.shape[1]
-    form = np.einsum("kai,kbi->abi", stack, stack.conj()).reshape(k * k, k)
-    return form if kind == "adjoint" else form[_diagonal_first(k, 0)]
+        stacks = stacks.conj().transpose(0, 1, 3, 2)
+    b, k = stacks.shape[0], stacks.shape[2]
+    forms = np.einsum("nkai,nkbi->nabi", stacks, stacks.conj()).reshape(b, k * k, k)
+    return forms if kind == "adjoint" else np.take(forms, _diagonal_first(k, 0), axis=1)
 
 
-def _build(params, kind: str) -> np.ndarray:
-    """One edge's ``_edge_ops`` entry of ``kind``: W = M^T, or ``_stack_form`` of its Kraus stack.
+def _floor(entries: np.ndarray, kind: str) -> list:
+    """max(0, the least value a node reads of each entry): all of W, the real part of a transfer
+    form's k diagonal rows; 0.0 for the "adjoint" entries, which feed no node."""
+    read = entries if kind == "classical" else entries[:, :entries.shape[2]].real
+    return [0.0] * len(entries) if kind == "adjoint" else np.maximum(read.min(axis=(1, 2)), 0.0).tolist()
 
+
+def _entries(family: str, x, pi, kind: str) -> tuple:
+    """(read-only (B, ...) entries of ``kind`` for the (B, d) weight rows x of ``family``, floors).
+
+    The entries are W, or ``_stack_form`` of the Kraus stacks; ``pi`` is F's.
     ``prune_matrix`` and ``prune_operators`` are looked up in this module's
     globals on every call, so a caller that rebinds them (a tracer, a test)
     sees every build.
     """
-    if kind == "classical":
-        return prune_matrix(params)
-    return _stack_form(prune_operators(params), kind)
-
-
-def _floor(entry: np.ndarray, kind: str) -> float:
-    """max(0, the least value a node reads of an entry): all of W, the real part of a transfer
-    form's k diagonal rows; 0.0 for the "adjoint" entry, which feeds no node."""
-    read = entry if kind == "classical" else entry[:entry.shape[1]].real
-    return 0.0 if kind == "adjoint" else max(0.0, float(read.min()))
+    entries = (prune_matrix(family, x, pi) if kind == "classical"
+               else _stack_form(prune_operators(family, x, pi), kind))
+    entries.setflags(write=False)
+    return entries, _floor(entries, kind)
 
 
 def _edge_entries(edge_params: tuple, kind: str) -> tuple:
-    """The read-only ``_build`` entries of ``kind`` for a tree's edges, in pre-order, and their floors.
+    """The ``_entries`` rows of ``kind`` for a tree's edges, in pre-order, and their floors.
 
-    Each distinct parameter value is built once, with its floor, so a
-    shared-parameter tree builds one entry. ``_edge_ops`` is this function behind a cache.
+    The distinct parameter values are built once, in one batch per family,
+    so a shared-parameter tree builds one row. ``_edge_ops`` is this
+    function behind a cache.
     """
-    built = {}
-    for params in dict.fromkeys(edge_params):
-        entry = _build(params, kind)
-        entry.setflags(write=False)
-        built[params] = entry, _floor(entry, kind)
+    distinct, built = dict.fromkeys(edge_params), {}
+    for family in dict.fromkeys(params.family for params in distinct):
+        values = [params for params in distinct if params.family == family]
+        pi = None if values[0].pi is None else [params.pi for params in values]
+        entries, floors = _entries(family, [params.row for params in values], pi, kind)
+        built.update(zip(values, zip(entries, floors)))
     return tuple(zip(*(built[params] for params in edge_params)))
 
 
@@ -190,21 +196,14 @@ def _edge_ops(edge_params: tuple, kind: str) -> tuple:
     return _edge_entries(edge_params, kind)
 
 
-def _engine_edges(tree: PhyloTree, edge_params: tuple, engine: str, cached: bool = True):
+def _engine_edges(tree: PhyloTree, edge_params: tuple, engine: str):
     """(edges, floors, adjoint) for ``_pattern_values``: None for the root, then the ``_edge_ops``
     entries ``engine`` reads for ``edge_params`` (pre-order), and their floors; the dual root's
-    right edge's "adjoint" entry, else None. ``cached=False`` builds them with ``_edge_entries``
-    instead, leaving the cache untouched."""
-    ops = _edge_ops if cached else _edge_entries
-    entries, floors = ops(edge_params, _KIND[engine])
+    right edge's "adjoint" entry, else None."""
+    entries, floors = _edge_ops(edge_params, _KIND[engine])
     right = tree.kids[0][1] - 1
-    adjoint = ops((edge_params[right],), "adjoint")[0][0] if engine == "dual" else None
+    adjoint = _edge_ops((edge_params[right],), "adjoint")[0][0] if engine == "dual" else None
     return [None, *entries], [None, *floors], adjoint
-
-
-def _engine_forms(stack: np.ndarray, engine: str):
-    """(entry, adjoint entry) of a Kraus stack, as ``_engine_edges`` gives an edge's."""
-    return _stack_form(stack, _KIND[engine]), _stack_form(stack, "adjoint")
 
 
 # --- Batched kernels: arrays carry one column per site pattern -----------------

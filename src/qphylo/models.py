@@ -157,6 +157,11 @@ class ModelParams:
     def n_states(self) -> int:
         return FAMILY[self.family].n_states
 
+    @property
+    def row(self) -> tuple:
+        """The weights the family takes, in ``FAMILY`` order: one row of a builder's (B, d) array."""
+        return tuple(getattr(self, name) for name in FAMILY[self.family].weights)
+
     @classmethod
     def jc(cls, a: float) -> "ModelParams":
         return cls("JC", a)
@@ -178,48 +183,30 @@ class ModelParams:
         return cls("F", a, pi=np.asarray(pi, dtype=float))
 
 
-def flip_weights(params: ModelParams) -> np.ndarray:
-    """Weights w_g of the flips |m> -> |m XOR g>, identity first.
+def _flip_rows(family: str, x) -> np.ndarray:
+    """(B, n) weights w_g of the flips |m> -> |m XOR g>, identity first, of the (B, d) weight rows x.
 
     Flips a, b, c carry the family's weights (K2 has b=c, JC a=b=c; B has
     flip a alone) and the identity takes the rest, 1 - a - b - c, with
-    rounding below 0 on the simplex boundary clipped to 0.
+    rounding below 0 on the simplex boundary clipped to 0. Rows are not
+    checked against the region: a unit row gives the outcome one weight drives.
     """
-    flips = FAMILY[params.family].flips
+    flips = FAMILY[family].flips
     if flips is None:
-        raise ModelError(f"{params.family} is not a flip family")
-    given = (params.a, params.b, params.c)
-    w = np.zeros(params.n_states)
+        raise ModelError(f"{family} is not a flip family")
+    x = np.asarray(x, dtype=float)
+    w = np.zeros((len(x), FAMILY[family].n_states))
     rest = 1.0
-    for i, g in zip(flips, _FLIP_INDEX[w.size]):
-        w[g] = given[i]
-        rest -= given[i]
-    w[0] = rest
+    for i, g in zip(flips, _FLIP_INDEX[w.shape[1]]):
+        w[:, g] = x[:, i]
+        rest = rest - x[:, i]
+    w[:, 0] = rest
     return np.maximum(w, 0.0, out=w)
 
 
-def outcome_stacks(family: Family):
-    """(drives, stacks): weight i drives the drives[i] operators of stacks[i], at weight 1.
-
-    These are the instrument outcomes the optimizer's EM counts. A flip
-    family's weight drives the flips ``family.flips`` ties to it, F's weight
-    a the identity ("stay"); the identity weight or F's 1 - a drives the
-    rest. An edge's Kraus stack holds each driven operator scaled by
-    sqrt(x_i), so its engine entries are x_i times those of stacks[i].
-    """
-    n = family.n_states
-    if family.flips is None:
-        stacks = [np.eye(n)[None]]
-    else:
-        flips, ties = np.array(_FLIP_INDEX[n]), np.array(family.flips)
-        stacks = [_FLIPS[n][flips[ties == i]] for i in range(len(family.weights))]
-    return np.array([len(ops) for ops in stacks], dtype=float), stacks
-
-
-def _flip_kraus(w: np.ndarray) -> np.ndarray:
-    """The real stack of operators sqrt(w_g) X_g of the flips with positive weight."""
-    keep = w > 0.0
-    return np.sqrt(w[keep])[:, None, None] * _FLIPS[w.size][keep]
+def flip_weights(params: ModelParams) -> np.ndarray:
+    """Weights w_g of the flips |m> -> |m XOR g>, identity first: ``_flip_rows`` of one value."""
+    return _flip_rows(params.family, [params.row])[0]
 
 
 def bitflip_unitary(k: int, l: int) -> np.ndarray:
@@ -240,39 +227,39 @@ def bitflip_generator(k: int, l: int) -> np.ndarray:
 
 
 def markov(params: ModelParams) -> np.ndarray:
-    """Column-stochastic substitution matrix, M[i, j] = P(child=i | parent=j).
+    """Column-stochastic substitution matrix M[i, j] = P(child=i | parent=j), prune_matrix^T.
 
     Flip families (JC, K2, K3 and B): M[m, n] = w[m XOR n] with w the flip
     weights (symmetric, doubly stochastic); for B, (1-a) 1 + a X.
     F: a 1 + (1-a) pi 1^T, the column-stochastic orientation in which the
     update reads p' = a p + (1-a) pi.
     """
-    if params.family == "F":
-        a = params.a
-        return a * np.eye(4) + (1.0 - a) * np.outer(params.pi, np.ones(4))
-    return flip_weights(params)[_XOR[params.n_states]]
+    return prune_matrix(params.family, [params.row], params.pi)[0].T.copy()
 
 
 def group_channel(params: ModelParams) -> KrausChannel:
-    """Operator-sum form of a flip family: {sqrt(w_g) X_g}.
+    """Operator-sum form of a flip family: {sqrt(w_g) X_g}, the ``prune_operators`` stack.
 
-    Operators with zero weight are dropped; diagonalizing the output of this
-    channel applied to a diagonal density reproduces markov(params) acting on
-    the weight vector.
+    Every flip keeps its operator, a zero-weight one as the zero matrix;
+    diagonalizing the output of this channel applied to a diagonal density
+    reproduces markov(params) acting on the weight vector.
     """
-    return KrausChannel(_flip_kraus(flip_weights(params)), label=f"{params.family}_channel")
+    if FAMILY[params.family].flips is None:
+        raise ModelError(f"{params.family} is not a flip family")
+    return KrausChannel(prune_operators(params.family, [params.row])[0], label=f"{params.family}_channel")
 
 
 def felsenstein_instruments(pi) -> np.ndarray:
-    """The real (16, 4, 4) stack of single-entry operators sqrt(pi_j) |i><j|.
+    """The real (16, 4, 4) stack of single-entry operators sqrt(pi_j) |i><j|, (B, 16, 4, 4) for (B, 4) pi.
 
     In the observable orientation their operator sum has diagonal action
     L -> 1 <pi, L>; together with sqrt(a) 1 they propagate likelihoods for
     the F model.
     """
+    pi = np.asarray(pi, dtype=float)
     i, j = np.divmod(np.arange(16), 4)
-    ops = np.zeros((16, 4, 4))
-    ops[np.arange(16), i, j] = np.sqrt(np.asarray(pi, dtype=float))[j]
+    ops = np.zeros((*pi.shape[:-1], 16, 4, 4))
+    ops[..., np.arange(16), i, j] = np.sqrt(pi)[..., j]
     return ops
 
 
@@ -353,29 +340,32 @@ def binary_dilation(params: ModelParams) -> Dilation:
     return Dilation(v, linalg.projector(1, 2), coin_dim=2, label="B_dilation")
 
 
-def prune_matrix(params: ModelParams) -> np.ndarray:
-    """Likelihood-propagation matrix W = markov(params)^T.
+def prune_matrix(family: str, x, pi=None) -> np.ndarray:
+    """(B, n, n) likelihood-propagation matrices W = M^T of the (B, d) weight rows x of ``family``.
 
-    W[i, j] = P(child=j | parent=i); symmetric families have W = M, and for
-    F this is the standard root-to-tip orientation of the pruning recursion.
+    W[i, j] = P(child=j | parent=i). The flip families give W[m, n] =
+    w[m XOR n] (symmetric, W = M); F gives a 1 + (1 - a) 1 pi^T, the standard
+    root-to-tip orientation of the pruning recursion, for a (4,) or (B, 4) pi.
     """
-    return markov(params).T.copy()
+    if family == "F":
+        a = np.asarray(x, dtype=float)[:, :, None]
+        return a * np.eye(4) + (1.0 - a) * np.asarray(pi, dtype=float)[..., None, :]
+    w = _flip_rows(family, x)
+    return np.take(w, _XOR[w.shape[1]], axis=1)
 
 
-def prune_operators(params: ModelParams) -> np.ndarray:
-    """Real (K, m, m) Kraus stack whose squared moduli column-wise sum to prune_matrix.
+def prune_operators(family: str, x, pi=None) -> np.ndarray:
+    """Real (B, K, n, n) Kraus stacks whose squared moduli column-wise sum to prune_matrix.
 
     For any diagonal likelihood operator L, the diagonal of sum_k A_k L A_k^+
-    equals prune_matrix(params) @ diag(L); this is the per-edge propagator of
-    the quantum pruning circuit. The flip families give the operators of
-    their channels; F puts sqrt(a) 1 before the scaled instruments, and
-    drops either part when its weight is 0.
+    equals W @ diag(L); this is the per-edge propagator of the quantum
+    pruning circuit. K is fixed per family, and an operator of weight 0 is
+    kept as the zero matrix. The flip families give their channels' K = n
+    operators sqrt(w_g) X_g; F gives K = 17, sqrt(a) 1 before sqrt(1 - a)
+    times the instruments of its pi.
     """
-    if params.family != "F":
-        return _flip_kraus(flip_weights(params))
-    parts = []
-    if params.a > 0.0:
-        parts.append(math.sqrt(params.a) * np.eye(4)[None])
-    if params.a < 1.0:
-        parts.append(math.sqrt(1.0 - params.a) * felsenstein_instruments(params.pi))
-    return np.concatenate(parts)
+    if family == "F":
+        a = np.asarray(x, dtype=float)[:, :, None, None]
+        return np.concatenate([np.sqrt(a) * np.eye(4), np.sqrt(1.0 - a) * felsenstein_instruments(pi)], 1)
+    w = _flip_rows(family, x)
+    return np.sqrt(w)[:, :, None, None] * _FLIPS[w.shape[1]]

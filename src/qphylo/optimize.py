@@ -7,10 +7,12 @@ SQUAREM (Varadhan & Roland 2008). The chosen engine runs the E-step: an
 edge's operator is linear in its weights, so the reduction with one edge's
 operator replaced by the part one weight drives gives each pattern's joint
 probability with that outcome. The closed-form M-step stays in the region.
-Each point the fit evaluates builds its edges' engine entries afresh, off
-the engine's edge cache, so the points do not evict the caller's cached
-trees. The reported log-likelihood is the one the search computed at the
-kept point, so a fit makes no cache lookup and runs no ``alignment_loglik``.
+Each point the fit evaluates is a (B, d) array of weight rows, one per
+block, that the engine's one builder turns into entries off the edge cache,
+so the points do not evict the caller's cached trees; the outcomes are the
+same builder's unit rows. The reported log-likelihood is the one the search
+computed at the kept point, so a fit makes no cache lookup and runs no
+``alignment_loglik``.
 The seed is only recorded in the report.
 """
 
@@ -21,9 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import _check_inputs, _engine_edges, _engine_forms, _pattern_logs, _pattern_values
+from .engine import _KIND, _check_inputs, _entries, _pattern_logs, _pattern_values
 from .errors import ModelError
-from .models import FAMILY, ModelParams, outcome_stacks
+from .models import FAMILY, ModelParams
 from .treeio import Alignment, PhyloTree
 
 MAX_EVALS = 2000  # EM steps from one start point
@@ -126,8 +128,8 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
     it holds and shrinks 4x when one fails. ``n_eval`` counts EM steps, at
     most MAX_EVALS per start; each runs 1 + E d engine passes (E edges, d
     weights), so fits slow down as trees widen. A pass at point x builds its
-    edges' entries off the engine's cache, once per distinct row of the
-    (B, d) array x (B = 1 for a shared fit). The result's log-likelihood is
+    entries off the engine's cache, one per row of the (B, d) array x
+    (B = 1 for a shared fit), in one batch. The result's log-likelihood is
     the kept point's, summed as ``alignment_loglik`` sums it; no pass runs
     after the search.
     """
@@ -135,25 +137,26 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
     if family is None:
         raise ModelError(f"unknown model family {problem.family!r}")
     aln, engine = problem.alignment, problem.engine
-    root_pi, n = problem.tree.root_pi, family.n_states
+    root_pi, n, d = problem.tree.root_pi, family.n_states, len(family.weights)
     pi = root_pi if root_pi is not None and root_pi.size == n else np.full(n, 1.0 / n)
     n_edges = len(problem.tree.nodes) - 1
     n_blocks = n_edges if problem.per_edge else 1
     block_of = np.arange(n_edges) if problem.per_edge else np.zeros(n_edges, dtype=int)
-    drives, stacks = outcome_stacks(family)
-
-    def edge_params(x: np.ndarray) -> tuple:
-        blocks = [ModelParams(problem.family, *row, pi=pi if family.takes_pi else None) for row in x]
-        return tuple(blocks[b] for b in block_of)
+    # Weight i drives drives[i] outcomes: the flips family.flips ties to it, or F's identity.
+    drives = np.bincount(family.flips or (0,)).astype(float)
 
     spread = _START * (1.0 + 0.5 * np.arange(n_blocks) / n_blocks)
-    starts = [np.repeat(spread[:, None], len(family.weights), axis=1)]
+    starts = [np.repeat(spread[:, None], d, axis=1)]
     if not problem.per_edge:
-        starts.append(np.full((1, len(family.weights)), (1.0 - _START) / drives.sum()))
-    tree = tree_with_edge_params(problem.tree, edge_params(starts[0]), root_pi=root_pi)
+        starts.append(np.full((1, d), (1.0 - _START) / drives.sum()))
+    start = ModelParams(problem.family, *starts[0][0], pi=pi if family.takes_pi else None)
+    tree = tree_with_edge_params(problem.tree, itertools.repeat(start), root_pi=root_pi)
     _check_inputs(tree, aln, engine)
 
-    forms, right = [_engine_forms(ops, engine) for ops in stacks], tree.kids[0][1]
+    # An outcome's entries are its unit row's; the E-step scales them by the outcome's weight.
+    kind, right, dual = _KIND[engine], tree.kids[0][1], engine == "dual"
+    forms = _entries(problem.family, np.eye(d), pi, kind)[0]
+    adjoint_forms = _entries(problem.family, np.eye(d), pi, "adjoint")[0] if dual else None
     _, counts, inverse = aln.site_patterns()
     # Outcome trials per block; an alignment without sites has none and keeps its weights.
     trials = aln.n_sites * np.bincount(block_of)[:, None] * drives
@@ -161,7 +164,9 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
 
     def evaluate(x: np.ndarray):
         """(log-likelihood at x, as alignment_loglik sums it; the pass that gave it)."""
-        edges, floors, adjoint = _engine_edges(tree, edge_params(x), engine, cached=False)
+        entries, block_floors = _entries(problem.family, x, pi, kind)
+        edges, floors = [None, *entries[block_of]], [None, *(block_floors[b] for b in block_of)]
+        adjoint = _entries(problem.family, x[[block_of[right - 1]]], pi, "adjoint")[0][0] if dual else None
         values, exponent, _ = _pattern_values(tree, aln, engine, edges, floors, adjoint)
         return float(_pattern_logs(values, exponent)[inverse].sum()), (values, exponent, edges, floors, adjoint)
 
@@ -174,10 +179,10 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
             # The part one weight drives reads nothing negative at a node: floor 0.0.
             trial_floors = [*floors[:slot], 0.0, *floors[slot + 1:]]
             for i in np.flatnonzero(x[block]):
-                (form, adjoint_form), weight = forms[i], x[block, i]
-                trial = [*edges[:slot], weight * form, *edges[slot + 1:]]
-                joint, joint_exponent, _ = _pattern_values(
-                    tree, aln, engine, trial, trial_floors, weight * adjoint_form if slot == right else adjoint)
+                weight = x[block, i]
+                trial = [*edges[:slot], weight * forms[i], *edges[slot + 1:]]
+                trial_adjoint = weight * adjoint_forms[i] if dual and slot == right else adjoint
+                joint, joint_exponent, _ = _pattern_values(tree, aln, engine, trial, trial_floors, trial_adjoint)
                 expected[block, i] += counts @ (np.ldexp(joint, joint_exponent - exponent) / values)
         return np.minimum(np.divide(expected, trials, out=x.copy(), where=trials > 0), 1.0)
 

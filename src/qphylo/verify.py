@@ -201,7 +201,7 @@ def _edge_gate(params: ModelParams) -> np.ndarray:
     its pruning family.
     """
     if params.family == "F":
-        return _null_fixed(prune_operators(params).conj().transpose(0, 2, 1))
+        return _null_fixed(prune_operators("F", [params.row], params.pi)[0].conj().transpose(0, 2, 1))
     dil = _dilation(params)
     coin = int(np.argmax(np.diag(dil.coin_state).real))
     v = dil.unitary.reshape(dil.coin_dim, dil.walker_dim, dil.coin_dim, dil.walker_dim)
@@ -278,7 +278,8 @@ def dense_pruning(tree: PhyloTree, aln: Alignment) -> np.ndarray:
                 slots -= 1
                 rho = rho.reshape((n,) * (2 * slots))
             else:
-                rho = _conjugate(_null_fixed(prune_operators(gate.params)), rho, [r])
+                ops = prune_operators(gate.params.family, [gate.params.row], gate.params.pi)[0]
+                rho = _conjugate(_null_fixed(ops), rho, [r])
         out.append(np.trace(rho @ root).real)
     return np.array(out)
 

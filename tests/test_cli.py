@@ -519,6 +519,46 @@ class TestImportFootprint:
         assert fresh_interpreter_output(_ROOT_IMPORT_SCRIPT) == []
 
 
+_LIMITED_SCRIPT = (
+    "import resource, sys\n"
+    "limit = int(sys.argv[1]) * 1024\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+    "from qphylo.cli import main\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+
+
+@pytest.fixture(scope="module")
+def large_alignment(tmp_path_factory):
+    """A 64-taxon tree and a 64 x 200,000-site random DNA FASTA (12.8 MB)."""
+    root = tmp_path_factory.mktemp("large")
+    names = [f"t{i}" for i in range(64)]
+    text = "t0:0.1"
+    for name in names[1:]:
+        text = f"({text},{name}:0.1):0.1"
+    (root / "tree.nwk").write_text(text + ";")
+    rows = np.frombuffer(b"ACGT", dtype=np.uint8)[np.random.default_rng(64).integers(0, 4, (64, 200_000))]
+    (root / "aln.fasta").write_bytes(b"".join(b">%s\n%s\n" % (name.encode(), row.tobytes())
+                                             for name, row in zip(names, rows)))
+    return root
+
+
+@pytest.mark.parametrize("limit_kib", (600_000, 900_000))
+def test_an_alignment_too_large_for_memory_exits_3_with_one_line(large_alignment, limit_kib):
+    # The address-space limit is set in the child process only. The two limits run out
+    # of memory in different places of reading the alignment.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _LIMITED_SCRIPT, str(limit_kib), "likelihood",
+                           "--tree", str(large_alignment / "tree.nwk"),
+                           "--alignment", str(large_alignment / "aln.fasta")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == cli.EXIT_MODEL
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: out of memory")
+    assert "Traceback" not in done.stderr
+
+
 # Inputs for the argv property: "@name" stands for a file or directory under
 # the module's input directory, and "@missing..." for a path that is not there.
 ARGV_FILES = {

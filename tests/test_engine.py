@@ -20,13 +20,13 @@ from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _adjoint_state, _classical
                            _quantum_node, _shift_trace, _unshift_source, alignment_loglik,
                            simulate_tree)
 from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
-from qphylo.models import FAMILIES, ModelParams, markov, prune_matrix, prune_operators
+from qphylo.models import FAMILIES, ModelParams, markov
 from qphylo.optimize import (OptimizationProblem, maximize_loglik, tree_with_edge_params,
                              tree_with_shared_params)
 from qphylo.treeio import BINARY, DNA, Alignment, emit_newick, parse_newick
 from qphylo.verify import _embed_stack, random_instance, random_params
 
-from conftest import random_density, random_unitary
+from conftest import one_matrix, one_stack, random_density, random_unitary
 
 CHERRY = parse_newick("(A:0.1,B:0.1);")
 # Leaf likelihood vectors as alignment_loglik builds them: row x indicates character x.
@@ -150,14 +150,14 @@ def jc_unitary(a):
 
 
 def kraus_entry(ops, kind="kraus"):
-    """The ``_edge_ops`` entry of ``kind`` for an edge whose Kraus stack is ``ops``.
+    """The ``_edge_ops`` entry of ``kind`` for an edge whose Kraus stack is ``ops``: the
+    engine's own form function, ``engine._stack_form``, on a batch of one."""
+    return engine._stack_form(ops[None], kind)[0]
 
-    It is built by ``engine._build`` itself, with ``prune_operators`` rebound
-    to return ``ops``.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "prune_operators", lambda params: ops)
-        return engine._build(None, kind)
+
+def edge_entry(params, kind):
+    """The ``_edge_ops`` entry of ``kind`` for one parameter value, built off the cache."""
+    return engine._edge_entries((params,), kind)[0][0]
 
 
 def natural_rows(rows, d, first):
@@ -305,7 +305,7 @@ def node_stacks(kind, which, seed):
     rng = np.random.default_rng(seed)
     if kind == "unitary":
         return [random_unitary(rng, which - 1)[None] for _ in range(2)]
-    return [prune_operators(random_params(rng, which)) for _ in range(2)]
+    return [one_stack(random_params(rng, which)) for _ in range(2)]
 
 
 class TestSparseGates:
@@ -355,9 +355,9 @@ class TestSparseGates:
             for _ in range(5):
                 params = random_params(rng, family)
                 k = params.n_states
-                channel = dense_channel(prune_operators(params))
+                channel = dense_channel(one_stack(params))
                 diags = rng.random((3, k))
-                rows = natural_rows(engine._build(params, "kraus"), k, 0)
+                rows = natural_rows(edge_entry(params, "kraus"), k, 0)
                 batched = (rows @ diags.T).reshape(k, k, 3)
                 for d, block in zip(diags, batched.transpose(2, 0, 1)):
                     dense = apply_channel(channel, np.diag(np.concatenate([[0.0], d])))
@@ -445,7 +445,7 @@ class TestSparseGates:
         # Summing a contiguous length-n axis let the memory placement pick the
         # summation order; summing n rows of P patterns adds them in one order.
         k, p = 4, 300
-        stacks = [prune_operators(random_params(rng, "F")) for _ in range(2)]
+        stacks = [one_stack(random_params(rng, "F")) for _ in range(2)]
         if is_complex:
             stacks = [random_unitary(rng, k)[None] for _ in range(2)]
         tb, tc = (kraus_entry(stack) for stack in stacks)
@@ -508,9 +508,9 @@ class TestDualRoot:
             k = pb.n_states
             lb, lc = rng.random((5, k)), rng.random((5, k))
             pi = rng.dirichlet(np.ones(k))
-            values, _ = _dual_root(lb.T, lc.T, engine._build(pb, "kraus"),
-                                   engine._build(pc, "adjoint"), pi)
-            classical = ((lb @ prune_matrix(pb).T) * (lc @ prune_matrix(pc).T)) @ pi
+            values, _ = _dual_root(lb.T, lc.T, edge_entry(pb, "kraus"),
+                                   edge_entry(pc, "adjoint"), pi)
+            classical = ((lb @ one_matrix(pb).T) * (lc @ one_matrix(pc).T)) @ pi
             assert np.abs(values - classical).max() < 1e-14
 
     def test_edge_ops_build_only_what_the_engine_reads(self, rng, builds):
@@ -522,19 +522,23 @@ class TestDualRoot:
         params = tree.nodes[1].params
         (w,), _ = engine._edge_ops((params,), "classical")
         (kraus,), _ = engine._edge_ops((params,), "kraus")
-        assert np.array_equal(w, prune_matrix(params))
+        assert np.array_equal(w, one_matrix(params))
         assert kraus.shape == (16, 4)
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """A cold edge-operator cache, and the engine's per-edge builds counted by name."""
+    """A cold edge-operator cache, and the rows the engine's builders build, counted by name.
+
+    A call builds one batch of rows, one per distinct value of a family, so the
+    counts are the per-value builds, however the values are batched.
+    """
     engine._edge_ops.cache_clear()
     counts = dict.fromkeys(("prune_operators", "prune_matrix"), 0)
     for name in counts:
-        def counted(params, _build=getattr(engine, name), _name=name):
-            counts[_name] += 1
-            return _build(params)
+        def counted(family, x, pi=None, _build=getattr(engine, name), _name=name):
+            counts[_name] += len(x)
+            return _build(family, x, pi)
         monkeypatch.setattr(engine, name, counted)
     yield counts
     engine._edge_ops.cache_clear()
@@ -554,6 +558,40 @@ class TestEdgeCache:
         assert builds == {"prune_operators": n_edges + 1, "prune_matrix": n_edges}
         for a, b in zip(first, second):
             assert a.log.tobytes() == b.log.tobytes()
+
+    def test_a_cold_build_makes_one_batch_per_family_and_kind(self, rng, monkeypatch):
+        # Every distinct value of a family is one row of that family's batch: one builder
+        # call and, for a transfer form, one einsum per (family, kind) group.
+        families = ("JC", "K2", "K3", "F")
+        tree, aln = random_instance(rng, 16, "JC", n_sites=5)
+        tree = tree_with_edge_params(tree, (random_params(rng, families[slot % 4])
+                                            for slot in range(1, len(tree.nodes))))
+        calls, einsum = [], np.einsum
+        for name in ("prune_operators", "prune_matrix"):
+            def recorded(family, x, pi=None, _build=getattr(engine, name), _name=name):
+                calls.append((_name, family, len(x)))
+                return _build(family, x, pi)
+            monkeypatch.setattr(engine, name, recorded)
+
+        def counted_einsum(subscripts, *operands, **kwargs):
+            calls.append(("einsum", subscripts))
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(engine.np, "einsum", counted_einsum)
+        engine._edge_ops.cache_clear()
+        try:
+            for e in ENGINES:
+                alignment_loglik(tree, aln, engine=e)
+        finally:
+            engine._edge_ops.cache_clear()
+        rows = {family: sum(params.family == family for params in set(tree.edge_params))
+                for family in families}
+        right = tree.nodes[tree.kids[0][1]].params.family
+        forms = [("einsum", "nkai,nkbi->nabi")] * 5  # the four families' Kraus forms, the root adjoint
+        assert sorted(call for call in calls if call[1] != "ip,iip->p") == sorted(
+            [("prune_matrix", family, n) for family, n in rows.items()]
+            + [("prune_operators", family, n) for family, n in rows.items()]
+            + [("prune_operators", right, 1)] + forms)
 
     def test_shared_tree_builds_one_entry_per_kind(self, rng, builds):
         tree = tree_with_shared_params(parse_newick("((A:1,B:1):1,(C:1,D:1):1);"),
@@ -607,7 +645,7 @@ class TestEdgeCache:
         real = ModelParams.felsenstein(0.3, (0.1, 0.2, 0.3, 0.4))
         entries = [engine._edge_ops((real,), kind) for kind in KINDS]
         unitary = random_unitary(rng, 4)[None]
-        monkeypatch.setattr(engine, "prune_operators", lambda params: unitary)
+        monkeypatch.setattr(engine, "prune_operators", lambda family, x, pi=None: unitary[None])
         entries += [engine._edge_ops((ModelParams.jc(0.2),), kind) for kind in KINDS[1:]]
         dtypes = [np.float64] * 3 + [np.complex128] * 2
         for ((array,), _), dtype in zip(entries, dtypes):
@@ -656,14 +694,15 @@ class TestFloors:
     def test_a_rounding_negative_entry_gives_floor_zero(self, monkeypatch):
         # Unclamped, two such floors would multiply to a positive bound.
         params = ModelParams.binary(0.1)
-        monkeypatch.setattr(engine, "prune_matrix", lambda params: np.array([[1.0, -1e-17], [0.1, 0.9]]))
+        monkeypatch.setattr(engine, "prune_matrix",
+                            lambda family, x, pi=None: np.array([[[1.0, -1e-17], [0.1, 0.9]]]))
         assert engine._edge_entries((params,), "classical")[1] == (0.0,)
         # A transfer form's off-diagonal rows, after its k diagonal rows, are not read.
         form = np.array([[0.9, 0.2], [0.2, 0.8], [-0.3, 0.1], [0.1, -0.3]])
-        assert engine._floor(form, "kraus") == 0.2
+        assert engine._floor(form[None], "kraus") == [0.2]
         form[1, 0] = -1e-17
-        assert engine._floor(form, "kraus") == 0.0
-        assert engine._floor(form.astype(complex) + 1j, "kraus") == 0.0
+        assert engine._floor(form[None], "kraus") == [0.0]
+        assert engine._floor(form[None].astype(complex) + 1j, "kraus") == [0.0]
 
 
 def complex_edge_ops(cached, rebuilt: list, only=None):
@@ -676,9 +715,9 @@ def complex_edge_ops(cached, rebuilt: list, only=None):
         entries = list(cached(edge_params, kind)[0])
         for i, params in enumerate(edge_params):
             if kind != "classical" and only in (None, params):
-                entries[i] = kraus_entry(prune_operators(params).astype(complex), kind)
+                entries[i] = kraus_entry(one_stack(params).astype(complex), kind)
                 rebuilt.append(entries[i])
-        return tuple(entries), tuple(engine._floor(entry, kind) for entry in entries)
+        return tuple(entries), tuple(engine._floor(entry[None], kind)[0] for entry in entries)
 
     return edges
 
@@ -694,7 +733,7 @@ def unitary_edge_ops(cached, tree, slot: int):
             entries[slot - 1] = kraus_entry(unitary)
         elif kind == "adjoint" and slot == tree.kids[0][1]:
             entries[0] = kraus_entry(unitary, "adjoint")
-        return tuple(entries), tuple(engine._floor(entry, kind) for entry in entries)
+        return tuple(entries), tuple(engine._floor(entry[None], kind)[0] for entry in entries)
 
     return edges
 
@@ -735,12 +774,12 @@ class TestRealField:
         *BOUNDARY_PARAMS,
     ], ids=lambda params: f"{params.family}-a={params.a:.3g}")
     def test_real_forms_are_the_real_parts_of_the_complex_forms(self, params):
-        ops = prune_operators(params)
+        ops = one_stack(params)
         m = params.n_states
         assert isinstance(ops, np.ndarray) and ops.dtype == np.float64 and ops.shape[1:] == (m, m)
         assert np.array_equal(_embed_stack(ops)[:, 1:, 1:], ops)
         for kind in KINDS[1:]:
-            value, reference = engine._build(params, kind), kraus_entry(ops.astype(complex), kind)
+            value, reference = edge_entry(params, kind), kraus_entry(ops.astype(complex), kind)
             assert value.dtype == np.float64 and reference.dtype == np.complex128
             assert value.tobytes() == reference.real.tobytes()
             assert not reference.imag.any()
@@ -1023,7 +1062,7 @@ def zero_floors():
     engine._edge_ops.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_floor", lambda entry, kind: 0.0)
+            patch.setattr(engine, "_floor", lambda entries, kind: [0.0] * len(entries))
             yield
     finally:
         engine._edge_ops.cache_clear()

@@ -3,17 +3,20 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
-from qphylo import linalg
+from qphylo import engine, linalg
 from qphylo.channels import apply_channel
 from qphylo.errors import ModelError
-from qphylo.models import (_CONTROLLED_FLIPS, _FLIPS, ModelParams, _householder_with_first_column,
-                           binary_dilation, binary_from_branch_length, bitflip_generator,
-                           bitflip_unitary, flip_weights, group_channel, jc_from_branch_length,
-                           markov, prune_matrix, prune_operators, qw_dilation)
+from qphylo.models import (_CONTROLLED_FLIPS, _FLIPS, FAMILIES, FAMILY, ModelParams,
+                           _householder_with_first_column, binary_dilation, binary_from_branch_length,
+                           bitflip_generator, bitflip_unitary, flip_weights, group_channel,
+                           jc_from_branch_length, markov, prune_matrix, prune_operators, qw_dilation)
+from qphylo.verify import random_params
 
-from conftest import random_density
+from conftest import one_matrix, one_stack, random_density
 
 ALL_FAMILY_DRAWS = [
     ModelParams.jc(0.21),
@@ -104,8 +107,9 @@ class TestWeights:
         assert w[1] == w[3] == 0.2
 
     def test_felsenstein_has_no_flip_weights(self):
-        with pytest.raises(ModelError, match="F is not a flip family"):
-            flip_weights(ALL_FAMILY_DRAWS[4])
+        for flip_form in (flip_weights, group_channel):
+            with pytest.raises(ModelError, match="F is not a flip family"):
+                flip_form(ALL_FAMILY_DRAWS[4])
 
 
 def kron_flip(k, l):
@@ -175,9 +179,11 @@ class TestMarkov:
 
 class TestGroupChannel:
     def test_identity_limit(self):
+        # Every flip keeps its operator: the three of weight 0 are zero matrices.
         ch = group_channel(ModelParams.jc(0.0))
-        assert len(ch.operators) == 1
+        assert len(ch.operators) == 4
         assert np.array_equal(ch.operators[0], np.eye(4))
+        assert not ch.operators[1:].any()
 
     def test_point_mass_maps_to_markov_column(self, rng):
         params = ModelParams.k3(0.1, 0.2, 0.3)
@@ -191,7 +197,8 @@ class TestGroupChannel:
 
 class TestBinaryChannel:
     def test_limits(self):
-        assert len(group_channel(ModelParams.binary(0.0)).operators) == 1
+        stay = group_channel(ModelParams.binary(0.0))
+        assert len(stay.operators) == 2 and not stay.operators[1].any()
         flip = group_channel(ModelParams.binary(1.0))
         out = apply_channel(flip, np.diag([0.3, 0.7]).astype(complex))
         assert np.abs(np.diag(out).real - [0.7, 0.3]).max() == 0.0
@@ -337,44 +344,132 @@ FLIP_FAMILY_DRAWS = ALL_FAMILY_DRAWS[:4] + [
 class TestPruneOperators:
     def test_binary_operators_are_scaled_identity_and_flip(self):
         a = 0.37
-        ops = prune_operators(ModelParams.binary(a))
+        ops = one_stack(ModelParams.binary(a))
         expected = [math.sqrt(1.0 - a) * linalg.identity(2), math.sqrt(a) * linalg.PAULI_X]
         assert len(ops) == 2
         assert all(np.array_equal(op, ref) for op, ref in zip(ops, expected))
 
-    def test_binary_limits_drop_one_operator(self):
-        (stay,) = prune_operators(ModelParams.binary(0.0))
-        assert np.array_equal(stay, linalg.identity(2))
-        (flip,) = prune_operators(ModelParams.binary(1.0))
-        assert np.array_equal(flip, linalg.PAULI_X)
+    def test_binary_limits_keep_the_zero_operator(self):
+        # K is fixed per family: the operator of weight 0 stays, as the zero matrix.
+        stay, zero = one_stack(ModelParams.binary(0.0))
+        assert np.array_equal(stay, linalg.identity(2)) and not zero.any()
+        zero, flip = one_stack(ModelParams.binary(1.0))
+        assert np.array_equal(flip, linalg.PAULI_X) and not zero.any()
 
     def test_binary_weight_outside_unit_interval_rejected(self):
         for a in (-1e-13, 1.0 + 1e-13):
             with pytest.raises(ModelError):
-                prune_operators(ModelParams.binary(a))
+                one_stack(ModelParams.binary(a))
 
     def test_flip_families_resolve_identity(self):
         for params in FLIP_FAMILY_DRAWS:
-            ops = prune_operators(params)
+            ops = one_stack(params)
             total = sum(op.conj().T @ op for op in ops)
             assert np.abs(total - np.eye(params.n_states)).max() < 1e-15
 
     def test_channel_operators_are_prune_operators(self):
         for params in FLIP_FAMILY_DRAWS:
             channel = group_channel(params)
-            ops = prune_operators(params)
+            ops = one_stack(params)
             assert len(channel.operators) == len(ops)
             assert all(np.array_equal(c, op) for c, op in zip(channel.operators, ops))
 
     def test_squared_moduli_sum_to_prune_matrix(self):
         for params in ALL_FAMILY_DRAWS:
-            ops = prune_operators(params)
+            ops = one_stack(params)
             total = sum(np.abs(np.asarray(op)) ** 2 for op in ops)
-            assert np.abs(total - prune_matrix(params)).max() < 1e-14
+            assert np.abs(total - one_matrix(params)).max() < 1e-14
 
     def test_diagonal_action(self, rng):
         for params in ALL_FAMILY_DRAWS:
             n = params.n_states
             l = rng.random(n)
-            out = sum(op @ np.diag(l).astype(complex) @ op.conj().T for op in prune_operators(params))
-            assert np.abs(np.diag(out).real - prune_matrix(params) @ l).max() < 1e-13
+            out = sum(op @ np.diag(l).astype(complex) @ op.conj().T for op in one_stack(params))
+            assert np.abs(np.diag(out).real - one_matrix(params) @ l).max() < 1e-13
+
+
+PI = (0.1, 0.2, 0.3, 0.4)
+# Values at weight 0, weight 1 and on the simplex boundary, where operators have weight 0.
+BOUNDARY_VALUES = {
+    "JC": (ModelParams.jc(0.0), ModelParams.jc(1.0 / 3.0)),
+    "K2": (ModelParams.k2(0.0, 0.0), ModelParams.k2(1.0, 0.0), ModelParams.k2(0.0, 0.5),
+           ModelParams.k2(0.5, 0.25)),
+    "K3": (ModelParams.k3(0.0, 0.0, 0.0), ModelParams.k3(1.0, 0.0, 0.0), ModelParams.k3(0.0, 0.0, 1.0),
+           ModelParams.k3(0.2, 0.3, 0.5), ModelParams.k3(0.1, 0.2, 0.7)),
+    "B": (ModelParams.binary(0.0), ModelParams.binary(1.0)),
+    "F": (ModelParams.felsenstein(0.0, PI), ModelParams.felsenstein(1.0, PI)),
+}
+
+
+@st.composite
+def weight_batches(draw):
+    """(family, values): 1-6 parameter values of one family, boundary and random ones mixed."""
+    family = draw(st.sampled_from(FAMILIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    boundary = BOUNDARY_VALUES[family]
+    return family, [boundary[rng.integers(len(boundary))] if rng.random() < 0.5
+                    else random_params(rng, family) for _ in range(draw(st.integers(1, 6)))]
+
+
+def batch_of(values):
+    """The builders' (x, pi) for a list of one family's values: one weight row each, F's pi per row."""
+    return [params.row for params in values], None if values[0].pi is None else [params.pi for params in values]
+
+
+def explicit_form(ops, kind):
+    """A transfer form as an explicit sum over the operators, in stack order, of A_k[a, i] conj(A_k[b, i])."""
+    if kind == "adjoint":
+        ops = ops.conj().transpose(0, 2, 1)
+    k = ops.shape[1]
+    total = np.zeros((k, k, k), dtype=ops.dtype)
+    for op in ops:
+        total += op[:, None, :] * op[None, :, :].conj()
+    total = total.reshape(k * k, k)
+    return total if kind == "adjoint" else total[engine._diagonal_first(k, 0)]
+
+
+class TestBatchedBuilders:
+    """prune_matrix, prune_operators and the engine's entries on (B, d) weight arrays."""
+
+    @given(weight_batches())
+    def test_each_row_of_a_batch_is_the_row_built_alone(self, case):
+        family, values = case
+        x, pi = batch_of(values)
+        for build in (prune_matrix, prune_operators):
+            rows = build(family, x, pi)
+            for row, params in zip(rows, values):
+                assert row.tobytes() == build(family, [params.row], params.pi)[0].tobytes()
+        for kind in ("classical", "kraus", "adjoint"):
+            entries, floors = engine._entries(family, x, pi, kind)
+            assert not entries.flags.writeable
+            for entry, floor, params in zip(entries, floors, values):
+                (alone,), (alone_floor,) = engine._entries(family, [params.row], params.pi, kind)
+                assert entry.tobytes() == alone.tobytes() and floor == alone_floor
+                # Each row is stored as the engine's matmuls read it: the adjoint form transposed.
+                assert entry.flags.f_contiguous if kind == "adjoint" else entry.flags.c_contiguous
+
+    @given(weight_batches())
+    def test_w_is_the_xor_gather_or_the_f_formula_transposed(self, case):
+        family, values = case
+        for w, params in zip(prune_matrix(family, *batch_of(values)), values):
+            if family == "F":
+                m = params.a * np.eye(4) + (1.0 - params.a) * np.outer(params.pi, np.ones(4))
+            else:
+                weights = flip_weights(params)
+                m = weights[np.bitwise_xor.outer(np.arange(weights.size), np.arange(weights.size))]
+            assert w.flags.c_contiguous and w.tobytes() == m.T.copy().tobytes()
+            assert markov(params).tobytes() == m.tobytes()
+
+    @given(weight_batches())
+    def test_forms_are_the_explicit_per_operator_sums(self, case):
+        # Real stacks and the same stacks cast to complex128 go through the one form function.
+        family, values = case
+        stacks = prune_operators(family, *batch_of(values))
+        k = FAMILY[family].n_states
+        assert stacks.shape == (len(values), 17 if family == "F" else k, k, k)
+        for cast in (stacks, stacks.astype(complex)):
+            for kind in ("kraus", "adjoint"):
+                forms = engine._stack_form(cast, kind)
+                assert forms.dtype == cast.dtype
+                for form, ops in zip(forms, cast):
+                    assert form.tobytes() == explicit_form(ops, kind).tobytes()

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qphylo import cli
-from qphylo.engine import ENGINES, _build, _stack_form, alignment_loglik, simulate_tree
+from qphylo import cli, optimize
+from qphylo.engine import ENGINES, _entries, alignment_loglik, simulate_tree
 from qphylo.errors import ModelError
-from qphylo.models import FAMILIES, FAMILY, ModelParams, outcome_stacks
+from qphylo.models import FAMILIES, FAMILY, ModelParams
 from qphylo.optimize import (OptimizationProblem, maximize_loglik, tree_with_edge_params,
                              tree_with_shared_params)
 from qphylo.treeio import BINARY, DNA, Alignment, PhyloTree, parse_fasta, parse_newick
@@ -60,21 +60,60 @@ def well_posed_fits(draw):
 @pytest.mark.parametrize("kind", ("classical", "kraus", "adjoint"))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_outcome_forms_and_the_remainder_rebuild_each_edge(family, kind):
-    """sum_i x_i form_i plus the remainder's entry is the edge's _build entry:
-    the identity weight times the identity's, or for F 1 - a times F(0, pi)'s."""
+    """sum_i x_i form_i plus the remainder's entry is the edge's entry. The outcome forms are the
+    builder's entries at the unit rows, and the remainder is the identity weight times the zero
+    row's entry, or for F 1 - a times F(0, pi)'s."""
     spec = FAMILY[family]
-    drives, stacks = outcome_stacks(spec)
-    forms = [_stack_form(ops, kind) for ops in stacks]
+    d, drives = len(spec.weights), np.bincount(spec.flips or (0,))
     rng = np.random.default_rng(23)
     for _ in range(20):
         params = random_params(rng, family)
-        x = np.array([getattr(params, name) for name in spec.weights])
-        if spec.takes_pi:
-            rest = (1.0 - params.a) * _build(ModelParams.felsenstein(0.0, params.pi), kind)
-        else:
-            rest = (1.0 - drives @ x) * _build(ModelParams(family, *np.zeros(x.size)), kind)
+        (forms, _), x = _entries(family, np.eye(d), params.pi, kind), np.array(params.row)
+        if kind == "classical":
+            # Weight i drives drives[i] permutations, so each row of its W sums to drives[i].
+            assert np.array_equal(forms.sum(axis=2), np.repeat(drives[:, None], spec.n_states, axis=1))
+        rest_weight = 1.0 - params.a if spec.takes_pi else 1.0 - drives @ x
+        rest = rest_weight * _entries(family, [np.zeros(d)], params.pi, kind)[0][0]
         split = sum(weight * form for weight, form in zip(x, forms)) + rest
-        assert np.abs(split - _build(params, kind)).max() <= 1e-15
+        assert np.abs(split - _entries(family, [params.row], params.pi, kind)[0][0]).max() <= 1e-15
+
+
+@pytest.fixture(scope="module")
+def w1_alignment(tmp_path_factory):
+    """The W1 data: criterion 9's tree simulated at seed 31000 with 2000 sites."""
+    path = tmp_path_factory.mktemp("w1")
+    (path / "truth.nwk").write_text(TRUTH_TREE)
+    assert cli.main(["simulate", "--tree", str(path / "truth.nwk"), "--sites", "2000",
+                     "--seed", "31000", "--out", str(path / "w1")]) == 0
+    return parse_fasta((path / "w1.fasta").read_text())
+
+
+@pytest.mark.parametrize("per_edge", (False, True), ids=("shared", "per-edge"))
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_fit_point_passes_the_region_check(monkeypatch, w1_alignment, family, engine, per_edge):
+    # A fit point builds its entries from its weight array, with no ModelParams and so no region
+    # check; each row it builds must still pass ModelParams' own. The unit rows, built once
+    # before the search, are the outcome forms (and, on the dual engine, their adjoints).
+    tree, aln = parse_newick(TRUTH_TREE), w1_alignment
+    if family == "B":
+        # W1 is DNA: B runs on the same tree's two-state analogue, 2000 sites at seed 31000.
+        aln = sampled_alignment(parse_newick(TRUTH_TREE.replace("JC", "B")), 2000, 31000)
+    builds, build = [], optimize._entries
+
+    def recorded(name, x, pi, kind):
+        builds.append(np.array(x))
+        return build(name, x, pi, kind)
+
+    monkeypatch.setattr(optimize, "_entries", recorded)
+    maximize_loglik(OptimizationProblem(tree=tree, alignment=aln, family=family, engine=engine,
+                                        per_edge=per_edge))
+    d, n_units = len(FAMILY[family].weights), 2 if engine == "dual" else 1
+    assert all(np.array_equal(x, np.eye(d)) for x in builds[:n_units])
+    points = np.concatenate(builds[n_units:])
+    assert len(points) > 10
+    for row in points:
+        ModelParams(family, *row, pi=np.full(4, 0.25) if family == "F" else None)
 
 
 class TestMaximizeLoglik:

@@ -12,6 +12,8 @@ from qphylo.treeio import PhyloTree, TreeNode
 from qphylo.verify import (dense_pruning, gate_circuit_deviations, random_params,
                            suite_dense_pruning, suite_gate_circuit)
 
+from conftest import one_stack
+
 SEED = 20240907
 
 
@@ -76,7 +78,7 @@ def test_dense_references_keep_complex_operators():
     rng = np.random.default_rng(SEED)
     for family in models.FAMILIES:
         params = random_params(rng, family)
-        assert verify._null_fixed(models.prune_operators(params)).dtype == np.complex128
+        assert verify._null_fixed(one_stack(params)).dtype == np.complex128
         assert verify._edge_gate(params).dtype == np.complex128
 
 
@@ -84,8 +86,8 @@ def _identity_pinch(n):
     return KrausChannel((linalg.identity(n * n),))
 
 
-def _adjoint_prune_operators(params):
-    return models.prune_operators(params).conj().transpose(0, 2, 1)
+def _adjoint_prune_operators(family, x, pi=None):
+    return models.prune_operators(family, x, pi).conj().transpose(0, 1, 3, 2)
 
 
 @pytest.mark.parametrize("name, swap", [
