@@ -29,7 +29,9 @@ non-null characters. Every kernel therefore runs along the P patterns.
   cherry in the state picture: the left child's operator, propagated
   forward through its edge channel, pinches the stationary density, which
   the adjoint of the right edge channel then carries backwards; the trace
-  factor nu of the left child is recorded.
+  factor nu of the left child is recorded. Both are diagonal, so the
+  adjoint step is the right edge's transfer-form diagonal rows, transposed:
+  the dual engine reads the quantum engine's entries and no others.
 
 The quantum and dual engines compute in the field of their Kraus operators.
 ``models`` builds every family qphylo parses as a real stack (the flips are
@@ -118,38 +120,38 @@ def simulate_tree(tree: PhyloTree) -> ProbabilityTensor:
 # --- Per-edge data -----------------------------------------------------------
 
 
-def _diagonal_first(d: int, first: int) -> list:
-    """The row order of a (d*d)-row block: the rows |c, c>, c >= first, then the rest, in order."""
-    diagonal = list(range(first * (d + 1), d * d, d + 1))
-    return diagonal + [row for row in range(d * d) if row not in diagonal]
+@functools.lru_cache(maxsize=None)
+def _diagonal_first(d: int, first: int) -> np.ndarray:
+    """The row order of a (d*d)-row block, read-only: the rows |c, c>, c >= first, then the rest."""
+    rows = np.arange(d * d)
+    diagonal = (rows % (d + 1) == 0) & (rows >= first * (d + 1))
+    order = np.concatenate([rows[diagonal], rows[~diagonal]])
+    order.setflags(write=False)
+    return order
 
 
-def _stack_form(stacks: np.ndarray, kind: str) -> np.ndarray:
-    """The entries of ``kind`` for edges whose (B, K, k, k) Kraus stacks are ``stacks``.
+def _stack_form(stacks: np.ndarray) -> np.ndarray:
+    """The transfer forms of edges whose (B, K, k, k) Kraus stacks are ``stacks``.
 
-    "kraus" is the transfer form the quantum and dual engines propagate
-    through: the columns of sum_k A_k (x) conj(A_k) that a diagonal input
-    reaches, entry ((a, b), i) sum_k A_k[a, i] conj(A_k[b, i]) for non-null
-    a, b and i, its k rows (a, a) first (``_diagonal_first``), so a node
-    pinches its leading rows. "adjoint" is the adjoint stack's, row-major,
-    which only the dual root's right edge reads. The edge gate's null row and
-    column are zero, so an operator gains no null weight on an edge and the
-    form is the (k*k, k) non-null block; the null slot enters at the pinch.
-    One einsum forms the batch. A form has the stack's dtype: conj of a real
-    stack is the stack itself.
+    A form holds the columns of sum_k A_k (x) conj(A_k) that a diagonal
+    input reaches, entry ((a, b), i) sum_k A_k[a, i] conj(A_k[b, i]) for
+    non-null a, b and i, its k rows (a, a) first (``_diagonal_first``). A
+    node pinches those leading rows, and ``_dual_root`` reads them
+    transposed. The edge gate's null row and column are zero, so an operator
+    gains no null weight on an edge and the form is the (k*k, k) non-null
+    block; the null slot enters at the pinch. One einsum forms the batch. A
+    form has the stack's dtype: conj of a real stack is the stack itself.
     """
-    if kind == "adjoint":
-        stacks = stacks.conj().transpose(0, 1, 3, 2)
     b, k = stacks.shape[0], stacks.shape[2]
     forms = np.einsum("nkai,nkbi->nabi", stacks, stacks.conj()).reshape(b, k * k, k)
-    return forms if kind == "adjoint" else np.take(forms, _diagonal_first(k, 0), axis=1)
+    return np.take(forms, _diagonal_first(k, 0), axis=1)
 
 
-def _floor(entries: np.ndarray, kind: str) -> list:
-    """max(0, the least value a node reads of each entry): all of W, the real part of a transfer
-    form's k diagonal rows; 0.0 for the "adjoint" entries, which feed no node."""
-    read = entries if kind == "classical" else entries[:, :entries.shape[2]].real
-    return [0.0] * len(entries) if kind == "adjoint" else np.maximum(read.min(axis=(1, 2)), 0.0).tolist()
+def _floor(entries: np.ndarray) -> list:
+    """max(0, the least value a node reads of each entry): the real part of its first k rows,
+    all of W or a transfer form's k diagonal rows."""
+    read = entries[:, :entries.shape[2]].real
+    return np.maximum(read.min(axis=(1, 2)), 0.0).tolist()
 
 
 def _entries(family: str, x, pi, kind: str) -> tuple:
@@ -161,9 +163,9 @@ def _entries(family: str, x, pi, kind: str) -> tuple:
     sees every build.
     """
     entries = (prune_matrix(family, x, pi) if kind == "classical"
-               else _stack_form(prune_operators(family, x, pi), kind))
+               else _stack_form(prune_operators(family, x, pi)))
     entries.setflags(write=False)
-    return entries, _floor(entries, kind)
+    return entries, _floor(entries)
 
 
 def _edge_entries(edge_params: tuple, kind: str) -> tuple:
@@ -189,21 +191,11 @@ def _edge_ops(edge_params: tuple, kind: str) -> tuple:
     The key is never a build function, so rebinding ``prune_matrix`` or
     ``prune_operators`` leaves the cache warm. The same tree evaluated
     again, on another alignment or parsed again from the same text, builds
-    nothing. The quantum and dual engines share the "kraus" entry, and the
-    dual engine adds only its root's "adjoint" entry. Six entries hold the
-    three kinds for two trees, whatever their size.
+    nothing. The quantum and dual engines read the same "kraus" entries, so
+    the dual engine after the quantum engine builds nothing. Six entries
+    hold the two kinds for three trees, whatever their size.
     """
     return _edge_entries(edge_params, kind)
-
-
-def _engine_edges(tree: PhyloTree, edge_params: tuple, engine: str):
-    """(edges, floors, adjoint) for ``_pattern_values``: None for the root, then the ``_edge_ops``
-    entries ``engine`` reads for ``edge_params`` (pre-order), and their floors; the dual root's
-    right edge's "adjoint" entry, else None."""
-    entries, floors = _edge_ops(edge_params, _KIND[engine])
-    right = tree.kids[0][1] - 1
-    adjoint = _edge_ops((edge_params[right],), "adjoint")[0][0] if engine == "dual" else None
-    return [None, *entries], [None, *floors], adjoint
 
 
 # --- Batched kernels: arrays carry one column per site pattern -----------------
@@ -290,39 +282,30 @@ def _quantum_node(lb: np.ndarray, lc: np.ndarray, tb: np.ndarray, tc: np.ndarray
 def _pinch_weights(lb: np.ndarray, tb: np.ndarray):
     """Forward step of the left child: (q, nu) with q = diag(E_B(L_B)) / nu, nu = Tr L_B.
 
-    ``tb`` is the left edge's (k*k, k) transfer form, so the diagonal is read
-    off the non-null block's leading k rows: q has shape (k, P), and columns
-    with nu = 0 get q = 0.
+    ``tb`` is the left edge's (k*k, k) transfer form, so the diagonal is its
+    leading k rows applied to L_B: q has shape (k, P), and columns with
+    nu = 0 get q = 0.
     """
     nu = lb.sum(axis=0)
-    forward = (tb @ lb)[:lb.shape[0]].real
+    forward = (tb[:lb.shape[0]] @ lb).real
     q = np.divide(forward, nu, out=np.zeros_like(forward), where=nu > 0.0)
     return q, nu
 
 
-def _adjoint_state(q: np.ndarray, pi: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
-    """sum_k A_k^dagger sigma A_k for the pinched stationary density sigma, (k, k, P).
-
-    sigma = sum_k q_k P_k diag(0, pi) P_k is diagonal; the adjoint map is the
-    operator sum of the adjoint Kraus family, whose transfer form is
-    ``adjoint``. The result is the non-null block: its null row and column
-    are zero.
-    """
-    k, p = q.shape
-    return (adjoint @ (q * pi[:, None])).reshape(k, k, p)
-
-
-def _dual_root(lb: np.ndarray, lc: np.ndarray, tb: np.ndarray, adjoint: np.ndarray,
-               pi: np.ndarray):
+def _dual_root(lb: np.ndarray, lc: np.ndarray, tb: np.ndarray, tc: np.ndarray, pi: np.ndarray):
     """Root cherry in the state picture: (site value, nu) per pattern.
 
-    The value is nu Tr(L_C A^dagger(sigma)), sigma the stationary density
-    pinched by the left child's forward weights q. ``tb`` is the left edge's
-    transfer form and ``adjoint`` that of the right edge's adjoint family.
+    The value is nu Tr(L_C A^dagger(sigma)), sigma = diag(q o pi) the
+    stationary density pinched by the left child's forward weights q, and
+    A^dagger the adjoint map sum_k A_k^dagger (.) A_k of the right edge.
+    ``tb`` and ``tc`` are the two edges' transfer forms. L_C is diagonal, so
+    only the diagonal of A^dagger(sigma) is read: entry i is
+    sum_a sum_k |A_k[a, i]|^2 sigma_a, the transpose of ``tc``'s k diagonal
+    rows applied to sigma. The null row and column of A^dagger(sigma) are zero.
     """
     q, nu = _pinch_weights(lb, tb)
-    back = _adjoint_state(q, pi, adjoint)
-    return nu * np.einsum("ip,iip->p", lc, back).real, nu
+    back = tc[:lb.shape[0]].T @ (q * pi[:, None])
+    return nu * np.einsum("ip,ip->p", lc, back).real, nu
 
 
 # --- Whole-alignment evaluation -------------------------------------------------
@@ -392,12 +375,12 @@ def _reduce_below_root(kids: tuple, values: list, edges: list, floors: list, nod
     return (values[left], exponents[left]), (values[right], exponents[right])
 
 
-def _pattern_values(tree: PhyloTree, aln: Alignment, engine: str, edges: list, floors: list, adjoint):
+def _pattern_values(tree: PhyloTree, aln: Alignment, engine: str, edges: list, floors: list):
     """Per-pattern root values, their binary exponents and the dual engine's nu, else None.
 
-    ``edges``, ``floors`` and ``adjoint`` are as ``_engine_edges`` gives them, or arrays of
-    the same shapes and floors no higher in their place. A value times 2^exponent is its
-    pattern's likelihood.
+    ``edges`` and ``floors`` are None for the root, then the ``_edge_ops`` entries ``engine``
+    reads and their floors, in pre-order, or arrays of the same shapes and floors no higher in
+    their place. A value times 2^exponent is its pattern's likelihood.
     """
     # Each leaf is a read-only, contiguous view of its taxon's rows of the alignment's
     # indicator block, built once per alignment; the reduction only ever reads it.
@@ -424,7 +407,7 @@ def _pattern_values(tree: PhyloTree, aln: Alignment, engine: str, edges: list, f
     eb, ec = edges[left], edges[right]
     nu = None
     if engine == "dual":
-        root_values, nu = _dual_root(lb, lc, eb, adjoint, tree.pi)
+        root_values, nu = _dual_root(lb, lc, eb, ec, tree.pi)
         nu = np.ldexp(nu, e_b)
     elif engine == "quantum":
         # The pi-weighted rows summed in character order, not a matrix
@@ -468,8 +451,8 @@ def alignment_loglik(tree: PhyloTree, aln: Alignment, engine: str = "classical")
     """
     _check_inputs(tree, aln, engine)
     _, _, inverse = aln.site_patterns()
-    edges, floors, adjoint = _engine_edges(tree, tree.edge_params, engine)
-    root_values, exponent, nu = _pattern_values(tree, aln, engine, edges, floors, adjoint)
+    entries, floors = _edge_ops(tree.edge_params, _KIND[engine])
+    root_values, exponent, nu = _pattern_values(tree, aln, engine, [None, *entries], [None, *floors])
     zero = root_values <= 0.0
     if zero.any():
         # Patterns are sorted, not in alignment order: name the first zero site.

@@ -154,9 +154,9 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
     _check_inputs(tree, aln, engine)
 
     # An outcome's entries are its unit row's; the E-step scales them by the outcome's weight.
-    kind, right, dual = _KIND[engine], tree.kids[0][1], engine == "dual"
+    # The replaced entry is all an engine reads of its edge, at the dual root too.
+    kind = _KIND[engine]
     forms = _entries(problem.family, np.eye(d), pi, kind)[0]
-    adjoint_forms = _entries(problem.family, np.eye(d), pi, "adjoint")[0] if dual else None
     _, counts, inverse = aln.site_patterns()
     # Outcome trials per block; an alignment without sites has none and keeps its weights.
     trials = aln.n_sites * np.bincount(block_of)[:, None] * drives
@@ -166,23 +166,21 @@ def maximize_loglik(problem: OptimizationProblem) -> OptimizationResult:
         """(log-likelihood at x, as alignment_loglik sums it; the pass that gave it)."""
         entries, block_floors = _entries(problem.family, x, pi, kind)
         edges, floors = [None, *entries[block_of]], [None, *(block_floors[b] for b in block_of)]
-        adjoint = _entries(problem.family, x[[block_of[right - 1]]], pi, "adjoint")[0][0] if dual else None
-        values, exponent, _ = _pattern_values(tree, aln, engine, edges, floors, adjoint)
-        return float(_pattern_logs(values, exponent)[inverse].sum()), (values, exponent, edges, floors, adjoint)
+        values, exponent, _ = _pattern_values(tree, aln, engine, edges, floors)
+        return float(_pattern_logs(values, exponent)[inverse].sum()), (values, exponent, edges, floors)
 
     def em_image(x: np.ndarray, base) -> np.ndarray:
         """The EM image of x, given the pass ``evaluate(x)`` ran."""
         nonlocal n_eval
         n_eval += 1
-        (values, exponent, edges, floors, adjoint), expected = base, np.zeros_like(x)
+        (values, exponent, edges, floors), expected = base, np.zeros_like(x)
         for slot, block in enumerate(block_of, start=1):
             # The part one weight drives reads nothing negative at a node: floor 0.0.
             trial_floors = [*floors[:slot], 0.0, *floors[slot + 1:]]
             for i in np.flatnonzero(x[block]):
                 weight = x[block, i]
                 trial = [*edges[:slot], weight * forms[i], *edges[slot + 1:]]
-                trial_adjoint = weight * adjoint_forms[i] if dual and slot == right else adjoint
-                joint, joint_exponent, _ = _pattern_values(tree, aln, engine, trial, trial_floors, trial_adjoint)
+                joint, joint_exponent, _ = _pattern_values(tree, aln, engine, trial, trial_floors)
                 expected[block, i] += counts @ (np.ldexp(joint, joint_exponent - exponent) / values)
         return np.minimum(np.divide(expected, trials, out=x.copy(), where=trials > 0), 1.0)
 

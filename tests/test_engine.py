@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from qphylo import engine, linalg
 from qphylo.channels import KrausChannel, apply_channel, collective_diagonalizer, control_not
-from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _adjoint_state, _classical_node,
-                           _diagonal_first, _dual_root, _node_buffers, _pinch_weights,
-                           _quantum_node, _shift_trace, _unshift_source, alignment_loglik,
-                           simulate_tree)
+from qphylo.engine import (ENGINES, MAX_TENSOR_BYTES, _classical_node, _diagonal_first,
+                           _dual_root, _node_buffers, _pinch_weights, _quantum_node,
+                           _shift_trace, _unshift_source, alignment_loglik, simulate_tree)
 from qphylo.errors import ModelError, TaxaMismatchError, ZeroLikelihoodError
 from qphylo.models import FAMILIES, ModelParams, markov
 from qphylo.optimize import (OptimizationProblem, maximize_loglik, tree_with_edge_params,
@@ -36,8 +35,8 @@ def caterpillar(n):
 
 
 CATERPILLAR_20 = caterpillar(20)
-# The kinds of engine._edge_ops entry: W, and the Kraus and adjoint families' transfer forms.
-KINDS = ("classical", "kraus", "adjoint")
+# The kinds of engine._edge_ops entry: W, and the Kraus family's transfer form.
+KINDS = ("classical", "kraus")
 
 
 def chain_enumeration_oracle(tree):
@@ -149,10 +148,10 @@ def jc_unitary(a):
     return math.sqrt(1.0 - 3.0 * a) * np.eye(4) + math.sqrt(a) * np.exp(1j * theta) * flips
 
 
-def kraus_entry(ops, kind="kraus"):
-    """The ``_edge_ops`` entry of ``kind`` for an edge whose Kraus stack is ``ops``: the
-    engine's own form function, ``engine._stack_form``, on a batch of one."""
-    return engine._stack_form(ops[None], kind)[0]
+def kraus_entry(ops):
+    """The "kraus" ``_edge_ops`` entry for an edge whose Kraus stack is ``ops``: the engine's
+    own form function, ``engine._stack_form``, on a batch of one."""
+    return engine._stack_form(ops[None])[0]
 
 
 def edge_entry(params, kind):
@@ -239,28 +238,28 @@ class TestDualPrune:
     def test_identity_edges_pinch_onto_left_support(self, rng):
         lc = rng.random(4)
         pi = rng.dirichlet(np.ones(4))
-        eye, eye_adjoint = kraus_entry(np.eye(4)[None]), kraus_entry(np.eye(4)[None], "adjoint")
+        eye = kraus_entry(np.eye(4)[None])
         q, nu = _pinch_weights(A[:, None], eye)
         assert nu[0] == 1.0
         assert np.abs(q[:, 0] - [1.0, 0.0, 0.0, 0.0]).max() < 1e-14
-        values, _ = _dual_root(A[:, None], lc[:, None], eye, eye_adjoint, pi)
+        values, _ = _dual_root(A[:, None], lc[:, None], eye, eye, pi)
         assert abs(values[0] - lc[0] * pi[0]) < 1e-14
 
     def test_frozen_jc_cherry_recovers_circuit_result(self):
         # A point-mass root reads off one entry of the parent operator nu * E_B(L_C).
         u = jc_unitary(0.1)[None]
-        edge, adjoint = kraus_entry(u), kraus_entry(u, "adjoint")
-        out = [_dual_root(A[:, None], C[:, None], edge, adjoint, root)[0][0] for root in np.eye(4)]
+        edge = kraus_entry(u)
+        out = [_dual_root(A[:, None], C[:, None], edge, edge, root)[0][0] for root in np.eye(4)]
         assert np.abs(np.array(out) - [0.07, 0.07, 0.01, 0.01]).max() < 1e-10
 
     def test_jc_cherry_averages_classical_node_over_root(self, rng):
         for a in JC_WEIGHTS:
             u, m = jc_unitary(a)[None], markov(ModelParams.jc(a))
-            edge, adjoint = kraus_entry(u), kraus_entry(u, "adjoint")
+            edge = kraus_entry(u)
             for _ in range(20):
                 lb, lc = rng.random(4), rng.random(4)
                 pi = rng.dirichlet(np.ones(4))
-                value = _dual_root(lb[:, None], lc[:, None], edge, adjoint, pi)[0][0]
+                value = _dual_root(lb[:, None], lc[:, None], edge, edge, pi)[0][0]
                 assert abs(value - pi @ classical_pair(lb, lc, m, m)) < 1e-13
 
     def test_pinch_weights_normalize_for_doubly_stochastic_edges(self, rng):
@@ -373,6 +372,16 @@ class TestSparseGates:
                 dense = ucn_dag @ np.diag(d) @ ucn_dag.conj().T
                 assert np.abs(dense - np.diag(out)).max() == 0.0
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_diagonal_first_is_the_row_order_it_names(self, d):
+        # The rows |c, c>, c >= first, in order, then every other row in order.
+        for first in range(d + 1):
+            order = _diagonal_first(d, first)
+            assert order is _diagonal_first(d, first)
+            assert order.dtype == np.intp and not order.flags.writeable
+            diagonal = list(range(first * (d + 1), d * d, d + 1))
+            assert order.tolist() == diagonal + [row for row in range(d * d) if row not in diagonal]
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_shift_trace_is_the_dense_shift_then_trace(self, rng, n, dtype):
@@ -382,7 +391,7 @@ class TestSparseGates:
         assert not matrix.flags.writeable
         # The columns follow plane 2's order: the |cc> rows first, then the rest.
         order = _diagonal_first(n, 1)
-        assert order == [(n + 1) * c for c in range(1, n)] + [
+        assert order.tolist() == [(n + 1) * c for c in range(1, n)] + [
             row for row in range(n * n) if row % (n + 1) or row == 0]
         natural = natural_rows(matrix.T, n, 1).T
         # Row i - 1 holds a 1 at the source of each |i, j> the shift fills, and nothing else.
@@ -484,20 +493,21 @@ class TestDualRoot:
             ub, uc = random_unitary(rng, 4), random_unitary(rng, 4)
             lb, lc = rng.random((3, 4)), rng.random((3, 4))
             pi = rng.dirichlet(np.ones(4))
-            tb, adjoint = kraus_entry(ub[None]), kraus_entry(uc[None], "adjoint")
+            tb, tc = kraus_entry(ub[None]), kraus_entry(uc[None])
             q, nu = _pinch_weights(lb.T, tb)
-            back = _adjoint_state(q, pi, adjoint)
-            values, nus = _dual_root(lb.T, lc.T, tb, adjoint, pi)
-            assert q.shape == (4, 3) and back.shape == (4, 4, 3)
+            # The root's adjoint step: the right edge's k diagonal rows, transposed.
+            back = tc[:4].T @ (q * pi[:, None])
+            values, nus = _dual_root(lb.T, lc.T, tb, tc, pi)
+            assert q.shape == (4, 3) and back.shape == (4, 3)
             adjoint_gate = dense_channel(uc.conj().T[None])
             for i in range(3):
                 forward = apply_channel(dense_channel(ub[None]), np.diag(np.concatenate([[0.0], lb[i]])))
                 assert np.abs(q[:, i] - np.diagonal(forward)[1:].real / nu[i]).max() < 1e-14
                 # The adjoint gate leaves the null row and column exactly zero, so the
-                # state is its non-null block.
+                # state is its non-null block, and the step gives its diagonal.
                 dense = apply_channel(adjoint_gate, np.diag(np.concatenate([[0.0], q[:, i] * pi])))
                 assert not dense[0].any() and not dense[:, 0].any()
-                assert np.abs(back[:, :, i] - dense[1:, 1:]).max() < 1e-14
+                assert np.abs(back[:, i] - np.diagonal(dense)[1:]).max() < 1e-14
                 expected = nu[i] * np.trace(np.diag(lc[i]) @ dense[1:, 1:]).real
                 assert abs(values[i] - expected) < 1e-14
                 assert nus[i] == lb[i].sum()
@@ -508,8 +518,7 @@ class TestDualRoot:
             k = pb.n_states
             lb, lc = rng.random((5, k)), rng.random((5, k))
             pi = rng.dirichlet(np.ones(k))
-            values, _ = _dual_root(lb.T, lc.T, edge_entry(pb, "kraus"),
-                                   edge_entry(pc, "adjoint"), pi)
+            values, _ = _dual_root(lb.T, lc.T, edge_entry(pb, "kraus"), edge_entry(pc, "kraus"), pi)
             classical = ((lb @ one_matrix(pb).T) * (lc @ one_matrix(pc).T)) @ pi
             assert np.abs(values - classical).max() < 1e-14
 
@@ -551,11 +560,11 @@ class TestEdgeCache:
         tree, aln = random_instance(rng, n_leaves, "K3", n_sites=4)
         n_edges = 2 * n_leaves - 2
         first = [alignment_loglik(tree, aln, engine=e) for e in ENGINES]
-        # One Kraus family per edge, and the dual root's adjoint family.
-        assert builds == {"prune_operators": n_edges + 1, "prune_matrix": n_edges}
+        # One Kraus family per edge, which the quantum and dual engines share.
+        assert builds == {"prune_operators": n_edges, "prune_matrix": n_edges}
         again = parse_newick(emit_newick(tree))
         second = [alignment_loglik(again, aln, engine=e) for e in ENGINES]
-        assert builds == {"prune_operators": n_edges + 1, "prune_matrix": n_edges}
+        assert builds == {"prune_operators": n_edges, "prune_matrix": n_edges}
         for a, b in zip(first, second):
             assert a.log.tobytes() == b.log.tobytes()
 
@@ -586,12 +595,10 @@ class TestEdgeCache:
             engine._edge_ops.cache_clear()
         rows = {family: sum(params.family == family for params in set(tree.edge_params))
                 for family in families}
-        right = tree.nodes[tree.kids[0][1]].params.family
-        forms = [("einsum", "nkai,nkbi->nabi")] * 5  # the four families' Kraus forms, the root adjoint
-        assert sorted(call for call in calls if call[1] != "ip,iip->p") == sorted(
+        forms = [("einsum", "nkai,nkbi->nabi")] * 4  # the four families' Kraus forms
+        assert sorted(call for call in calls if call[1] != "ip,ip->p") == sorted(
             [("prune_matrix", family, n) for family, n in rows.items()]
-            + [("prune_operators", family, n) for family, n in rows.items()]
-            + [("prune_operators", right, 1)] + forms)
+            + [("prune_operators", family, n) for family, n in rows.items()] + forms)
 
     def test_shared_tree_builds_one_entry_per_kind(self, rng, builds):
         tree = tree_with_shared_params(parse_newick("((A:1,B:1):1,(C:1,D:1):1);"),
@@ -599,20 +606,25 @@ class TestEdgeCache:
         aln = Alignment(taxa=tree.leaf_names, data=rng.integers(0, 4, (4, 6)), alphabet=DNA)
         for e in ENGINES:
             alignment_loglik(tree, aln, engine=e)
-        assert builds == {"prune_operators": 2, "prune_matrix": 1}
-        assert engine._edge_ops.cache_info().currsize == 3
+        assert builds == {"prune_operators": 1, "prune_matrix": 1}
+        assert engine._edge_ops.cache_info().currsize == 2
 
-    def test_dual_after_quantum_builds_only_its_root_adjoint(self, rng, builds):
+    def test_dual_after_quantum_builds_nothing(self, rng, builds, monkeypatch):
+        # The dual root reads the right edge's own Kraus entry, which the quantum call cached.
         tree, aln = random_instance(rng, 4, "F", n_sites=3)
         alignment_loglik(tree, aln, engine="quantum")
         assert builds == {"prune_operators": 6, "prune_matrix": 0}
-        alignment_loglik(tree, aln, engine="dual")
-        assert builds == {"prune_operators": 7, "prune_matrix": 0}
-        alignment_loglik(tree, aln, engine="dual")
-        assert builds == {"prune_operators": 7, "prune_matrix": 0}
+
+        def refuse(family, x, pi=None):
+            raise AssertionError("the dual engine built an edge entry")
+
+        for name in ("prune_operators", "prune_matrix"):
+            monkeypatch.setattr(engine, name, refuse)
+        for _ in range(2):
+            alignment_loglik(tree, aln, engine="dual")
 
     def test_two_trees_under_every_engine_stay_cached(self, rng, builds):
-        # Three kinds for each of two trees: six entries, all kept.
+        # Two kinds for each of two trees: four entries, all kept.
         instances = [random_instance(rng, 4, "K2", n_sites=3) for _ in range(2)]
         for tree, aln in instances:
             for e in ENGINES:
@@ -621,7 +633,7 @@ class TestEdgeCache:
         for tree, aln in instances:
             for e in ENGINES:
                 alignment_loglik(tree, aln, engine=e)
-        assert builds == cold == {"prune_operators": 14, "prune_matrix": 12}
+        assert builds == cold == {"prune_operators": 12, "prune_matrix": 12}
 
     @pytest.mark.parametrize("per_edge", (False, True))
     @pytest.mark.parametrize("fit_engine", ENGINES)
@@ -647,7 +659,7 @@ class TestEdgeCache:
         unitary = random_unitary(rng, 4)[None]
         monkeypatch.setattr(engine, "prune_operators", lambda family, x, pi=None: unitary[None])
         entries += [engine._edge_ops((ModelParams.jc(0.2),), kind) for kind in KINDS[1:]]
-        dtypes = [np.float64] * 3 + [np.complex128] * 2
+        dtypes = [np.float64] * 2 + [np.complex128]
         for ((array,), _), dtype in zip(entries, dtypes):
             assert type(array) is np.ndarray and array.dtype == dtype
             assert not array.flags.writeable
@@ -676,12 +688,10 @@ class TestFloors:
             k = params.n_states
             (w,), (w_floor,) = engine._edge_entries((params,), "classical")
             (form,), (form_floor,) = engine._edge_entries((params,), "kraus")
-            (_,), (adjoint_floor,) = engine._edge_entries((params,), "adjoint")
             # A classical node reads all of W; a Kraus node the real diagonal of each block.
             diagonal = natural_rows(form, k, 0).reshape(k, k, k)[np.arange(k), np.arange(k)].real
             assert type(w_floor) is float and w_floor == max(0.0, w.min())
             assert type(form_floor) is float and form_floor == max(0.0, diagonal.min())
-            assert adjoint_floor == 0.0
             # Row (a, a) of the form holds the probabilities of column a of W.
             assert form_floor == pytest.approx(w_floor, rel=1e-12, abs=0.0)
 
@@ -699,10 +709,10 @@ class TestFloors:
         assert engine._edge_entries((params,), "classical")[1] == (0.0,)
         # A transfer form's off-diagonal rows, after its k diagonal rows, are not read.
         form = np.array([[0.9, 0.2], [0.2, 0.8], [-0.3, 0.1], [0.1, -0.3]])
-        assert engine._floor(form[None], "kraus") == [0.2]
+        assert engine._floor(form[None]) == [0.2]
         form[1, 0] = -1e-17
-        assert engine._floor(form[None], "kraus") == [0.0]
-        assert engine._floor(form[None].astype(complex) + 1j, "kraus") == [0.0]
+        assert engine._floor(form[None]) == [0.0]
+        assert engine._floor(form[None].astype(complex) + 1j) == [0.0]
 
 
 def complex_edge_ops(cached, rebuilt: list, only=None):
@@ -715,25 +725,24 @@ def complex_edge_ops(cached, rebuilt: list, only=None):
         entries = list(cached(edge_params, kind)[0])
         for i, params in enumerate(edge_params):
             if kind != "classical" and only in (None, params):
-                entries[i] = kraus_entry(one_stack(params).astype(complex), kind)
+                entries[i] = kraus_entry(one_stack(params).astype(complex))
                 rebuilt.append(entries[i])
-        return tuple(entries), tuple(engine._floor(entry[None], kind)[0] for entry in entries)
+        return tuple(entries), tuple(engine._floor(entry[None])[0] for entry in entries)
 
     return edges
 
 
 def unitary_edge_ops(cached, tree, slot: int):
-    """An ``_edge_ops`` stand-in that gives the JC edge at ``slot`` of ``tree`` the Kraus and
-    adjoint entries of ``jc_unitary``, a single unitary with a phase; the rest are ``cached``'s."""
+    """An ``_edge_ops`` stand-in that gives the JC edge at ``slot`` of ``tree`` the Kraus entry
+    of ``jc_unitary``, a single unitary with a phase; the rest are ``cached``'s. On the root's
+    right edge, the dual root reads that entry too."""
     unitary = jc_unitary(tree.nodes[slot].params.a)[None]
 
     def edges(edge_params, kind):
         entries = list(cached(edge_params, kind)[0])
         if kind == "kraus":
             entries[slot - 1] = kraus_entry(unitary)
-        elif kind == "adjoint" and slot == tree.kids[0][1]:
-            entries[0] = kraus_entry(unitary, "adjoint")
-        return tuple(entries), tuple(engine._floor(entry[None], kind)[0] for entry in entries)
+        return tuple(entries), tuple(engine._floor(entry[None])[0] for entry in entries)
 
     return edges
 
@@ -751,6 +760,37 @@ FIELD_TREES = (
 )
 
 
+# Stacks for the adjoint-step pin: every family at random and boundary values, where operators
+# are zero, and single complex unitaries, random or with a phase.
+ADJOINT_STACKS = [
+    *(pytest.param(one_stack(params), id=f"{params.family}-{seed}-a={params.a:.3g}")
+      for seed in range(2) for family in FAMILIES
+      for params in [random_params(np.random.default_rng(seed), family)]),
+    *(pytest.param(one_stack(params), id=f"boundary-{params.family}-a={params.a:.3g}")
+      for params in BOUNDARY_PARAMS),
+    *(pytest.param(random_unitary(np.random.default_rng(seed), n)[None], id=f"unitary-{n}-{seed}")
+      for n in (2, 4) for seed in range(2)),
+    pytest.param(jc_unitary(0.1)[None], id="jc-phase"),
+]
+
+
+class TestAdjointStep:
+    """The dual root's adjoint step on a diagonal state, read off the edge's own Kraus entry."""
+
+    @pytest.mark.parametrize("stack", ADJOINT_STACKS)
+    def test_diagonal_rows_transposed_are_the_adjoint_map(self, stack):
+        # The first k rows of the entry hold sum_k |A_k[a, i]|^2 at (a, i), so their
+        # transpose maps a diagonal sigma to the diagonal of sum_k A_k^dagger sigma A_k.
+        k = stack.shape[-1]
+        rows = kraus_entry(stack)[:k].T
+        ops = _embed_stack(np.asarray(stack, dtype=complex))
+        for sigma in np.random.default_rng(k).random((5, k)):
+            state = np.diag(np.concatenate([[0.0], sigma]))
+            dense = sum(op.conj().T @ state @ op for op in ops)
+            assert not dense[0].any() and not dense[:, 0].any()
+            assert np.abs(rows @ sigma - np.diagonal(dense)[1:]).max() < 1e-14
+
+
 class TestRealField:
     """Real Kraus families run in float64, pinned bit for bit to their complex form."""
 
@@ -763,7 +803,7 @@ class TestRealField:
         monkeypatch.setattr(linalg, "as_matrix", refuse)
         engine._edge_ops.cache_clear()
         try:
-            edges = [edge for kind in KINDS[1:] for edge in engine._edge_ops(edge_params, kind)[0]]
+            edges = engine._edge_ops(edge_params, "kraus")[0]
         finally:
             engine._edge_ops.cache_clear()
         assert {edge.dtype for edge in edges} == {np.dtype(np.float64)}
@@ -778,17 +818,15 @@ class TestRealField:
         m = params.n_states
         assert isinstance(ops, np.ndarray) and ops.dtype == np.float64 and ops.shape[1:] == (m, m)
         assert np.array_equal(_embed_stack(ops)[:, 1:, 1:], ops)
-        for kind in KINDS[1:]:
-            value, reference = edge_entry(params, kind), kraus_entry(ops.astype(complex), kind)
-            assert value.dtype == np.float64 and reference.dtype == np.complex128
-            assert value.tobytes() == reference.real.tobytes()
-            assert not reference.imag.any()
+        value, reference = edge_entry(params, "kraus"), kraus_entry(ops.astype(complex))
+        assert value.dtype == np.float64 and reference.dtype == np.complex128
+        assert value.tobytes() == reference.real.tobytes()
+        assert not reference.imag.any()
 
     @pytest.mark.parametrize("unitary", [jc_unitary(0.05), jc_unitary(0.1),
                                          random_unitary(np.random.default_rng(3), 4)])
     def test_complex_operators_stay_complex(self, unitary):
-        for kind in KINDS[1:]:
-            assert kraus_entry(unitary[None], kind).dtype == np.complex128
+        assert kraus_entry(unitary[None]).dtype == np.complex128
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.sampled_from(FAMILIES))
     def test_whole_tree_reports_match_the_complex_run_bytewise(self, seed, n_leaves, family):
@@ -1062,7 +1100,7 @@ def zero_floors():
     engine._edge_ops.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_floor", lambda entries, kind: [0.0] * len(entries))
+            patch.setattr(engine, "_floor", lambda entries: [0.0] * len(entries))
             yield
     finally:
         engine._edge_ops.cache_clear()

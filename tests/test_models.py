@@ -416,16 +416,13 @@ def batch_of(values):
     return [params.row for params in values], None if values[0].pi is None else [params.pi for params in values]
 
 
-def explicit_form(ops, kind):
+def explicit_form(ops):
     """A transfer form as an explicit sum over the operators, in stack order, of A_k[a, i] conj(A_k[b, i])."""
-    if kind == "adjoint":
-        ops = ops.conj().transpose(0, 2, 1)
     k = ops.shape[1]
     total = np.zeros((k, k, k), dtype=ops.dtype)
     for op in ops:
         total += op[:, None, :] * op[None, :, :].conj()
-    total = total.reshape(k * k, k)
-    return total if kind == "adjoint" else total[engine._diagonal_first(k, 0)]
+    return total.reshape(k * k, k)[engine._diagonal_first(k, 0)]
 
 
 class TestBatchedBuilders:
@@ -439,14 +436,14 @@ class TestBatchedBuilders:
             rows = build(family, x, pi)
             for row, params in zip(rows, values):
                 assert row.tobytes() == build(family, [params.row], params.pi)[0].tobytes()
-        for kind in ("classical", "kraus", "adjoint"):
+        for kind in ("classical", "kraus"):
             entries, floors = engine._entries(family, x, pi, kind)
             assert not entries.flags.writeable
             for entry, floor, params in zip(entries, floors, values):
                 (alone,), (alone_floor,) = engine._entries(family, [params.row], params.pi, kind)
                 assert entry.tobytes() == alone.tobytes() and floor == alone_floor
-                # Each row is stored as the engine's matmuls read it: the adjoint form transposed.
-                assert entry.flags.f_contiguous if kind == "adjoint" else entry.flags.c_contiguous
+                # Each row is stored as the engine's matmuls read it.
+                assert entry.flags.c_contiguous
 
     @given(weight_batches())
     def test_w_is_the_xor_gather_or_the_f_formula_transposed(self, case):
@@ -468,8 +465,7 @@ class TestBatchedBuilders:
         k = FAMILY[family].n_states
         assert stacks.shape == (len(values), 17 if family == "F" else k, k, k)
         for cast in (stacks, stacks.astype(complex)):
-            for kind in ("kraus", "adjoint"):
-                forms = engine._stack_form(cast, kind)
-                assert forms.dtype == cast.dtype
-                for form, ops in zip(forms, cast):
-                    assert form.tobytes() == explicit_form(ops, kind).tobytes()
+            forms = engine._stack_form(cast)
+            assert forms.dtype == cast.dtype
+            for form, ops in zip(forms, cast):
+                assert form.tobytes() == explicit_form(ops).tobytes()

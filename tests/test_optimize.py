@@ -57,7 +57,7 @@ def well_posed_fits(draw):
     return topology, simulated_alignment(topology, params, 300, seed), family
 
 
-@pytest.mark.parametrize("kind", ("classical", "kraus", "adjoint"))
+@pytest.mark.parametrize("kind", ("classical", "kraus"))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_outcome_forms_and_the_remainder_rebuild_each_edge(family, kind):
     """sum_i x_i form_i plus the remainder's entry is the edge's entry. The outcome forms are the
@@ -94,7 +94,7 @@ def w1_alignment(tmp_path_factory):
 def test_every_fit_point_passes_the_region_check(monkeypatch, w1_alignment, family, engine, per_edge):
     # A fit point builds its entries from its weight array, with no ModelParams and so no region
     # check; each row it builds must still pass ModelParams' own. The unit rows, built once
-    # before the search, are the outcome forms (and, on the dual engine, their adjoints).
+    # before the search, are the outcome forms, on the dual engine as on the quantum engine.
     tree, aln = parse_newick(TRUTH_TREE), w1_alignment
     if family == "B":
         # W1 is DNA: B runs on the same tree's two-state analogue, 2000 sites at seed 31000.
@@ -108,9 +108,9 @@ def test_every_fit_point_passes_the_region_check(monkeypatch, w1_alignment, fami
     monkeypatch.setattr(optimize, "_entries", recorded)
     maximize_loglik(OptimizationProblem(tree=tree, alignment=aln, family=family, engine=engine,
                                         per_edge=per_edge))
-    d, n_units = len(FAMILY[family].weights), 2 if engine == "dual" else 1
-    assert all(np.array_equal(x, np.eye(d)) for x in builds[:n_units])
-    points = np.concatenate(builds[n_units:])
+    d = len(FAMILY[family].weights)
+    assert np.array_equal(builds[0], np.eye(d))
+    points = np.concatenate(builds[1:])
     assert len(points) > 10
     for row in points:
         ModelParams(family, *row, pi=np.full(4, 0.25) if family == "F" else None)
