@@ -32,7 +32,7 @@ EXIT_MODEL = 3
 EXIT_TAXA = 4
 EXIT_ZERO_LIKELIHOOD = 5
 
-_CHUNK = 4096  # entries per patterns.json write; 65,536 raised a 4**9-entry run's peak 8-15 MiB
+_CHUNK = 4096  # entries per patterns.json write; 65,536 took a 4**9-entry write's tracemalloc peak from 0.6 to 9.6 MiB
 
 def _int_at_least(low: int):
     """argparse type for an integer that must be at least ``low``."""
@@ -54,24 +54,22 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _json_layout(shape: tuple):
-    """``(head, after, blocks)`` of ``json.dumps(indent=2)`` for a top-level list of ``shape``.
+    """``(head, after, blocks)`` of ``json.dumps`` for a top-level list of ``shape``, on one line.
 
     ``head`` precedes the first entry. ``after[j]`` follows each entry that closes
     ``j`` inner axes: its 1-based flat index is a multiple of ``blocks[j]``, the
     size of the last ``j`` axes, but not of ``blocks[j + 1]``. ``after[-1]`` ends the list.
     """
     ndim = len(shape)
-    pad = ["\n" + "  " * level for level in range(ndim + 2)]
-    opens = ["".join("[" + pad[level] for level in range(ndim + 2 - j, ndim + 2)) for j in range(ndim + 1)]
-    closes = ["".join(pad[level] + "]" for level in range(ndim, ndim - j, -1)) for j in range(ndim + 1)]
-    after = [closes[j] + "," + pad[ndim + 1 - j] + opens[j] for j in range(ndim)] + [closes[ndim]]
-    return opens[ndim], np.array(after, dtype=object), [math.prod(shape[ndim - j:]) for j in range(ndim + 1)]
+    after = ["]" * j + ", " + "[" * j for j in range(ndim)] + ["]" * ndim]
+    return "[" * ndim, np.array(after, dtype=object), [math.prod(shape[ndim - j:]) for j in range(ndim + 1)]
 
 
 def _json_with_array_bytes(doc: dict, key: str, shape: tuple, entry: int) -> int:
     """Bytes ``_write_json_with_array`` writes for an array of ``shape`` whose
-    every entry's repr takes ``entry`` bytes. The array takes the place of
-    ``null`` in the dump, whose non-ASCII characters json escapes."""
+    every entry's repr takes ``entry`` bytes: the brackets and ``", "`` of
+    ``_json_layout`` take the place of ``null`` in the dump, whose non-ASCII
+    characters json escapes."""
     head, after, blocks = _json_layout(shape)
     closing = [blocks[-1] // block for block in blocks] + [0]  # entries that close at least j axes
     text = len(head) + sum(len(sep) * (closing[j] - closing[j + 1]) for j, sep in enumerate(after))
@@ -79,9 +77,9 @@ def _json_with_array_bytes(doc: dict, key: str, shape: tuple, entry: int) -> int
 
 
 def _write_json_with_array(path: Path, doc: dict, key: str, array: np.ndarray) -> None:
-    """The bytes ``_write_json`` writes for ``{**doc, key: array.tolist()}``, without that list:
-    ``_CHUNK`` entries at a time, each one's ``float.__repr__`` (as json writes finite floats)
-    then its separator. ``"<key>": null`` marks the array's place; in a JSON string its quotes are escaped."""
+    """``_write_json``'s dump of ``{**doc, key: None}`` with ``json.dumps(array.tolist())`` in place of
+    that ``null``: ``_CHUNK`` entries at a time, each one's ``float.__repr__`` (as json writes finite
+    floats) then its separator. ``"<key>": null`` marks the array's place; in a JSON string its quotes are escaped."""
     head, _, tail = json.dumps({**doc, key: None}, indent=2, sort_keys=True).partition(f'"{key}": null')
     first, after, blocks = _json_layout(array.shape)
     with path.open("w", encoding="utf-8") as f:
@@ -267,7 +265,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except MemoryError as exc:  # the backstop: nothing yet refuses an alignment too large up front
-        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        line = f"error: out of memory{f': {exc}' if str(exc) else ''}"  # numpy's may list a dtype's every field
+        print(line if len(line) <= 200 else line[:197] + "...", file=sys.stderr)
         return EXIT_MODEL
 
 

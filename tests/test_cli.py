@@ -44,6 +44,12 @@ def simulate(tmp_path, tree_file, seed=7, sites=30, name="run"):
     return out.with_name(out.name + ".fasta"), out.with_name(out.name + ".patterns.json")
 
 
+def compact_reference(doc, key, values):
+    """The indent=2 dump of ``{**doc, key: None}`` with ``json.dumps(values.tolist())`` in place of that ``null``."""
+    head, _, tail = json.dumps({**doc, key: None}, indent=2, sort_keys=True).partition(f'"{key}": null')
+    return (head + f'"{key}": ' + json.dumps(values.tolist()) + tail + "\n").encode("ascii")
+
+
 class TestSimulate:
     def test_writes_alignment_and_pattern_document(self, tmp_path, tree_file):
         fasta, doc_path = simulate(tmp_path, tree_file)
@@ -136,10 +142,10 @@ class TestSimulate:
         doc = {"alphabet": tree.alphabet.name, "leaves": [*tree.leaf_names, *names],
                "seed": seed, "sites": n_leaves}
         with tempfile.TemporaryDirectory() as tmp:
-            streamed, reference = Path(tmp, "streamed.json"), Path(tmp, "reference.json")
+            streamed = Path(tmp, "streamed.json")
             cli._write_json_with_array(streamed, doc, "pattern_probabilities", tensor)
-            cli._write_json(reference, {**doc, "pattern_probabilities": tensor.tolist()})
-            assert streamed.read_bytes() == reference.read_bytes()
+            assert streamed.read_bytes() == compact_reference(doc, "pattern_probabilities", tensor)
+            assert json.loads(streamed.read_bytes()) == {**doc, "pattern_probabilities": tensor.tolist()}
 
     @pytest.mark.parametrize("values", [
         lambda: simulate_tree(verify.random_instance(np.random.default_rng(7), 7, "JC")[0]).values,
@@ -150,10 +156,10 @@ class TestSimulate:
         values = values()
         assert values.size >= 2 * cli._CHUNK
         doc = {"alphabet": "dna", "leaves": ["A"], "seed": 0, "sites": 1}
-        streamed, reference = tmp_path / "streamed.json", tmp_path / "reference.json"
+        streamed = tmp_path / "streamed.json"
         cli._write_json_with_array(streamed, doc, "pattern_probabilities", values)
-        cli._write_json(reference, {**doc, "pattern_probabilities": values.tolist()})
-        assert streamed.read_bytes() == reference.read_bytes()
+        assert streamed.read_bytes() == compact_reference(doc, "pattern_probabilities", values)
+        assert json.loads(streamed.read_bytes()) == {**doc, "pattern_probabilities": values.tolist()}
         bound = cli._json_with_array_bytes(doc, "pattern_probabilities", values.shape, 23)
         assert len(streamed.read_bytes()) == bound - sum(23 - len(repr(v)) for v in values.ravel().tolist())
 
@@ -176,7 +182,7 @@ class TestSimulate:
         bound = cli._json_with_array_bytes(doc, "pattern_probabilities", values.shape, 23)
         assert written == bound - sum(23 - len(r) for r in reprs)
 
-    @pytest.mark.parametrize("edge, states, leaves", [(":0.1", 4, 12), ("[&model=B,a=0.1]", 2, 23)])
+    @pytest.mark.parametrize("edge, states, leaves", [(":0.1", 4, 13), ("[&model=B,a=0.1]", 2, 26)])
     def test_oversized_patterns_file_refused_before_allocating(self, tmp_path, capsys, edge,
                                                                states, leaves):
         caterpillar = "(" * (leaves - 1) + f"t0{edge}" + "".join(f",t{i}{edge}){edge}"
@@ -557,6 +563,20 @@ def test_an_alignment_too_large_for_memory_exits_3_with_one_line(large_alignment
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: out of memory")
     assert "Traceback" not in done.stderr
+
+
+def test_a_long_out_of_memory_message_is_cut_to_one_short_line(monkeypatch, capsys):
+    # numpy's message for a structured dtype names every field, over 1,000 characters for 64 taxa.
+    def exhausted(args):
+        raise MemoryError("x" * 2000)
+    monkeypatch.setattr(cli, "cmd_verify", exhausted)
+    assert run(["verify"]) == cli.EXIT_MODEL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) <= 200
+    assert captured.err == "error: out of memory: " + "x" * 175 + "...\n"
+    assert "Traceback" not in captured.err
 
 
 # Inputs for the argv property: "@name" stands for a file or directory under
